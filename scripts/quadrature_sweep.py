@@ -1,0 +1,47 @@
+"""Refusals of the seeded quadrature sweep, per tolerance.
+
+Prices 150 random flows on random curves (``numpy.random.default_rng(7)``,
+one ``random_curve`` then one ``random_cashflow`` per case, horizon 30) at
+tol 1e-6, 1e-10 and 1e-12, and prints for each tolerance how many cases
+raise DomainError (the tolerance is below the flow's noise floor), which
+ones, and how many returned brackets are wider than the tolerance.  The
+refused set shows where the noise floor of the bracketed quadrature lies,
+so two revisions can be compared case by case.
+
+Run:  PYTHONPATH=src python scripts/quadrature_sweep.py
+"""
+import time
+
+import numpy as np
+
+from pvkit import DomainError, price
+from pvkit.sampling import random_cashflow, random_curve
+
+CASES = 150
+HORIZON = 30.0
+TOLERANCES = (1e-6, 1e-10, 1e-12)
+
+
+def main():
+    rng = np.random.default_rng(7)
+    cases = [(random_curve(rng, horizon=HORIZON), random_cashflow(rng, horizon=HORIZON))
+             for _ in range(CASES)]
+    total = 0
+    for tol in TOLERANCES:
+        start = time.perf_counter()
+        refused, too_wide = [], 0
+        for i, (curve, flow) in enumerate(cases):
+            try:
+                res = price(curve, flow, tol)
+            except DomainError:
+                refused.append(i)
+                continue
+            too_wide += res.upper - res.lower > tol
+        total += len(refused)
+        print(f"tol {tol:g}: {len(refused)} of {CASES} refused, {too_wide} wider than tol, "
+              f"{time.perf_counter() - start:.2f} s; refused {refused}")
+    print(f"total: {total} of {CASES * len(TOLERANCES)} refused")
+
+
+if __name__ == "__main__":
+    main()

@@ -18,6 +18,9 @@ curve (see the dual-functional module).
 All curves are immutable.  ``horizon`` marks how far out the curve is
 meant to be used; construction samples ``P`` densely on [0, horizon] and
 rejects parameters that produce non-finite or non-positive values there.
+Every curve evaluates either one time, ``discount(t)``, or an array of
+times at once, ``discount_many(ts)``; the two agree to a few ulp, and the
+array form is what quadrature, FX refits and grid scans call.
 Rates use annual effective compounding throughout: the spot rate is
 ``y_t = P_t**(-1/t) - 1`` and the forward rate over ``[s, t]`` is
 ``f = (P_s/P_t)**(1/(t-s)) - 1`` with ``f = 0`` when ``s == t``.  Negative
@@ -29,21 +32,42 @@ import bisect
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 DEFAULT_HORIZON = 100.0
 _VALIDATION_SAMPLES = 64
 
 
-def _validate_sampled(curve) -> None:
-    for k in range(_VALIDATION_SAMPLES + 1):
-        t = curve.horizon * k / _VALIDATION_SAMPLES
-        p = curve.discount(t)
-        if not (math.isfinite(p) and p > 0.0):
-            raise DomainError(
-                f"curve is not positive and bounded on [0, {curve.horizon}]: "
-                f"P({t}) = {p!r}"
-            )
+def check_positive(fn, horizon: float, describe) -> None:
+    """Raise DomainError unless ``fn`` is finite and positive on [0, horizon].
+
+    ``fn`` maps an array of times to an array of values; it is checked at
+    65 evenly spaced times, endpoints included.  At the first failing time
+    ``t`` with value ``v`` the error message is ``describe(t, v)``.
+    """
+    ts = horizon * np.arange(_VALIDATION_SAMPLES + 1) / _VALIDATION_SAMPLES
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vs = fn(ts)
+    bad = ~(np.isfinite(vs) & (vs > 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DomainError(describe(float(ts[k]), float(vs[k])))
+
+
+def _check_times(ts: np.ndarray) -> None:
+    if ts.size and not ts.min() >= 0.0:
+        raise DomainError(f"discount factor needs t >= 0, got {float(ts.min())}")
+
+
+def _validate_curve(curve) -> None:
+    check_positive(
+        curve.discount_many,
+        curve.horizon,
+        lambda t, p: f"curve is not positive and bounded on [0, {curve.horizon}]: "
+                     f"P({t}) = {p!r}",
+    )
 
 
 def _check_horizon(h: float) -> float:
@@ -66,12 +90,16 @@ class FlatCurve:
             raise DomainError(f"flat rate must be finite and > -1, got {i!r}")
         object.__setattr__(self, "rate", i)
         object.__setattr__(self, "horizon", _check_horizon(self.horizon))
-        _validate_sampled(self)
+        _validate_curve(self)
 
     def discount(self, t: float) -> float:
         if t < 0.0:
             raise DomainError(f"discount factor needs t >= 0, got {t}")
         return (1.0 + self.rate) ** (-t)
+
+    def discount_many(self, ts: np.ndarray) -> np.ndarray:
+        _check_times(ts)
+        return np.power(1.0 + self.rate, -ts)
 
     def knot_times(self) -> tuple[float, ...]:
         return ()
@@ -110,7 +138,9 @@ class SpotGridCurve:
         else:
             tail = 0.0
         object.__setattr__(self, "_tail_forward", tail)
-        _validate_sampled(self)
+        object.__setattr__(self, "_knot_t", np.array(times))
+        object.__setattr__(self, "_knot_p", np.array([p for _, p in ks]))
+        _validate_curve(self)
 
     def discount(self, t: float) -> float:
         if t < 0.0:
@@ -127,6 +157,19 @@ class SpotGridCurve:
         w = (t - t0) / (t1 - t0)
         return p0 * (p1 / p0) ** w
 
+    def discount_many(self, ts: np.ndarray) -> np.ndarray:
+        _check_times(ts)
+        last_t, last_p = self.knots[-1]
+        out = last_p * np.exp(-self._tail_forward * (ts - last_t))
+        inside = ts < last_t
+        if inside.any():
+            t = ts[inside]
+            k = np.searchsorted(self._knot_t, t, side="right") - 1
+            t0, t1 = self._knot_t[k], self._knot_t[k + 1]
+            p0, p1 = self._knot_p[k], self._knot_p[k + 1]
+            out[inside] = p0 * (p1 / p0) ** ((t - t0) / (t1 - t0))
+        return out
+
     def knot_times(self) -> tuple[float, ...]:
         # interpolation is non-smooth at every interior knot and at the
         # extrapolation boundary
@@ -142,6 +185,10 @@ def _hump1(x: float) -> float:
 
 def _hump2(x: float) -> float:
     return _hump1(x) - math.exp(-x)
+
+
+def _hump1_many(x: np.ndarray) -> np.ndarray:
+    return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 @dataclass(frozen=True)
@@ -170,7 +217,7 @@ class SvenssonCurve:
         if self.tau1 <= 0.0 or self.tau2 <= 0.0:
             raise DomainError("tau1 and tau2 must be positive")
         object.__setattr__(self, "horizon", _check_horizon(self.horizon))
-        _validate_sampled(self)
+        _validate_curve(self)
 
     def yield_at(self, t: float) -> float:
         if t < 0.0:
@@ -186,6 +233,19 @@ class SvenssonCurve:
 
     def discount(self, t: float) -> float:
         return math.exp(-t * self.yield_at(t))
+
+    def discount_many(self, ts: np.ndarray) -> np.ndarray:
+        _check_times(ts)
+        x1 = ts / self.tau1
+        x2 = ts / self.tau2
+        h1 = _hump1_many(x1)
+        y = (
+            self.beta0
+            + self.beta1 * h1
+            + self.beta2 * (h1 - np.exp(-x1))
+            + self.beta3 * (_hump1_many(x2) - np.exp(-x2))
+        )
+        return np.exp(-ts * y)
 
     def knot_times(self) -> tuple[float, ...]:
         return ()
@@ -210,6 +270,9 @@ class ScaledCurve:
 
     def discount(self, t: float) -> float:
         return self.factor * self.base.discount(t)
+
+    def discount_many(self, ts: np.ndarray) -> np.ndarray:
+        return self.factor * self.base.discount_many(ts)
 
     def knot_times(self) -> tuple[float, ...]:
         return self.base.knot_times()

@@ -16,12 +16,11 @@ exactly twice its curve price.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ScaledCurve
+from .curves import ScaledCurve, check_positive
 from .errors import DomainError
 from .measures import CashFlow, dirac, lebesgue, scale, add
 from .pricing import PriceResult, _result, default_tolerance, price
@@ -43,11 +42,11 @@ class DualFunctional:
     def __post_init__(self):
         for name in ("atom_curve", "density_weight"):
             c = getattr(self, name)
-            for k in range(65):
-                t = c.horizon * k / 64
-                w = c.discount(t)
-                if not (math.isfinite(w) and w > 0.0):
-                    raise DomainError(f"{name} must be positive and bounded, got {w!r} at t={t}")
+            check_positive(
+                c.discount_many,
+                c.horizon,
+                lambda t, w: f"{name} must be positive and bounded, got {w!r} at t={t}",
+            )
         if self.atom_curve.discount(0.0) != 1.0:
             raise DomainError("atom curve must have P(0) = 1")
 

@@ -26,7 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import poly
+from .curves import check_positive
 from .errors import DomainError
 from .measures import Atom, CashFlow, DensityPiece, total_variation
 from .pricing import PriceResult, TOLERANCE_SCALE, _result, price
@@ -35,6 +38,7 @@ FIT_REL_TOL = 1e-10
 FIT_MAX_SEGMENTS = 1024  # per original density piece
 _FIT_NODES = 9  # degree-8 fit
 _FIT_SAMPLES = 33
+_FIT_CHEB = poly.chebyshev_nodes(_FIT_NODES)
 _EPS = 2.0 ** -52
 CURRENCIES = ("domestic", "foreign")
 
@@ -52,11 +56,11 @@ class DualCurrencyMarket:
         if not (math.isfinite(s) and s > 0.0):
             raise DomainError(f"spot FX rate must be positive, got {s!r}")
         object.__setattr__(self, "spot_fx", s)
-        for k in range(65):
-            t = self.horizon * k / 64
-            f = self.spot_fx * self.foreign_curve.discount(t) / self.domestic_curve.discount(t)
-            if not (math.isfinite(f) and f > 0.0):
-                raise DomainError(f"forward FX rate is not positive and bounded at t={t}")
+        check_positive(
+            lambda ts: _fx_forward_many(self, ts),
+            self.horizon,
+            lambda t, _: f"forward FX rate is not positive and bounded at t={t}",
+        )
 
     @property
     def horizon(self) -> float:
@@ -79,6 +83,14 @@ def fx_forward(market: DualCurrencyMarket, t: float) -> float:
         market.spot_fx
         * market.foreign_curve.discount(t)
         / market.domestic_curve.discount(t)
+    )
+
+
+def _fx_forward_many(market: DualCurrencyMarket, ts: np.ndarray) -> np.ndarray:
+    return (
+        market.spot_fx
+        * market.foreign_curve.discount_many(ts)
+        / market.domestic_curve.discount_many(ts)
     )
 
 
@@ -126,6 +138,8 @@ def price_dual(market: DualCurrencyMarket, flow: DualCashFlow,
 def _fit_piece(fn, piece: DensityPiece):
     """Certified degree-8 fits of fn*density on [start, end), bisecting as needed.
 
+    ``fn`` is vectorised (an array of times to an array of values); each
+    segment makes one call for its 9 Chebyshev nodes and 33 samples.
     Returns (pieces, abs_error_integral_bound).  The certificate samples
     the stored global-monomial polynomial, so representation roundoff is
     part of the measured error, never hidden by it.  Far from the origin
@@ -147,27 +161,26 @@ def _fit_piece(fn, piece: DensityPiece):
             )
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-
-        def product(t: float) -> float:
-            return poly.evaluate(piece.coeffs, t) * fn(t)
-
-        local = poly.interpolate_chebyshev(product, mid, half, _FIT_NODES)
-        ts = [a + (b - a) * j / (_FIT_SAMPLES - 1) for j in range(_FIT_SAMPLES)]
-        fs = [fn(t) for t in ts]
-        vs = [poly.evaluate(piece.coeffs, t) * f for t, f in zip(ts, fs)]
-        scale = max(abs(v) for v in vs)
-        fmax = max(abs(f) for f in fs)
+        ts = np.array([mid + half * x for x in _FIT_CHEB]
+                      + [a + (b - a) * j / (_FIT_SAMPLES - 1) for j in range(_FIT_SAMPLES)])
+        fs = fn(ts)
+        vs = poly.evaluate(piece.coeffs, ts) * fs
+        local = poly.interpolate_chebyshev(vs[:_FIT_NODES], half)
+        ts, fs, vs = ts[_FIT_NODES:], fs[_FIT_NODES:], vs[_FIT_NODES:]
+        scale = float(np.abs(vs).max())
+        fmax = float(np.abs(fs).max())
         # recentring at 0 amplifies the k-th local coefficient by mid**k,
         # which turns noise-level tail coefficients into cancellation the
         # samples can never certify; store whichever tail truncation of the
         # fit actually evaluates best (shortest wins ties)
-        worst = math.inf
-        coeffs: tuple = ()
+        cands = np.zeros((len(local), len(local)))
         for n in range(1, len(local) + 1):
-            cand = poly.trim(poly.taylor_shift(local[:n], -mid))
-            w = max(abs(v - poly.evaluate(cand, t)) for t, v in zip(ts, vs))
-            if w < worst:
-                worst, coeffs = w, cand
+            cands[n - 1, :n] = poly.taylor_shift(local[:n], -mid)
+        # Horner on every candidate at once: coefficient columns in, one row
+        # of sample values per candidate out
+        errors = np.abs(vs - poly.evaluate(cands.T[:, :, None], ts)).max(axis=1)
+        best = int(np.argmin(errors))
+        worst, coeffs = float(errors[best]), poly.trim(cands[best])
         # the sampled values themselves carry the roundoff of evaluating the
         # input coefficients; only that (never the candidate's own, which a
         # bad fit could inflate) may relax the acceptance threshold
@@ -203,7 +216,7 @@ def convert_measure_with_bound(market: DualCurrencyMarket,
     )
     pieces: list[DensityPiece] = []
     err = 0.0
-    fn = lambda t: fx_forward(market, t)
+    fn = lambda ts: _fx_forward_many(market, ts)
     kinks = sorted(
         set(market.domestic_curve.knot_times()) | set(market.foreign_curve.knot_times())
     )

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from . import poly
 from .errors import DomainError
 from .quadrature import Bracket, bracketed_integral
@@ -306,5 +308,6 @@ def integrate(fn: Callable[[float], float], a: CashFlow, tol: float = 1e-10) -> 
     adaptive bracketed quadrature with total width <= tol.
     """
     atom_part = math.fsum(x.amount * fn(x.time) for x in a.atoms)
-    dens = bracketed_integral(fn, [(p.start, p.end, p.coeffs) for p in a.pieces], tol)
+    dens = bracketed_integral(lambda ts: np.array([fn(t) for t in ts.tolist()]),
+                              [(p.start, p.end, p.coeffs) for p in a.pieces], tol)
     return Bracket(atom_part + dens.value, atom_part + dens.lower, atom_part + dens.upper)

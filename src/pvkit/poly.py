@@ -91,15 +91,22 @@ def taylor_shift(a, m: float) -> Coeffs:
     return tuple(c)
 
 
-def interpolate_chebyshev(fn, mid: float, half: float, nodes: int) -> Coeffs:
-    """Interpolant of fn at Chebyshev nodes, in local coordinates u = t - mid.
+def chebyshev_nodes(n: int) -> Coeffs:
+    """The ``n`` Chebyshev points ``cos(pi * (2k + 1) / (2n))`` on [-1, 1]."""
+    return tuple(math.cos(math.pi * (2 * k + 1) / (2 * n)) for k in range(n))
 
-    Newton divided differences expanded to monomials; degree = nodes - 1.
-    Local coordinates keep the coefficients well-scaled on off-origin
-    intervals.
+
+def interpolate_chebyshev(values, half: float) -> Coeffs:
+    """Interpolant through ``values`` at ``u = half * chebyshev_nodes(n)``.
+
+    ``n = len(values)``; the result is in the local coordinate u (an
+    interval's midpoint is u = 0).  Newton divided differences expanded to
+    monomials; degree = n - 1.  Local coordinates keep the coefficients
+    well-scaled on off-origin intervals.
     """
-    us = [half * math.cos(math.pi * (2 * k + 1) / (2 * nodes)) for k in range(nodes)]
-    coef = [fn(mid + u) for u in us]
+    nodes = len(values)
+    us = [half * x for x in chebyshev_nodes(nodes)]
+    coef = [float(v) for v in values]
     for j in range(1, nodes):
         for i in range(nodes - 1, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (us[i] - us[i - j])

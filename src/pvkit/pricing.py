@@ -70,7 +70,7 @@ def price(curve, flow: CashFlow, tol: float | None = None) -> PriceResult:
     _check_support(curve, flow)
     atom = math.fsum(a.amount * curve.discount(a.time) for a in flow.atoms)
     dens = bracketed_integral(
-        curve.discount,
+        curve.discount_many,
         [(p.start, p.end, p.coeffs) for p in flow.pieces],
         tol,
         breakpoints=curve.knot_times(),
@@ -206,35 +206,6 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     raise DomainError("internal rate search did not converge to the tolerance")
 
 
-def _discount_grid(curve, times: np.ndarray) -> np.ndarray:
-    """Vectorized P(t) for grid scans; agrees with the scalar path to roundoff."""
-    if isinstance(curve, _curves.ScaledCurve):
-        return curve.factor * _discount_grid(curve.base, times)
-    if isinstance(curve, _curves.FlatCurve):
-        return (1.0 + curve.rate) ** (-times)
-    if isinstance(curve, _curves.SpotGridCurve):
-        ts = np.array([t for t, _ in curve.knots])
-        logps = np.log([p for _, p in curve.knots])
-        last_t, last_p = curve.knots[-1]
-        inner = np.exp(np.interp(times, ts, logps))
-        outer = last_p * np.exp(-curve._tail_forward * (times - last_t))
-        return np.where(times >= last_t, outer, inner)
-    if isinstance(curve, _curves.SvenssonCurve):
-        x1 = times / curve.tau1
-        x2 = times / curve.tau2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            h1 = np.where(x1 == 0.0, 1.0, -np.expm1(-x1) / np.where(x1 == 0, 1, x1))
-            h1b = np.where(x2 == 0.0, 1.0, -np.expm1(-x2) / np.where(x2 == 0, 1, x2))
-        y = (
-            curve.beta0
-            + curve.beta1 * h1
-            + curve.beta2 * (h1 - np.exp(-x1))
-            + curve.beta3 * (h1b - np.exp(-x2))
-        )
-        return np.exp(-times * y)
-    return np.array([curve.discount(float(t)) for t in times])
-
-
 @dataclass(frozen=True)
 class YieldBound:
     rate: float
@@ -263,7 +234,7 @@ def yield_bound_check(curve, flow: CashFlow, purchase_time: float = 0.0,
         forward_max = 0.0
     else:
         p_r = curve.discount(purchase_time)
-        p_u = _discount_grid(curve, grid)
+        p_u = curve.discount_many(grid)
         f = (p_r / p_u) ** (1.0 / (grid - purchase_time)) - 1.0
         forward_max = float(np.max(f))
     return YieldBound(result.rate, forward_max, result.rate <= forward_max + tol)

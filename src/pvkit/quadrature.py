@@ -5,30 +5,33 @@ certified enclosure.  Per subinterval the integrand is split as
 ``rho * phat + rho * (f - phat)`` where ``phat`` is a Chebyshev-node
 interpolant of ``f``:
 
-* ``integral rho * phat`` is a polynomial integral, evaluated exactly in
-  local coordinates centred on the subinterval;
+* ``integral rho * phat`` is a polynomial integral, evaluated exactly by
+  an 8-point Gauss-Legendre rule;
 * the residual ``r = f - phat`` is enclosed by a sampled min/max sandwich
   (padded by its own observed range, plus a roundoff allowance), so with
-  ``m = integral rho >= 0`` the remainder lies in ``m*[rmin, rmax]``.
+  ``m = integral rho`` (``rho`` of one sign) the remainder lies between
+  ``m*rmin`` and ``m*rmax``.
 
 Signed densities are first split at their sign changes so every work item
-has a sign-definite density.  Subintervals are bisected worst-first until
-the total enclosure width drops below the requested tolerance.  For smooth
-``f`` the residual shrinks spectrally, so tolerances near 1e-12 cost only a
-handful of bisections; supplying the integrand's kink points as
-``breakpoints`` keeps each work item inside a smooth span.
+has a sign-definite density.  Subintervals are bisected worst-first, in
+rounds, until the total enclosure width drops below the requested
+tolerance.  For smooth ``f`` the residual shrinks spectrally, so
+tolerances near 1e-12 cost only a handful of rounds; supplying the
+integrand's kink points as ``breakpoints`` keeps each work item inside a
+smooth span.
 """
 from __future__ import annotations
 
-import heapq
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import poly
 from .errors import DomainError
 
-# 7-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree
-# <= 13, in particular for any stored density (degree <= 8).
+# 7-point Gauss-Legendre rule on [-1, 1], for the residual correction.
 _GL7 = (
     (-0.9491079123427585, 0.1294849661688697),
     (-0.7415311855993945, 0.2797053914892766),
@@ -38,10 +41,67 @@ _GL7 = (
     (0.7415311855993945, 0.2797053914892766),
     (0.9491079123427585, 0.1294849661688697),
 )
+# 8-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree
+# <= 15, so for a density of degree <= 8 times the degree-6 model.
+_GL8 = (
+    (-0.9602898564975363, 0.10122853629037626),
+    (-0.7966664774136267, 0.22238103445337448),
+    (-0.525532409916329, 0.31370664587788727),
+    (-0.1834346424956498, 0.362683783378362),
+    (0.1834346424956498, 0.362683783378362),
+    (0.525532409916329, 0.31370664587788727),
+    (0.7966664774136267, 0.22238103445337448),
+    (0.9602898564975363, 0.10122853629037626),
+)
 
 _MODEL_NODES = 7  # Chebyshev nodes -> degree-6 interpolant of f
 _RESIDUAL_SAMPLES = 33
 _MAX_INTERVALS = 20000
+
+# Positions on [-1, 1] (an item [a, b] maps them to mid + half * x) of the
+# 47 points where an item evaluates f: the model nodes, the residual
+# samples, then the GL7 nodes, whose middle one is the item's midpoint.
+_CHEB = poly.chebyshev_nodes(_MODEL_NODES)
+_SAMPLES = tuple(-1.0 + 2.0 * j / (_RESIDUAL_SAMPLES - 1) for j in range(_RESIDUAL_SAMPLES))
+_F_POINTS = _CHEB + _SAMPLES + tuple(x for x, _ in _GL7)
+_N_CHEB = len(_CHEB)
+_N_SAMPLED = _N_CHEB + _RESIDUAL_SAMPLES
+_MID = _N_SAMPLED + 3
+
+
+def _lagrange_rows(points) -> tuple:
+    """Values at ``points`` of the Lagrange basis on the model nodes.
+
+    Row ``s`` maps the model-node values of f to the interpolant's value
+    at ``s``.  Built from the node formula, one ratio per factor; every row
+    sums to 1 within 2 ulp.
+    """
+    return tuple(
+        tuple(
+            math.prod((s - xj) / (xk - xj) for j, xj in enumerate(_CHEB) if j != k)
+            for k, xk in enumerate(_CHEB)
+        )
+        for s in points
+    )
+
+
+@functools.cache
+def _tables():
+    """Points, node-to-sample matrix and weights as arrays, built on first use.
+
+    Returns the 62 positions on [-1, 1] where an item evaluates something
+    (the 47 points of f, then the GL8 and GL7 nodes for the density), the
+    7 x 48 matrix from model-node values to the model's values at the
+    residual samples, the GL7 nodes and the GL8 nodes, and the GL8 and GL7
+    weights.
+    """
+    samples = _SAMPLES + tuple(x for x, _ in _GL7) + tuple(x for x, _ in _GL8)
+    return (
+        np.array(_F_POINTS + tuple(x for x, _ in _GL8) + tuple(x for x, _ in _GL7)),
+        np.array(_lagrange_rows(samples)).T,
+        np.array([w for _, w in _GL8]),
+        np.array([w for _, w in _GL7]),
+    )
 
 
 @dataclass(frozen=True)
@@ -57,61 +117,94 @@ class Bracket:
         return self.upper - self.lower
 
 
-class _Item:
-    __slots__ = ("a", "b", "rho", "sign", "value", "lower", "upper", "width")
+def _evaluate_items(fn, a, b, coeffs):
+    """Enclosures of ``integral_a^b rho f`` for a batch of items.
 
-    def __init__(self, a, b, rho, sign, fn):
-        self.a, self.b, self.rho, self.sign = a, b, rho, sign
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        ua, ub = a - mid, b - mid
-        rho_loc = poly.taylor_shift(rho, mid)
-        mass = max(poly.definite_integral(rho_loc, ua, ub), 0.0)
-        model = poly.interpolate_chebyshev(fn, mid, half, _MODEL_NODES)
-        exact = poly.definite_integral(poly.multiply(rho_loc, model), ua, ub)
-        rmin = math.inf
-        rmax = -math.inf
-        fscale = 0.0
-        for j in range(_RESIDUAL_SAMPLES):
-            u = ua + (ub - ua) * j / (_RESIDUAL_SAMPLES - 1)
-            fv = fn(mid + u)
-            fscale = max(fscale, abs(fv))
-            r = fv - poly.evaluate(model, u)
-            rmin = min(rmin, r)
-            rmax = max(rmax, r)
-        pad = 0.5 * (rmax - rmin) + 1e-15 * fscale
-        corr = half * sum(
-            w * poly.evaluate(rho_loc, half * x) * (fn(mid + half * x) - poly.evaluate(model, half * x))
-            for x, w in _GL7
-        )
-        self.lower = exact + mass * (rmin - pad)
-        self.upper = exact + mass * (rmax + pad)
-        self.value = min(max(exact + corr, self.lower), self.upper)
-        self.width = self.upper - self.lower
+    ``a``, ``b`` are arrays of item ends and row ``i`` of ``coeffs`` holds
+    item ``i``'s sign-definite density, padded with zeros.  Returns an
+    array with one row ``(a, b, value, lower, upper)`` per item.  One
+    ``fn`` call covers every point of every item.
+    """
+    points, lagrange, w8, w7 = _tables()
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    ts = mid[:, None] + half[:, None] * points
+    n_f = len(_F_POINTS)
+    f = fn(ts[:, :n_f].ravel()).reshape(len(a), n_f)
+    f_mid = f[:, _MID:_MID + 1]
+    # centred on f(mid): the interpolant is f(mid) + L (f_c - f(mid)), so a
+    # row-sum error of L never multiplies the full size of f
+    model = (f[:, :_N_CHEB] - f_mid) @ lagrange
+    resid = (f[:, _N_CHEB:] - f_mid) - model[:, :n_f - _N_CHEB]
+    sampled = resid[:, :_RESIDUAL_SAMPLES]
+    rmin = sampled.min(axis=1)
+    rmax = sampled.max(axis=1)
+    pad = 0.5 * (rmax - rmin) + 1e-15 * np.abs(f[:, _N_CHEB:_N_SAMPLED]).max(axis=1)
+    # the density at the GL8 then GL7 nodes, by Horner in global time
+    ts = ts[:, n_f:]
+    rho = np.zeros_like(ts)
+    for k in range(coeffs.shape[1] - 1, -1, -1):
+        rho = rho * ts + coeffs[:, k:k + 1]
+    rho8, rho7 = rho[:, :8], rho[:, 8:]
+    mass = half * (rho8 @ w8)
+    exact = half * ((rho8 * (model[:, n_f - _N_CHEB:] + f_mid)) @ w8)
+    corr = half * ((rho7 * resid[:, _RESIDUAL_SAMPLES:]) @ w7)
+    # the remainder integral of rho * r lies between mass * (rmin - pad)
+    # and mass * (rmax + pad), in either order as rho has either sign
+    low = mass * (rmin - pad)
+    high = mass * (rmax + pad)
+    out = np.empty((len(a), 5))
+    out[:, 0], out[:, 1] = a, b
+    lower = np.add(exact, np.minimum(low, high), out=out[:, 3])
+    upper = np.add(exact, np.maximum(low, high), out=out[:, 4])
+    np.minimum(np.maximum(exact + corr, lower), upper, out=out[:, 2])
+    if not np.isfinite(upper - lower).all():
+        raise DomainError("integrand is not finite on the density's support")
+    return out
 
 
 def _sign_split(pieces):
-    """Split signed pieces into (a, b, nonneg coeffs, sign) work units."""
+    """Split signed pieces into sign-definite (a, b, coeffs) work units."""
     units = []
     for start, end, coeffs in pieces:
         cuts = (start,) + poly.sign_changes(coeffs, start, end) + (end,)
         for a, b in zip(cuts, cuts[1:]):
-            s = poly._interval_sign(coeffs, a, b)
-            if s == 0:
-                continue
-            rho = coeffs if s > 0 else poly.negate(coeffs)
-            units.append((a, b, rho, s))
+            if poly._interval_sign(coeffs, a, b) != 0:
+                units.append((a, b, poly.trim(coeffs)))
     return units
 
 
 def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     """Enclose ``sum_i integral_{a_i}^{b_i} rho_i(t) fn(t) dt`` within tol.
 
-    ``pieces`` is an iterable of ``(start, end, coeffs)`` with arbitrary
-    signed polynomial coefficients; ``fn`` must be continuous and bounded
-    on the union of the pieces (kinks are fine if listed in
-    ``breakpoints``).  Raises DomainError if the tolerance cannot be met
-    within the subdivision budget.
+    ``fn`` is vectorised: it maps a 1-D float64 array of times to the array
+    of its values, and must be continuous and bounded on the union of the
+    pieces (kinks are fine if listed in ``breakpoints``).  ``pieces`` is an
+    iterable of ``(start, end, coeffs)`` with signed polynomial
+    coefficients of degree at most ``poly.MAX_DEGREE``.
+
+    Every interval (item) gets a degree-6 model of ``fn`` through 7
+    Chebyshev nodes, 33 evenly spaced residual samples and a 7-point
+    Gauss-Legendre correction: 47 points.  Items are built in batches, and
+    one ``fn`` call evaluates every point of a batch; fixed matrices map
+    node values to the model's values at the samples.  The first batch is
+    every initial item.  Each later round takes the widest items until
+    their widths cover ``total - tol`` and bisects them all as one batch.
+
+    The residual at a sample ``s`` is computed centred on the item's
+    midpoint value, ``(f_s - f(mid)) - L (f_c - f(mid))``, where ``f_c``
+    are the node values and ``L`` is built from the Lagrange formula.  The
+    rows of ``L`` sum to 1 within 2 ulp.  Uncentred, ``L f_c`` would carry
+    up to 2 ulp of ``|f|`` from that alone; centred, the row-sum error
+    multiplies only ``f_c - f(mid)``, the variation of ``f`` over the
+    item, so the model's roundoff stays far inside the allowance of
+    ``1e-15 * max|f|`` (about 4.5 ulp of ``f``) added to each pad.
+
+    Raises DomainError when the tolerance cannot be met: when a round's
+    children are together no narrower than their parents (the widths have
+    reached the noise floor of ``fn``) or when the 20,000-interval budget
+    would be exceeded, both naming the tolerance and the width attained;
+    also when ``fn`` is not finite or a density's degree exceeds the cap.
 
     Certification is relative to sampled values: features of ``fn`` that
     vanish at every node of a subinterval's 33-point sample are invisible
@@ -121,50 +214,58 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    marks = sorted(set(breakpoints))
-    items: list[_Item] = []
-    for a, b, rho, sg in _sign_split(pieces):
-        cuts = [a] + [m for m in marks if a < m < b] + [b]
-        for x0, x1 in zip(cuts, cuts[1:]):
-            items.append(_Item(x0, x1, rho, sg, fn))
-    if not items:
+    units = _sign_split(pieces)
+    if not units:
         return Bracket(0.0, 0.0, 0.0)
-
-    heap = []
-    done: list[_Item] = []
-    total = 0.0
-    for seq, it in enumerate(items):
-        heapq.heappush(heap, (-it.width, seq, it))
-        total += it.width
-    seq = len(items)
-    while total > tol and heap:
-        _, _, it = heapq.heappop(heap)
-        mid = 0.5 * (it.a + it.b)
-        if not (it.a < mid < it.b):
-            done.append(it)  # cannot split further; width is final
+    size = max(len(rho) for _, _, rho in units)
+    if size > poly.MAX_DEGREE + 1:
+        raise DomainError(f"density degree is capped at {poly.MAX_DEGREE}")
+    rows = np.zeros((len(units), size))
+    marks = sorted(set(breakpoints))
+    a, b, unit = [], [], []
+    for u, (start, end, rho) in enumerate(units):
+        rows[u, :len(rho)] = rho
+        cuts = [start] + [m for m in marks if start < m < end] + [end]
+        a += cuts[:-1]
+        b += cuts[1:]
+        unit += [u] * (len(cuts) - 1)
+    unit = np.array(unit)
+    items = _evaluate_items(fn, np.array(a), np.array(b), rows[unit])
+    done = []  # rows of items too narrow to bisect
+    built = len(items)
+    while True:
+        lower = math.fsum(items[:, 3].tolist() + [r[3] for r in done])
+        upper = math.fsum(items[:, 4].tolist() + [r[4] for r in done])
+        total = upper - lower
+        if total <= tol:
+            break
+        if not len(items):
+            raise DomainError(f"tolerance {tol:.3g} not achievable: attained width {total:.3g}")
+        width = items[:, 4] - items[:, 3]
+        order = np.argsort(-width, kind="stable")
+        pick = order[:int(np.searchsorted(np.cumsum(width[order]), total - tol)) + 1]
+        a, b = items[pick, 0], items[pick, 1]
+        mid = 0.5 * (a + b)
+        if not ((a < mid) & (mid < b)).all():
+            narrow = pick[(a >= mid) | (mid >= b)]
+            done += items[narrow].tolist()
+            items, unit = np.delete(items, narrow, axis=0), np.delete(unit, narrow)
             continue
-        total -= it.width
-        for x0, x1 in ((it.a, mid), (mid, it.b)):
-            child = _Item(x0, x1, it.rho, it.sign, fn)
-            total += child.width
-            heapq.heappush(heap, (-child.width, seq, child))
-            seq += 1
-        if seq > _MAX_INTERVALS:
-            raise DomainError("tolerance not achievable within iteration budget")
-    if total > tol:
-        raise DomainError("tolerance not achievable within iteration budget")
-
-    final = done + [it for _, _, it in heap]
-    final.sort(key=lambda it: (it.a, it.b, it.sign))
-    value = lower = upper = 0.0
-    for it in final:
-        if it.sign > 0:
-            value += it.value
-            lower += it.lower
-            upper += it.upper
-        else:
-            value -= it.value
-            lower -= it.upper
-            upper -= it.lower
-    value = min(max(value, lower), upper)
-    return Bracket(value, lower, upper)
+        if built + 2 * len(pick) > _MAX_INTERVALS:
+            raise DomainError(
+                f"tolerance {tol:.3g} not achievable within the {_MAX_INTERVALS}-interval "
+                f"budget: attained width {total:.3g}")
+        built += 2 * len(pick)
+        cu = np.concatenate((unit[pick], unit[pick]))
+        children = _evaluate_items(fn, np.concatenate((a, mid)), np.concatenate((mid, b)),
+                                   rows[cu])
+        if not (children[:, 4] - children[:, 3]).sum() < width[pick].sum():
+            raise DomainError(
+                f"tolerance {tol:.3g} not achievable: bisection stalled at "
+                f"attained width {total:.3g}")
+        keep = np.ones(len(items), dtype=bool)
+        keep[pick] = False
+        items = np.concatenate((items[keep], children))
+        unit = np.concatenate((unit[keep], cu))
+    value = math.fsum(items[:, 2].tolist() + [r[2] for r in done])
+    return Bracket(min(max(value, lower), upper), lower, upper)

@@ -246,8 +246,8 @@ def test_09_property_sweep():
         pieces = [(q.start, q.end, q.coeffs) for q in a.pieces]
         if pieces:
             knots = curve.knot_times()
-            coarse = bracketed_integral(curve.discount, pieces, 1e-6, breakpoints=knots)
-            fine = bracketed_integral(curve.discount, pieces, 1e-9, breakpoints=knots)
+            coarse = bracketed_integral(curve.discount_many, pieces, 1e-6, breakpoints=knots)
+            fine = bracketed_integral(curve.discount_many, pieces, 1e-9, breakpoints=knots)
             assert fine.width <= coarse.width
             assert max(fine.lower, coarse.lower) <= min(fine.upper, coarse.upper)
 

@@ -191,3 +191,54 @@ def test_horizon_is_declared_and_positive():
     assert FlatCurve(0.05, horizon=10.0).horizon == 10.0
     with pytest.raises(DomainError):
         FlatCurve(0.05, horizon=0.0)
+
+
+# --- array evaluation ----------------------------------------------------------
+
+
+def _close_ulps(many, scalar, ulps):
+    return all(abs(m - s) <= ulps * math.ulp(s) for m, s in zip(many, scalar))
+
+
+def test_discount_many_matches_discount():
+    grid = SpotGridCurve(((0.0, 1.0), (1.0, 0.97), (2.5, 0.92), (7.0, 0.74)),
+                         horizon=30.0)
+    curves = [
+        FlatCurve(0.05, horizon=30.0),
+        FlatCurve(-0.004, horizon=30.0),
+        grid,
+        SvenssonCurve(0.03, -0.01, 0.02, 0.015, tau1=1.5, tau2=6.0, horizon=30.0),
+        ScaledCurve(grid, 2.0),
+    ]
+    # t = 0, every spot-grid knot, between and past the last knot, the horizon
+    ts = [0.0, 0.3, 1.0, 1.7, 2.5, 4.0, 7.0, 7.5, 12.25, 30.0]
+    for curve in curves:
+        many = curve.discount_many(np.array(ts))
+        assert many.dtype == np.float64 and many.shape == (len(ts),)
+        assert _close_ulps(many.tolist(), [curve.discount(t) for t in ts], 4), curve
+    scaled = curves[-1]
+    assert (scaled.discount_many(np.array(ts)) == 2.0 * grid.discount_many(np.array(ts))).all()
+    # a grid with only the origin knot is flat at 1
+    assert SpotGridCurve(((0.0, 1.0),)).discount_many(np.array(ts)).tolist() == [1.0] * len(ts)
+
+
+def test_discount_many_rejects_negative_times():
+    for curve in (FlatCurve(0.05), SpotGridCurve(((0.0, 1.0), (2.0, 0.9))),
+                  SvenssonCurve(0.03, 0.0, 0.0, 0.0, tau1=1.0, tau2=2.0),
+                  ScaledCurve(FlatCurve(0.05), 2.0)):
+        with pytest.raises(DomainError):
+            curve.discount_many(np.array([1.0, -0.5, 2.0]))
+
+
+def test_positivity_validators_keep_their_messages():
+    from pvkit import DualCurrencyMarket, DualFunctional
+
+    with pytest.raises(DomainError, match=r"curve is not positive and bounded on "
+                                          r"\[0, 200\.0\]: P\(103\.125\) = inf"):
+        FlatCurve(-0.999, horizon=200.0)
+    with pytest.raises(DomainError,
+                       match=r"forward FX rate is not positive and bounded at t=78\.125"):
+        DualCurrencyMarket(FlatCurve(99.0), FlatCurve(-0.99), 1.0)
+    with pytest.raises(DomainError, match=r"density_weight must be positive and "
+                                          r"bounded, got inf at t="):
+        DualFunctional(FlatCurve(0.05), ScaledCurve(FlatCurve(-0.99), 1e300))

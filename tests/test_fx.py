@@ -176,6 +176,9 @@ class _RingingCurve:
     def discount(self, t: float) -> float:
         return math.exp(-0.02 * t) * (1.0 + 0.5 * math.sin(29314.7 * t))
 
+    def discount_many(self, ts):
+        return np.exp(-0.02 * ts) * (1.0 + 0.5 * np.sin(29314.7 * ts))
+
     def knot_times(self):
         return ()
 

@@ -80,7 +80,8 @@ def test_sign_changes_boundary_root_not_interior():
 def test_chebyshev_interpolation_reproduces_low_degree():
     c = (0.3, -1.2, 0.8, 0.05, -0.4, 0.02, 0.6)  # degree 6 exactly fits 7 nodes
     fn = lambda x: poly.evaluate(c, x)
-    model = poly.interpolate_chebyshev(fn, mid=0.5, half=2.0, nodes=7)
+    values = [fn(0.5 + 2.0 * x) for x in poly.chebyshev_nodes(7)]
+    model = poly.interpolate_chebyshev(values, half=2.0)
     for x in np.linspace(-1.5, 2.5, 13):
         assert poly.evaluate(model, x - 0.5) == pytest.approx(fn(x), rel=1e-9,
                                                               abs=1e-9)

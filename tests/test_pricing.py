@@ -254,3 +254,31 @@ def test_yield_bound_property(seed):
         return
     report = yield_bound_check(curve, flow)
     assert report.holds, (report.rate, report.forward_max)
+
+
+def test_results_hold_builtin_numbers():
+    # numpy scalars would leak into JSON output and comparisons
+    from pvkit import (DualCashFlow, DualCurrencyMarket, SvenssonCurve,
+                       convert_measure_with_bound, price_dual)
+
+    curve = SvenssonCurve(0.03, -0.01, 0.02, 0.015, tau1=1.5, tau2=6.0)
+    flow = density(1.0, 9.0, (1.0, 0.1)) + dirac(3.0, 2.0)
+    market = DualCurrencyMarket(FlatCurve(0.01), curve, 0.9)
+    results = [
+        price(curve, flow),
+        forward_price(curve, flow, 2.0),
+        price_dual(market, DualCashFlow(flow, flow)),
+    ]
+    for res in results:
+        for name in ("value", "lower", "upper", "atom_part", "density_part"):
+            assert type(getattr(res, name)) is float, name
+    solved = irr(flow, price(FlatCurve(0.04), flow).value)
+    assert type(solved.rate) is float and type(solved.residual) is float
+    bound = yield_bound_check(curve, flow)
+    assert type(bound.rate) is float and type(bound.forward_max) is float
+    assert type(bound.holds) is bool
+    converted, err = convert_measure_with_bound(market, flow)
+    assert type(err) is float
+    for piece in converted.pieces:
+        assert all(type(c) is float for c in piece.coeffs)
+        assert type(piece.start) is float and type(piece.end) is float

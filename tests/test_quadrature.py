@@ -1,15 +1,17 @@
 """Certified integration of smooth integrands against polynomial densities."""
 import math
+import time
 
 import numpy as np
 import pytest
 
-from pvkit import DomainError
+from pvkit import DomainError, FlatCurve, density, price
+from pvkit import quadrature
 from pvkit.quadrature import bracketed_integral
 
 
 def _exp_decay(t):
-    return math.exp(-0.05 * t)
+    return np.exp(-0.05 * t)
 
 
 def test_bracket_contains_closed_form():
@@ -30,7 +32,7 @@ def test_polynomial_integrand_times_density():
 
 def test_signed_density_split():
     # rho = t - 1 on [0, 2) against f = 1: exact 0, with both signs present
-    br = bracketed_integral(lambda t: 1.0,
+    br = bracketed_integral(np.ones_like,
                             ((0.0, 2.0, (-1.0, 1.0)),), tol=1e-12)
     assert br.lower <= 0.0 <= br.upper
     assert abs(br.value) <= 1e-12
@@ -60,7 +62,7 @@ def test_refinement_never_loosens_enclosure():
 def test_breakpoints_are_respected():
     # integrand with a kink; supplying the kink keeps certification honest
     kink = 5.0
-    fn = lambda t: abs(t - kink)
+    fn = lambda t: np.abs(t - kink)
     pieces = ((0.0, 10.0, (1.0,)),)
     br = bracketed_integral(fn, pieces, tol=1e-9, breakpoints=(kink,))
     assert br.lower <= 25.0 <= br.upper
@@ -78,7 +80,7 @@ def test_impossible_budget_raises():
 def test_sub_resolution_features_need_breakpoints():
     # a needle far narrower than the sampling grid is invisible without a
     # marker; with markers at its feet the enclosure finds the mass
-    fn = lambda t: math.exp(-((t - 3.0) ** 2) * 1e6)
+    fn = lambda t: np.exp(-((t - 3.0) ** 2) * 1e6)
     pieces = ((0.0, 30.0, (1.0,)),)
     blind = bracketed_integral(fn, pieces, tol=1e-12)
     assert blind.value == 0.0  # sampled certificate, honestly blind
@@ -103,3 +105,39 @@ def test_deterministic_brackets():
     second = bracketed_integral(_exp_decay, pieces, tol=1e-11)
     assert (first.value, first.lower, first.upper) == (
         second.value, second.lower, second.upper)
+
+
+def test_stalled_bisection_fails_fast():
+    # the width of this price sticks near 5.5e-12, above the requested
+    # 1e-12: bisection stops at the first round that does not narrow it
+    flow = density(14.62, 15.77, (1.2, -1.4, 1.3, 1.1))
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"tolerance 1e-12 .*attained width \d"):
+        price(FlatCurve(0.05), flow, tol=1e-12)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_node_to_sample_rows_sum_to_one():
+    # the residual's roundoff allowance relies on this (see bracketed_integral)
+    _, lagrange, _, _ = quadrature._tables()
+    assert lagrange.shape == (7, 48)
+    for row in lagrange.T.tolist():
+        assert abs(math.fsum(row) - 1.0) <= 2 * math.ulp(1.0)
+
+
+def test_polynomial_part_rule_is_exact_to_degree_15():
+    # the 8-point rule integrates density times model (degree <= 14)
+    for m in range(16):
+        exact = 2.0 / (m + 1) if m % 2 == 0 else 0.0
+        got = math.fsum(w * x ** m for x, w in quadrature._GL8)
+        assert got == pytest.approx(exact, abs=1e-15)
+
+
+def test_interval_too_narrow_to_bisect_is_kept_as_is():
+    # [1, 1 + ulp] has no float midpoint: its width is final, so a
+    # tolerance below it is refused instead of looping
+    narrow = (1.0, math.nextafter(1.0, 2.0), (1.0,))
+    br = bracketed_integral(np.exp, (narrow, (2.0, 3.0, (1.0,))), tol=1e-12)
+    assert br.lower <= math.exp(3.0) - math.exp(2.0) + math.e * 2.0 ** -52 <= br.upper
+    with pytest.raises(DomainError, match="attained width"):
+        bracketed_integral(np.exp, (narrow,), tol=1e-40)
