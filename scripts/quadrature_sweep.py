@@ -1,4 +1,4 @@
-"""Refusals of the seeded quadrature sweep, per tolerance.
+"""Refusals and result digests of the seeded quadrature sweep, per tolerance.
 
 Prices 150 random flows on random curves (``numpy.random.default_rng(7)``,
 one ``random_curve`` then one ``random_cashflow`` per case, horizon 30) at
@@ -8,8 +8,14 @@ ones, and how many returned brackets are wider than the tolerance.  The
 refused set shows where the noise floor of the bracketed quadrature lies,
 so two revisions can be compared case by case.
 
+Each tolerance's line also carries a SHA-256 of the ``repr`` of every
+returned result's ``value``, ``lower``, ``upper``, ``atom_part`` and
+``density_part``, in case order: two revisions whose digests agree
+returned bit-identical results.
+
 Run:  PYTHONPATH=src python scripts/quadrature_sweep.py
 """
+import hashlib
 import time
 
 import numpy as np
@@ -20,6 +26,7 @@ from pvkit.sampling import random_cashflow, random_curve
 CASES = 150
 HORIZON = 30.0
 TOLERANCES = (1e-6, 1e-10, 1e-12)
+FIELDS = ("value", "lower", "upper", "atom_part", "density_part")
 
 
 def main():
@@ -30,6 +37,7 @@ def main():
     for tol in TOLERANCES:
         start = time.perf_counter()
         refused, too_wide = [], 0
+        digest = hashlib.sha256()
         for i, (curve, flow) in enumerate(cases):
             try:
                 res = price(curve, flow, tol)
@@ -37,9 +45,11 @@ def main():
                 refused.append(i)
                 continue
             too_wide += res.upper - res.lower > tol
+            digest.update(repr(tuple(getattr(res, f) for f in FIELDS)).encode())
         total += len(refused)
         print(f"tol {tol:g}: {len(refused)} of {CASES} refused, {too_wide} wider than tol, "
-              f"{time.perf_counter() - start:.2f} s; refused {refused}")
+              f"{time.perf_counter() - start:.2f} s; refused {refused}; "
+              f"sha256 {digest.hexdigest()}")
     print(f"total: {total} of {CASES * len(TOLERANCES)} refused")
 
 

@@ -68,7 +68,6 @@ from .measures import (
     translate,
 )
 from .pricing import (
-    PriceResult,
     YieldBound,
     YieldResult,
     default_tolerance,
@@ -101,7 +100,6 @@ __all__ = [
     "NonUniqueImpliedPricesError",
     "PRESETS",
     "PositivityReport",
-    "PriceResult",
     "Quote",
     "QuoteSet",
     "ScaledCurve",

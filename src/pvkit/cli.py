@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import io as fio
@@ -221,6 +222,8 @@ def _run_arbitrage_check(args):
 
 def _run_curve_eval(args):
     curve = fio.parse_curve(fio.read_json(args.curve))
+    if not (math.isfinite(args.to) and math.isfinite(args.step)):
+        raise DomainError("--to and --step must be finite")
     if args.step <= 0.0:
         raise DomainError("--step must be positive")
     if args.to < 0.0:

@@ -93,7 +93,7 @@ class FlatCurve:
         _validate_curve(self)
 
     def discount(self, t: float) -> float:
-        if t < 0.0:
+        if not t >= 0.0:
             raise DomainError(f"discount factor needs t >= 0, got {t}")
         return (1.0 + self.rate) ** (-t)
 
@@ -143,7 +143,7 @@ class SpotGridCurve:
         _validate_curve(self)
 
     def discount(self, t: float) -> float:
-        if t < 0.0:
+        if not t >= 0.0:
             raise DomainError(f"discount factor needs t >= 0, got {t}")
         times = self._times
         last_t, last_p = self.knots[-1]
@@ -220,7 +220,7 @@ class SvenssonCurve:
         _validate_curve(self)
 
     def yield_at(self, t: float) -> float:
-        if t < 0.0:
+        if not t >= 0.0:
             raise DomainError(f"yield needs t >= 0, got {t}")
         x1 = t / self.tau1
         x2 = t / self.tau2

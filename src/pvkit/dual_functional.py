@@ -23,7 +23,8 @@ import numpy as np
 from .curves import ScaledCurve, check_positive
 from .errors import DomainError
 from .measures import CashFlow, dirac, lebesgue, scale, add
-from .pricing import PriceResult, _result, default_tolerance, price
+from .pricing import default_tolerance, price
+from .quadrature import Bracket
 from .sampling import random_cashflow
 
 
@@ -64,24 +65,23 @@ PRESETS = {"double-density": double_density}
 
 
 def dual_price(functional: DualFunctional, flow: CashFlow,
-               tol: float | None = None) -> PriceResult:
+               tol: float | None = None) -> Bracket:
     """Price under the two-weight rule, with a certified bracket.
 
     The atomic layer is an exact sum against the atom curve; the density
-    layer is bracketed quadrature against the density weight.  The result
-    reuses the price-result layout: ``atom_part`` is the atomic layer,
-    ``density_part`` the stream layer.
+    layer is bracketed quadrature against the density weight: ``atom_part``
+    is the atomic layer, ``density_part`` the stream layer.
     """
     if tol is None:
         tol = default_tolerance(flow)
     parts = lebesgue(flow)
     atoms = price(functional.atom_curve, parts.singular, tol)
     dens = price(functional.density_weight, parts.absolutely_continuous, tol)
-    return _result(
-        atoms.value,
-        dens.value,
+    return Bracket(
         atoms.value + dens.lower,
         atoms.value + dens.upper,
+        atoms.value,
+        dens.value,
     )
 
 

@@ -32,7 +32,8 @@ from . import poly
 from .curves import check_positive
 from .errors import DomainError
 from .measures import Atom, CashFlow, DensityPiece, total_variation
-from .pricing import PriceResult, TOLERANCE_SCALE, _result, price
+from .pricing import TOLERANCE_SCALE, check_support, price
+from .quadrature import Bracket
 
 FIT_REL_TOL = 1e-10
 FIT_MAX_SEGMENTS = 1024  # per original density piece
@@ -94,14 +95,6 @@ def _fx_forward_many(market: DualCurrencyMarket, ts: np.ndarray) -> np.ndarray:
     )
 
 
-def _check_horizon(market: DualCurrencyMarket, flow: CashFlow, leg: str) -> None:
-    sb = flow.support_bounds()
-    if sb is not None and sb[1] > market.horizon:
-        raise DomainError(
-            f"{leg} leg support reaches {sb[1]}, beyond the market horizon {market.horizon}"
-        )
-
-
 def default_dual_tolerance(market: DualCurrencyMarket, flow: DualCashFlow) -> float:
     return TOLERANCE_SCALE * (
         1.0
@@ -111,7 +104,7 @@ def default_dual_tolerance(market: DualCurrencyMarket, flow: DualCashFlow) -> fl
 
 
 def price_dual(market: DualCurrencyMarket, flow: DualCashFlow,
-               currency: str = "domestic", tol: float | None = None) -> PriceResult:
+               currency: str = "domestic", tol: float | None = None) -> Bracket:
     """Combined value of both legs, quoted in the requested currency."""
     if currency not in CURRENCIES:
         raise DomainError(f"currency must be one of {CURRENCIES}, got {currency!r}")
@@ -119,19 +112,19 @@ def price_dual(market: DualCurrencyMarket, flow: DualCashFlow,
         tol = default_dual_tolerance(market, flow)
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    _check_horizon(market, flow.domestic, "domestic")
-    _check_horizon(market, flow.foreign, "foreign")
+    check_support(flow.domestic, market.horizon, "domestic leg", "market")
+    check_support(flow.foreign, market.horizon, "foreign leg", "market")
     unit = 1.0 if currency == "domestic" else 1.0 / market.spot_fx
     dom_tol = 0.5 * tol / unit
     for_tol = 0.5 * tol / (unit * market.spot_fx)
     dom = price(market.domestic_curve, flow.domestic, dom_tol)
     for_ = price(market.foreign_curve, flow.foreign, for_tol)
     s = market.spot_fx
-    return _result(
-        unit * (dom.atom_part + s * for_.atom_part),
-        unit * (dom.density_part + s * for_.density_part),
+    return Bracket(
         unit * (dom.lower + s * for_.lower),
         unit * (dom.upper + s * for_.upper),
+        unit * (dom.atom_part + s * for_.atom_part),
+        unit * (dom.density_part + s * for_.density_part),
     )
 
 
@@ -210,7 +203,7 @@ def convert_measure_with_bound(market: DualCurrencyMarket,
     support differs from pricing the exact product by at most M * bound.
     Atoms convert exactly.
     """
-    _check_horizon(market, foreign_flow, "foreign")
+    check_support(foreign_flow, market.horizon, "foreign leg", "market")
     atoms = tuple(
         Atom(a.time, a.amount * fx_forward(market, a.time)) for a in foreign_flow.atoms
     )

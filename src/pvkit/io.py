@@ -44,7 +44,7 @@ from .dual_functional import DualFunctional
 from .errors import DomainError, SchemaError
 from .fx import DualCashFlow, DualCurrencyMarket
 from .measures import Atom, CashFlow, DensityPiece
-from .pricing import PriceResult
+from .quadrature import Bracket
 
 
 def read_json(path: str):
@@ -222,7 +222,7 @@ def cashflow_json(flow: CashFlow) -> dict:
     }
 
 
-def price_json(res: PriceResult) -> dict:
+def price_json(res: Bracket) -> dict:
     return {
         "value": res.value,
         "lower": res.lower,

@@ -210,12 +210,10 @@ def jordan(a: CashFlow) -> JordanDecomposition:
     pos_pieces: list[DensityPiece] = []
     neg_pieces: list[DensityPiece] = []
     for p in a.pieces:
-        cuts = (p.start,) + poly.sign_changes(p.coeffs, p.start, p.end) + (p.end,)
-        for lo, hi in zip(cuts, cuts[1:]):
-            s = poly._interval_sign(p.coeffs, lo, hi)
+        for lo, hi, s in poly.sign_spans(p.coeffs, p.start, p.end):
             if s > 0:
                 pos_pieces.append(DensityPiece(lo, hi, p.coeffs))
-            elif s < 0:
+            else:
                 neg_pieces.append(DensityPiece(lo, hi, poly.negate(p.coeffs)))
     return JordanDecomposition(
         CashFlow(pos_atoms, tuple(pos_pieces)),
@@ -310,4 +308,4 @@ def integrate(fn: Callable[[float], float], a: CashFlow, tol: float = 1e-10) -> 
     atom_part = math.fsum(x.amount * fn(x.time) for x in a.atoms)
     dens = bracketed_integral(lambda ts: np.array([fn(t) for t in ts.tolist()]),
                               [(p.start, p.end, p.coeffs) for p in a.pieces], tol)
-    return Bracket(atom_part + dens.value, atom_part + dens.lower, atom_part + dens.upper)
+    return Bracket(atom_part + dens.lower, atom_part + dens.upper, atom_part, dens.density_part)

@@ -134,17 +134,28 @@ def _bisect_root(coeffs, lo: float, hi: float, flo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _interval_sign(coeffs, lo: float, hi: float) -> int:
-    # Sign of p on (lo, hi) assuming p does not change sign there.  Nine
-    # interior samples: a nonzero polynomial of degree <= 8 cannot vanish
-    # at all of them, so the answer is rigorous for stored densities.
-    for k in range(1, 10):
-        v = evaluate(coeffs, lo + 0.1 * k * (hi - lo))
-        if v > 0.0:
-            return 1
-        if v < 0.0:
-            return -1
-    return 0
+def _interval_signs(coeffs, cuts) -> list[int]:
+    # Sign of p on each span between consecutive cuts, assuming p does not
+    # change sign inside one: the first of nine interior samples that is
+    # not zero.  A nonzero polynomial of degree <= 8 cannot vanish at all
+    # of them.  A sample within Horner's rounding error of zero, |p(t)| <=
+    # 4 n u sum |c_k| |t|^k (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 5.1), counts as zero, as at a touching root; ``cap``, that
+    # bound at the largest |t|, spares the pointwise bound on most samples.
+    mags = tuple(abs(x) for x in coeffs)
+    slack = 4.0 * len(coeffs) * 2.0 ** -53
+    cap = slack * evaluate(mags, max(abs(cuts[0]), abs(cuts[-1])))
+    signs = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        sign = 0
+        for k in range(1, 10):
+            t = lo + 0.1 * k * (hi - lo)
+            v = evaluate(coeffs, t)
+            if abs(v) > cap or abs(v) > slack * evaluate(mags, abs(t)):
+                sign = 1 if v > 0.0 else -1
+                break
+        signs.append(sign)
+    return signs
 
 
 def sign_changes(coeffs, lo: float, hi: float) -> Coeffs:
@@ -172,7 +183,7 @@ def sign_changes(coeffs, lo: float, hi: float) -> Coeffs:
     zeros = sorted(set(zeros))
     # keep only genuine crossings: the a.e. sign must differ across the zero
     cuts = [lo] + zeros + [hi]
-    signs = [_interval_sign(c, a, b) for a, b in zip(cuts, cuts[1:])]
+    signs = _interval_signs(c, cuts)
     out = []
     for k, z in enumerate(zeros):
         left = next((s for s in reversed(signs[: k + 1]) if s != 0), 0)
@@ -180,3 +191,14 @@ def sign_changes(coeffs, lo: float, hi: float) -> Coeffs:
         if left * right < 0:
             out.append(z)
     return tuple(out)
+
+
+def sign_spans(coeffs, lo: float, hi: float) -> tuple[tuple[float, float, int], ...]:
+    """``(a, b, sign)`` for each span of [lo, hi] between sign changes.
+
+    The spans are cut at :func:`sign_changes`; ``sign`` is +1 or -1, and
+    spans where the polynomial vanishes are left out.
+    """
+    c = trim(coeffs)
+    cuts = (lo,) + sign_changes(c, lo, hi) + (hi,)
+    return tuple(span for span in zip(cuts, cuts[1:], _interval_signs(c, cuts)) if span[2])

@@ -17,57 +17,34 @@ import numpy as np
 from . import curves as _curves
 from .errors import DomainError
 from .measures import CashFlow, is_nonnegative, total_variation, translate
-from .quadrature import bracketed_integral
+from .quadrature import Bracket, bracketed_integral
 
 TOLERANCE_SCALE = 1e-10
 _IRR_LO = -0.999
 _IRR_HI = 10.0
 
 
-@dataclass(frozen=True)
-class PriceResult:
-    """A price with its certified enclosure and layer split.
-
-    ``value = atom_part + density_part`` with ``lower <= value <= upper``;
-    the atom part is exact, so the enclosure width comes entirely from the
-    density quadrature.
-    """
-
-    value: float
-    lower: float
-    upper: float
-    atom_part: float
-    density_part: float
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
-def _result(atom: float, dens_value: float, lo: float, hi: float) -> PriceResult:
-    value = min(max(atom + dens_value, lo), hi)
-    return PriceResult(value, lo, hi, atom, dens_value)
-
-
 def default_tolerance(flow: CashFlow) -> float:
     return TOLERANCE_SCALE * (1.0 + total_variation(flow))
 
 
-def _check_support(curve, flow: CashFlow) -> None:
+def check_support(flow: CashFlow, horizon: float, what: str = "flow",
+                  owner: str = "curve") -> None:
+    """Raise DomainError when the flow's support reaches past ``horizon``."""
     sb = flow.support_bounds()
-    if sb is not None and sb[1] > curve.horizon:
+    if sb is not None and sb[1] > horizon:
         raise DomainError(
-            f"flow support reaches {sb[1]}, beyond the curve horizon {curve.horizon}"
+            f"{what} support reaches {sb[1]}, beyond the {owner} horizon {horizon}"
         )
 
 
-def price(curve, flow: CashFlow, tol: float | None = None) -> PriceResult:
+def price(curve, flow: CashFlow, tol: float | None = None) -> Bracket:
     """Present value at time 0 with a certified bracket of width <= tol."""
     if tol is None:
         tol = default_tolerance(flow)
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    _check_support(curve, flow)
+    check_support(flow, curve.horizon)
     atom = math.fsum(a.amount * curve.discount(a.time) for a in flow.atoms)
     dens = bracketed_integral(
         curve.discount_many,
@@ -75,10 +52,10 @@ def price(curve, flow: CashFlow, tol: float | None = None) -> PriceResult:
         tol,
         breakpoints=curve.knot_times(),
     )
-    return _result(atom, dens.value, atom + dens.lower, atom + dens.upper)
+    return Bracket(atom + dens.lower, atom + dens.upper, atom, dens.density_part)
 
 
-def forward_price(curve, flow: CashFlow, at: float, tol: float | None = None) -> PriceResult:
+def forward_price(curve, flow: CashFlow, at: float, tol: float | None = None) -> Bracket:
     """Value of the flow quoted for delivery at time ``at``: price / P(at)."""
     if not 0.0 <= at <= curve.horizon:
         raise DomainError(f"forward time must lie in [0, {curve.horizon}], got {at}")
@@ -86,11 +63,11 @@ def forward_price(curve, flow: CashFlow, at: float, tol: float | None = None) ->
         tol = default_tolerance(flow)
     p_at = curve.discount(at)
     inner = price(curve, flow, tol * p_at)
-    return _result(
-        inner.atom_part / p_at,
-        inner.density_part / p_at,
+    return Bracket(
         inner.lower / p_at,
         inner.upper / p_at,
+        inner.atom_part / p_at,
+        inner.density_part / p_at,
     )
 
 

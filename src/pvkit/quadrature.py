@@ -106,11 +106,22 @@ def _tables():
 
 @dataclass(frozen=True)
 class Bracket:
-    """A value together with a certified enclosure ``lower <= value <= upper``."""
+    """A certified enclosure ``[lower, upper]`` of an integral or a price.
 
-    value: float
+    ``atom_part`` is the finite sum over the measure's atoms and
+    ``density_part`` the quadrature estimate over its densities; the
+    enclosure's width comes from the density part alone.  ``value`` is
+    their sum, clamped into the enclosure: ``lower <= value <= upper``.
+    """
+
     lower: float
     upper: float
+    atom_part: float
+    density_part: float
+
+    @property
+    def value(self) -> float:
+        return min(max(self.atom_part + self.density_part, self.lower), self.upper)
 
     @property
     def width(self) -> float:
@@ -163,17 +174,6 @@ def _evaluate_items(fn, a, b, coeffs):
     return out
 
 
-def _sign_split(pieces):
-    """Split signed pieces into sign-definite (a, b, coeffs) work units."""
-    units = []
-    for start, end, coeffs in pieces:
-        cuts = (start,) + poly.sign_changes(coeffs, start, end) + (end,)
-        for a, b in zip(cuts, cuts[1:]):
-            if poly._interval_sign(coeffs, a, b) != 0:
-                units.append((a, b, poly.trim(coeffs)))
-    return units
-
-
 def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     """Enclose ``sum_i integral_{a_i}^{b_i} rho_i(t) fn(t) dt`` within tol.
 
@@ -181,7 +181,8 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     of its values, and must be continuous and bounded on the union of the
     pieces (kinks are fine if listed in ``breakpoints``).  ``pieces`` is an
     iterable of ``(start, end, coeffs)`` with signed polynomial
-    coefficients of degree at most ``poly.MAX_DEGREE``.
+    coefficients of degree at most ``poly.MAX_DEGREE``.  The result's
+    ``atom_part`` is 0 and its ``density_part`` is the estimate.
 
     Every interval (item) gets a degree-6 model of ``fn`` through 7
     Chebyshev nodes, 33 evenly spaced residual samples and a 7-point
@@ -214,9 +215,10 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    units = _sign_split(pieces)
+    units = [(a, b, poly.trim(coeffs)) for start, end, coeffs in pieces
+             for a, b, _ in poly.sign_spans(coeffs, start, end)]
     if not units:
-        return Bracket(0.0, 0.0, 0.0)
+        return Bracket(0.0, 0.0, 0.0, 0.0)
     size = max(len(rho) for _, _, rho in units)
     if size > poly.MAX_DEGREE + 1:
         raise DomainError(f"density degree is capped at {poly.MAX_DEGREE}")
@@ -267,5 +269,7 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
         keep[pick] = False
         items = np.concatenate((items[keep], children))
         unit = np.concatenate((unit[keep], cu))
+    # each item's value lies in its enclosure, so the correctly rounded sum
+    # lies in [lower, upper]
     value = math.fsum(items[:, 2].tolist() + [r[2] for r in done])
-    return Bracket(min(max(value, lower), upper), lower, upper)
+    return Bracket(lower, upper, 0.0, value)

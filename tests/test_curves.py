@@ -226,8 +226,13 @@ def test_discount_many_rejects_negative_times():
     for curve in (FlatCurve(0.05), SpotGridCurve(((0.0, 1.0), (2.0, 0.9))),
                   SvenssonCurve(0.03, 0.0, 0.0, 0.0, tau1=1.0, tau2=2.0),
                   ScaledCurve(FlatCurve(0.05), 2.0)):
-        with pytest.raises(DomainError):
-            curve.discount_many(np.array([1.0, -0.5, 2.0]))
+        for bad in (-0.5, math.nan):
+            with pytest.raises(DomainError):
+                curve.discount_many(np.array([1.0, bad, 2.0]))
+            with pytest.raises(DomainError):
+                curve.discount(bad)
+    with pytest.raises(DomainError):
+        SvenssonCurve(0.03, 0.0, 0.0, 0.0, tau1=1.0, tau2=2.0).yield_at(math.nan)
 
 
 def test_positivity_validators_keep_their_messages():

@@ -303,6 +303,12 @@ def test_cli_curve_eval(tmp_path, capsys):
     assert rows[0]["f"] is None
     assert rows[1]["y"] == pytest.approx(0.05)
     assert run(capsys, "curve-eval", "--curve", curve, "--to", "2", "--step", "0")[0] == 1
+    # non-finite ends or steps used to loop until killed or print NaN rows
+    for to, step in (("nan", "1"), ("inf", "1"), ("2", "nan"), ("2", "inf")):
+        code, out, err = run(capsys, "curve-eval", "--curve", curve, "--to", to,
+                             "--step", step)
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1
 
 
 def test_cli_fx_price_and_convert_round_trip(tmp_path, capsys):
