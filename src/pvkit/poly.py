@@ -116,46 +116,84 @@ def interpolate_chebyshev(values, half: float) -> Coeffs:
     return out
 
 
-def _bisect_root(coeffs, lo: float, hi: float, flo: float) -> float:
-    # invariant: sign(p(lo)) == sign(flo) != sign(p(hi)), both nonzero
+def _signer(coeffs):
+    """``t -> sign(p(t))``, exact for the stored coefficients.
+
+    Horner's value decides when it exceeds its rounding error bound
+    ``4 n u sum |c_k| |t|^k`` (u = 2^-53; Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1).  Below it, near a root, p is evaluated in
+    integers: with c_k = a_k / D (D a power of two) and t = n / d,
+    ``D d^deg p(t) = sum_k a_k n^k d^(deg-k)`` has the sign of p(t).
+    """
+    mags = tuple(map(abs, coeffs))
+    slack = 4.0 * len(coeffs) * 2.0 ** -53
+    ints = None  # the a_k, highest degree first, built on first use
+
+    def sign(t: float) -> int:
+        nonlocal ints
+        v = evaluate(coeffs, t)
+        if abs(v) > slack * evaluate(mags, abs(t)):
+            return 1 if v > 0.0 else -1
+        if ints is None:
+            ratios = [x.as_integer_ratio() for x in reversed(coeffs)]
+            den = max((b for _, b in ratios), default=1)
+            ints = [a * (den // b) for a, b in ratios]
+        n, d = t.as_integer_ratio()
+        acc, dpow = 0, 1
+        for a in ints:
+            acc = acc * n + a * dpow
+            dpow *= d
+        return (acc > 0) - (acc < 0)
+
+    return sign
+
+
+def _bisect_root(sign, lo: float, hi: float, slo: int) -> float:
+    # invariant: sign(lo) == slo != sign(hi), both nonzero
     for _ in range(_BISECT_CAP):
         if hi - lo <= ROOT_TOL:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        fm = evaluate(coeffs, mid)
-        if fm == 0.0:
+        s = sign(mid)
+        if s == 0:
             return mid
-        if (fm > 0) == (flo > 0):
+        if s == slo:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _interval_signs(coeffs, cuts) -> list[int]:
+def _interval_signs(sign, cuts) -> list[int]:
     # Sign of p on each span between consecutive cuts, assuming p does not
-    # change sign inside one: the first of nine interior samples that is
-    # not zero.  A nonzero polynomial of degree <= 8 cannot vanish at all
-    # of them.  A sample within Horner's rounding error of zero, |p(t)| <=
-    # 4 n u sum |c_k| |t|^k (Higham, Accuracy and Stability of Numerical
-    # Algorithms, 5.1), counts as zero, as at a touching root; ``cap``, that
-    # bound at the largest |t|, spares the pointwise bound on most samples.
-    mags = tuple(abs(x) for x in coeffs)
-    slack = 4.0 * len(coeffs) * 2.0 ** -53
-    cap = slack * evaluate(mags, max(abs(cuts[0]), abs(cuts[-1])))
+    # change sign inside one: the first nonzero sign at nine interior
+    # samples.  A nonzero polynomial of degree <= 8 cannot vanish at all of
+    # them, so with exact signs a span gets 0 only where p is identically 0.
     signs = []
     for lo, hi in zip(cuts, cuts[1:]):
-        sign = 0
+        s = 0
         for k in range(1, 10):
-            t = lo + 0.1 * k * (hi - lo)
-            v = evaluate(coeffs, t)
-            if abs(v) > cap or abs(v) > slack * evaluate(mags, abs(t)):
-                sign = 1 if v > 0.0 else -1
+            s = sign(lo + 0.1 * k * (hi - lo))
+            if s:
                 break
-        signs.append(sign)
+        signs.append(s)
     return signs
+
+
+def _definite(c, lo: float, hi: float) -> bool:
+    # True when p has no root in [lo, hi]: around the midpoint m,
+    # p(m + u) = sum_k q_k u^k, and |q_0| > sum_{k>=1} |q_k| r^k bounds p
+    # away from 0 for |u| <= r.  The shift and the sums round by at most
+    # 4 n u sum_k |c_k| (|m| + r)^k together (each q_k takes 2n roundings);
+    # the margin is twice that.
+    m = 0.5 * (lo + hi)
+    r = math.nextafter(max(hi - m, m - lo), math.inf)
+    q = taylor_shift(c, m)
+    spread = r * evaluate(tuple(map(abs, q[1:])), r)
+    margin = 8.0 * len(c) * 2.0 ** -53 * evaluate(tuple(map(abs, c)), abs(m) + r)
+    return abs(q[0]) > spread + margin
 
 
 def sign_changes(coeffs, lo: float, hi: float) -> Coeffs:
@@ -165,25 +203,31 @@ def sign_changes(coeffs, lo: float, hi: float) -> Coeffs:
     are not reported.  Between consecutive sign changes the polynomial is
     a.e. sign-definite.  Works by recursing on the derivative: between
     sign changes of p' the polynomial is monotone, so every crossing is
-    caught by an endpoint sign test and pinned down by bisection.
+    caught by an endpoint sign test and pinned down by bisection.  Every
+    sign is exact for the stored coefficients (see :func:`_signer`), and
+    each sign change is located to :data:`ROOT_TOL`.  The derivatives'
+    coefficients ``k c_k`` are rounded, which can hide only a pair of
+    crossings where p and p' are both within rounding error of zero.  An
+    interval where p is certainly bounded away from zero is not searched.
     """
     c = trim(coeffs)
-    if len(c) <= 1 or not (lo < hi):
+    if len(c) <= 1 or not (lo < hi) or _definite(c, lo, hi):
         return ()
+    sign = _signer(c)
     breaks = (lo,) + sign_changes(derivative(c), lo, hi) + (hi,)
+    at = [sign(x) for x in breaks]
     zeros: list[float] = []
-    for x0, x1 in zip(breaks, breaks[1:]):
-        f0, f1 = evaluate(c, x0), evaluate(c, x1)
-        if f0 == 0.0 and lo < x0:
+    for x0, x1, s0, s1 in zip(breaks, breaks[1:], at, at[1:]):
+        if s0 == 0 and lo < x0:
             zeros.append(x0)
-        if f0 != 0.0 and f1 != 0.0 and (f0 > 0) != (f1 > 0):
-            zeros.append(_bisect_root(c, x0, x1, f0))
+        if s0 * s1 < 0:
+            zeros.append(_bisect_root(sign, x0, x1, s0))
     if not zeros:
         return ()
     zeros = sorted(set(zeros))
     # keep only genuine crossings: the a.e. sign must differ across the zero
     cuts = [lo] + zeros + [hi]
-    signs = _interval_signs(c, cuts)
+    signs = _interval_signs(sign, cuts)
     out = []
     for k, z in enumerate(zeros):
         left = next((s for s in reversed(signs[: k + 1]) if s != 0), 0)
@@ -201,4 +245,5 @@ def sign_spans(coeffs, lo: float, hi: float) -> tuple[tuple[float, float, int], 
     """
     c = trim(coeffs)
     cuts = (lo,) + sign_changes(c, lo, hi) + (hi,)
-    return tuple(span for span in zip(cuts, cuts[1:], _interval_signs(c, cuts)) if span[2])
+    return tuple(span for span in zip(cuts, cuts[1:], _interval_signs(_signer(c), cuts))
+                 if span[2])

@@ -318,3 +318,29 @@ def test_touching_roots_are_not_sign_changes():
     for flow in flows[:100]:
         target = price(FlatCurve(0.04, horizon=12.0), flow).value
         assert irr(flow, target).rate == pytest.approx(0.04, abs=1e-9)
+
+
+def _bump(lo, hi, power):
+    """``(t - lo)^power (t - hi)^power`` on [lo, hi); exact coefficients."""
+    coeffs = (1.0,)
+    for root in (lo,) * power + (hi,) * power:
+        coeffs = poly.multiply(coeffs, (-root, 1.0))
+    return density(lo, hi, coeffs)
+
+
+@pytest.mark.parametrize("lo, hi, power", [(19.5, 20.5, 4), (25.0, 25.0078125, 2)])
+def test_bumps_below_horner_error_keep_their_mass(lo, hi, power):
+    # Horner's rounding error bound near t = 20-25 exceeds these bumps'
+    # height (0.5^8 and about 2.3e-10), yet each is a nonnegative density
+    # with positive mass and must be priced as one
+    flow = _bump(lo, hi, power)
+    assert is_nonnegative(flow)
+    assert not jordan(flow).positive.is_null
+    assert price(FlatCurve(0.04, horizon=30.0), flow).lower > 0.0
+
+
+def test_degree_eight_bump_has_variation_and_a_yield():
+    flow = _bump(19.5, 20.5, 4)
+    assert total_variation(flow) > 0.0
+    target = price(FlatCurve(0.04, horizon=30.0), flow).value
+    assert irr(flow, target).rate == pytest.approx(0.04, abs=1e-6)

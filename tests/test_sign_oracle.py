@@ -1,10 +1,10 @@
 """The polynomial sign split against exact arithmetic.
 
-``poly.sign_spans`` cuts a polynomial at its sign changes in floating
-point.  The oracle works on the same coefficients as exact rationals:
-sympy counts the real roots of odd multiplicity strictly inside the
-interval (a square-free factorisation, then exact root counting), and
-``fractions.Fraction`` gives the sign at each span's midpoint.  Nothing in
+``poly.sign_spans`` cuts a polynomial at its sign changes.  The oracle
+works on the same coefficients as exact rationals: sympy counts the real
+roots of odd multiplicity strictly inside the interval (a square-free
+factorisation, then exact root counting), and ``fractions.Fraction``
+gives the sign at 15 evenly spaced points inside each span.  Nothing in
 the oracle calls pvkit's polynomial code.
 """
 from fractions import Fraction
@@ -38,6 +38,28 @@ def _grid_product(rng) -> tuple[float, ...]:
     return tuple(float(c) for c in coeffs)
 
 
+def _late_bump(rng) -> tuple[float, float, tuple[float, ...]]:
+    """A degree 5-8 product of factors ``t - r`` on a short span near t = 20-30.
+
+    The roots are on the 1/8 grid in [a, a + 1], a an integer in 20..29, each
+    squared with probability 0.3; the span is [a, a + 1] or [a - 0.5, a + 1.5].
+    Horner's rounding error at these times is as large as the bump's own
+    height.  The coefficients are converted to floats; where that rounds
+    them (18 of 200 here), the oracle checks the stored polynomial, not the
+    product.
+    """
+    a = int(rng.integers(20, 30))
+    coeffs = [Fraction(1)]
+    while len(coeffs) < int(rng.integers(6, 10)):
+        root = a + Fraction(int(rng.integers(0, 9)), 8)
+        for _ in range(2 if rng.random() < 0.3 and len(coeffs) < 8 else 1):
+            coeffs = [-root * coeffs[0]] + [
+                lo - root * hi for lo, hi in zip(coeffs, coeffs[1:])
+            ] + [coeffs[-1]]
+    lo, hi = (a, a + 1) if rng.random() < 0.5 else (a - 0.5, a + 1.5)
+    return float(lo), float(hi), tuple(float(c) for c in coeffs)
+
+
 def _cases():
     rng = np.random.default_rng(11)
     cases = []
@@ -45,6 +67,7 @@ def _cases():
         flow = random_cashflow(rng, horizon=30.0)
         cases += [(p.start, p.end, p.coeffs) for p in flow.pieces]
     cases += [(0.0, 10.0, _grid_product(rng)) for _ in range(300)]
+    cases += [_late_bump(rng) for _ in range(200)]
     return cases
 
 
@@ -78,10 +101,11 @@ def test_sign_spans_match_exact_roots_and_signs():
         cuts = len(spans) - 1
         signs_ok = True
         for a, b, sign in spans:
-            mid = (Fraction(a) + Fraction(b)) / 2
-            # an even root at the midpoint says nothing; look a little left
-            s = _exact_sign(exact, mid) or _exact_sign(exact, (Fraction(a) + mid) / 2)
-            signs_ok &= s == sign
+            # even roots may sit at some of the points, so none may have the
+            # other sign and one at least must have this one
+            seen = {_exact_sign(exact, Fraction(a) + (Fraction(b) - Fraction(a)) * k / 16)
+                    for k in range(1, 16)}
+            signs_ok &= sign in seen and -sign not in seen
         if not (tiled and signs_ok
                 and cuts == _odd_roots_inside(exact, Fraction(lo), Fraction(hi))):
             misses.append(i)
