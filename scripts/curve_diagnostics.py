@@ -42,8 +42,7 @@ def main():
             worst_spot = max(worst_spot,
                              abs(spot_rate(curve, t) - forward_rate(curve, 0.0, t)))
             min_disc = min(min_disc,
-                           min(curve.discount(u)
-                               for u in np.linspace(0.0, hi, 17)))
+                           float(curve.discount_many(np.linspace(0.0, hi, 17)).min()))
         print(f"{family:<12}{worst_comp:>20.3e}{worst_spot:>18.3e}"
               f"{min_disc:>16.6f}")
 

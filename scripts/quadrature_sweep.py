@@ -11,7 +11,9 @@ so two revisions can be compared case by case.
 Each tolerance's line also carries a SHA-256 of the ``repr`` of every
 returned result's ``value``, ``lower``, ``upper``, ``atom_part`` and
 ``density_part``, in case order: two revisions whose digests agree
-returned bit-identical results.
+returned bit-identical results.  A second SHA-256 covers the one-field
+tuple ``(density_part,)`` alone, so a change to the atom sum and a change
+to the quadrature show up separately.
 
 Run:  PYTHONPATH=src python scripts/quadrature_sweep.py
 """
@@ -37,7 +39,7 @@ def main():
     for tol in TOLERANCES:
         start = time.perf_counter()
         refused, too_wide = [], 0
-        digest = hashlib.sha256()
+        digest, density = hashlib.sha256(), hashlib.sha256()
         for i, (curve, flow) in enumerate(cases):
             try:
                 res = price(curve, flow, tol)
@@ -46,10 +48,11 @@ def main():
                 continue
             too_wide += res.upper - res.lower > tol
             digest.update(repr(tuple(getattr(res, f) for f in FIELDS)).encode())
+            density.update(repr((res.density_part,)).encode())
         total += len(refused)
         print(f"tol {tol:g}: {len(refused)} of {CASES} refused, {too_wide} wider than tol, "
               f"{time.perf_counter() - start:.2f} s; refused {refused}; "
-              f"sha256 {digest.hexdigest()}")
+              f"sha256 {digest.hexdigest()}; density_part sha256 {density.hexdigest()}")
     print(f"total: {total} of {CASES * len(TOLERANCES)} refused")
 
 

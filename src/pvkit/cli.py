@@ -19,9 +19,10 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import io as fio
 from .arbitrage import Arbitrage, check
-from .curves import forward_rate, spot_rate
 from .dual_functional import PRESETS, choquet_gap, dual_price
 from .errors import DomainError, SchemaError
 from .fx import convert_measure, price_dual
@@ -238,19 +239,19 @@ def _run_curve_eval(args):
         k += 1
     if times[-1] < args.to:
         times.append(args.to)
+    discs = curve.discount_many(np.array(times)).tolist()
     p = args.precision
     lines = ["t,P,y,f"]
     rows = []
-    for t in times:
-        disc = curve.discount(t)
+    for t, disc in zip(times, discs):
         if t > 0.0:
-            y = spot_rate(curve, t)
-            f = forward_rate(curve, 0.0, t)
-            lines.append(f"{fmt(t, p)},{fmt(disc, p)},{fmt(y, p)},{fmt(f, p)}")
+            # the spot rate y is the forward rate f over [0, t]
+            y = (discs[0] / disc) ** (1.0 / t) - 1.0
+            rate = fmt(y, p)
         else:
-            y = f = None
-            lines.append(f"{fmt(t, p)},{fmt(disc, p)},-,-")
-        rows.append({"t": t, "P": disc, "y": y, "f": f})
+            y, rate = None, "-"
+        lines.append(f"{fmt(t, p)},{fmt(disc, p)},{rate},{rate}")
+        rows.append({"t": t, "P": disc, "y": y, "f": y})
     return "\n".join(lines), {"rows": rows}
 
 

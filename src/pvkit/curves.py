@@ -18,9 +18,9 @@ curve (see the dual-functional module).
 All curves are immutable.  ``horizon`` marks how far out the curve is
 meant to be used; construction samples ``P`` densely on [0, horizon] and
 rejects parameters that produce non-finite or non-positive values there.
-Every curve evaluates either one time, ``discount(t)``, or an array of
-times at once, ``discount_many(ts)``; the two agree to a few ulp, and the
-array form is what quadrature, FX refits and grid scans call.
+Each family has one formula, the array form ``discount_many(ts)``;
+``discount(t)`` is ``discount_many`` at one time, so callers that need
+several times make one ``discount_many`` call.
 Rates use annual effective compounding throughout: the spot rate is
 ``y_t = P_t**(-1/t) - 1`` and the forward rate over ``[s, t]`` is
 ``f = (P_s/P_t)**(1/(t-s)) - 1`` with ``f = 0`` when ``s == t``.  Negative
@@ -28,7 +28,6 @@ rates are fine as long as ``1 + i > 0``.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -59,6 +58,11 @@ def check_positive(fn, horizon: float, describe) -> None:
 def _check_times(ts: np.ndarray) -> None:
     if ts.size and not ts.min() >= 0.0:
         raise DomainError(f"discount factor needs t >= 0, got {float(ts.min())}")
+
+
+def _at(fn, t: float) -> float:
+    """The array formula ``fn`` evaluated at the single time ``t``."""
+    return float(fn(np.array([t], dtype=float))[0])
 
 
 def _validate_curve(curve) -> None:
@@ -93,9 +97,7 @@ class FlatCurve:
         _validate_curve(self)
 
     def discount(self, t: float) -> float:
-        if not t >= 0.0:
-            raise DomainError(f"discount factor needs t >= 0, got {t}")
-        return (1.0 + self.rate) ** (-t)
+        return _at(self.discount_many, t)
 
     def discount_many(self, ts: np.ndarray) -> np.ndarray:
         _check_times(ts)
@@ -130,32 +132,18 @@ class SpotGridCurve:
                 raise DomainError(f"spot grid knot ({t!r}, {p!r}) is invalid")
         object.__setattr__(self, "knots", ks)
         object.__setattr__(self, "horizon", _check_horizon(self.horizon))
-        times = tuple(t for t, _ in ks)
-        object.__setattr__(self, "_times", times)
         if len(ks) >= 2:
             (ta, pa), (tb, pb) = ks[-2], ks[-1]
             tail = (math.log(pa) - math.log(pb)) / (tb - ta)
         else:
             tail = 0.0
         object.__setattr__(self, "_tail_forward", tail)
-        object.__setattr__(self, "_knot_t", np.array(times))
+        object.__setattr__(self, "_knot_t", np.array([t for t, _ in ks]))
         object.__setattr__(self, "_knot_p", np.array([p for _, p in ks]))
         _validate_curve(self)
 
     def discount(self, t: float) -> float:
-        if not t >= 0.0:
-            raise DomainError(f"discount factor needs t >= 0, got {t}")
-        times = self._times
-        last_t, last_p = self.knots[-1]
-        if t >= last_t:
-            return last_p * math.exp(-self._tail_forward * (t - last_t))
-        k = bisect.bisect_right(times, t) - 1
-        t0, p0 = self.knots[k]
-        if t == t0:
-            return p0
-        t1, p1 = self.knots[k + 1]
-        w = (t - t0) / (t1 - t0)
-        return p0 * (p1 / p0) ** w
+        return _at(self.discount_many, t)
 
     def discount_many(self, ts: np.ndarray) -> np.ndarray:
         _check_times(ts)
@@ -173,21 +161,11 @@ class SpotGridCurve:
     def knot_times(self) -> tuple[float, ...]:
         # interpolation is non-smooth at every interior knot and at the
         # extrapolation boundary
-        return self._times[1:]
-
-
-def _hump1(x: float) -> float:
-    # (1 - exp(-x)) / x, continuous limit 1 at x = 0
-    if x == 0.0:
-        return 1.0
-    return -math.expm1(-x) / x
-
-
-def _hump2(x: float) -> float:
-    return _hump1(x) - math.exp(-x)
+        return tuple(t for t, _ in self.knots[1:])
 
 
 def _hump1_many(x: np.ndarray) -> np.ndarray:
+    # (1 - exp(-x)) / x, continuous limit 1 at x = 0
     return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0.0)
 
 
@@ -220,32 +198,25 @@ class SvenssonCurve:
         _validate_curve(self)
 
     def yield_at(self, t: float) -> float:
-        if not t >= 0.0:
-            raise DomainError(f"yield needs t >= 0, got {t}")
-        x1 = t / self.tau1
-        x2 = t / self.tau2
-        return (
-            self.beta0
-            + self.beta1 * _hump1(x1)
-            + self.beta2 * _hump2(x1)
-            + self.beta3 * _hump2(x2)
-        )
+        return _at(self._yields, t)
 
     def discount(self, t: float) -> float:
-        return math.exp(-t * self.yield_at(t))
+        return _at(self.discount_many, t)
 
-    def discount_many(self, ts: np.ndarray) -> np.ndarray:
+    def _yields(self, ts: np.ndarray) -> np.ndarray:
         _check_times(ts)
         x1 = ts / self.tau1
         x2 = ts / self.tau2
         h1 = _hump1_many(x1)
-        y = (
+        return (
             self.beta0
             + self.beta1 * h1
             + self.beta2 * (h1 - np.exp(-x1))
             + self.beta3 * (_hump1_many(x2) - np.exp(-x2))
         )
-        return np.exp(-ts * y)
+
+    def discount_many(self, ts: np.ndarray) -> np.ndarray:
+        return np.exp(-ts * self._yields(ts))
 
     def knot_times(self) -> tuple[float, ...]:
         return ()
@@ -269,7 +240,7 @@ class ScaledCurve:
         return self.base.horizon
 
     def discount(self, t: float) -> float:
-        return self.factor * self.base.discount(t)
+        return _at(self.discount_many, t)
 
     def discount_many(self, ts: np.ndarray) -> np.ndarray:
         return self.factor * self.base.discount_many(ts)
@@ -284,8 +255,8 @@ def forward_rate(curve, s: float, t: float) -> float:
         raise DomainError(f"forward rate needs 0 <= s <= t, got s={s}, t={t}")
     if s == t:
         return 0.0
-    ratio = curve.discount(s) / curve.discount(t)
-    return ratio ** (1.0 / (t - s)) - 1.0
+    p_s, p_t = curve.discount_many(np.array([s, t], dtype=float)).tolist()
+    return (p_s / p_t) ** (1.0 / (t - s)) - 1.0
 
 
 def spot_rate(curve, t: float) -> float:
@@ -297,7 +268,8 @@ def spot_rate(curve, t: float) -> float:
 
 def forward_discount(curve, at: float, maturity: float) -> float:
     """Value at time ``at`` of a unit payment at ``maturity``: P(maturity)/P(at)."""
-    return curve.discount(maturity) / curve.discount(at)
+    p_at, p_maturity = curve.discount_many(np.array([at, maturity], dtype=float)).tolist()
+    return p_maturity / p_at
 
 
 def forward_rate_composition_check(curve, r: float, s: float, t: float) -> float:

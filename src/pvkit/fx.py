@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly
-from .curves import check_positive
+from .curves import _at, check_positive
 from .errors import DomainError
 from .measures import Atom, CashFlow, DensityPiece, total_variation
 from .pricing import TOLERANCE_SCALE, check_support, price
@@ -80,11 +80,7 @@ def fx_forward(market: DualCurrencyMarket, t: float) -> float:
     """Forward exchange rate at time t (equals spot at t = 0 exactly)."""
     if not 0.0 <= t <= market.horizon:
         raise DomainError(f"forward FX time must lie in [0, {market.horizon}], got {t}")
-    return (
-        market.spot_fx
-        * market.foreign_curve.discount(t)
-        / market.domestic_curve.discount(t)
-    )
+    return _at(lambda ts: _fx_forward_many(market, ts), t)
 
 
 def _fx_forward_many(market: DualCurrencyMarket, ts: np.ndarray) -> np.ndarray:
@@ -204,9 +200,9 @@ def convert_measure_with_bound(market: DualCurrencyMarket,
     Atoms convert exactly.
     """
     check_support(foreign_flow, market.horizon, "foreign leg", "market")
-    atoms = tuple(
-        Atom(a.time, a.amount * fx_forward(market, a.time)) for a in foreign_flow.atoms
-    )
+    rates = _fx_forward_many(market, np.array([a.time for a in foreign_flow.atoms]))
+    atoms = tuple(Atom(a.time, a.amount * r)
+                  for a, r in zip(foreign_flow.atoms, rates.tolist()))
     pieces: list[DensityPiece] = []
     err = 0.0
     fn = lambda ts: _fx_forward_many(market, ts)

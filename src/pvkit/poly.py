@@ -7,6 +7,7 @@ helpers themselves work for any degree.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 MAX_DEGREE = 8
 # Root isolation runs bisection down to this absolute width (or one ulp,
@@ -75,8 +76,23 @@ def antiderivative(a) -> Coeffs:
 
 
 def definite_integral(a, lo: float, hi: float) -> float:
+    """``integral_lo^hi p``, the antiderivative's value at hi minus at lo.
+
+    When that difference is within its rounding error bound
+    ``4 (n+1) u sum_k |a_k| (|hi|^k + |lo|^k)`` (n the degree of p,
+    u = 2^-53, a_k the antiderivative's coefficients), the two values
+    cancel, as on a narrow or late piece; the integral of the stored
+    coefficients is then taken in exact arithmetic and rounded once.
+    """
     anti = antiderivative(a)
-    return evaluate(anti, hi) - evaluate(anti, lo)
+    v = evaluate(anti, hi) - evaluate(anti, lo)
+    mags = tuple(map(abs, anti))
+    bound = 4.0 * len(a) * 2.0 ** -53 * (evaluate(mags, abs(hi)) + evaluate(mags, abs(lo)))
+    if abs(v) > bound:
+        return v
+    h, l = Fraction(hi), Fraction(lo)
+    return float(sum(Fraction(c) * (h ** (k + 1) - l ** (k + 1)) / (k + 1)
+                     for k, c in enumerate(a)))
 
 
 def taylor_shift(a, m: float) -> Coeffs:

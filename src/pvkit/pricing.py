@@ -45,7 +45,9 @@ def price(curve, flow: CashFlow, tol: float | None = None) -> Bracket:
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
     check_support(flow, curve.horizon)
-    atom = math.fsum(a.amount * curve.discount(a.time) for a in flow.atoms)
+    times = np.array([a.time for a in flow.atoms])
+    amounts = np.array([a.amount for a in flow.atoms])
+    atom = math.fsum((amounts * curve.discount_many(times)).tolist())
     dens = bracketed_integral(
         curve.discount_many,
         [(p.start, p.end, p.coeffs) for p in flow.pieces],
@@ -210,8 +212,7 @@ def yield_bound_check(curve, flow: CashFlow, purchase_time: float = 0.0,
     if grid.size == 0:
         forward_max = 0.0
     else:
-        p_r = curve.discount(purchase_time)
-        p_u = curve.discount_many(grid)
-        f = (p_r / p_u) ** (1.0 / (grid - purchase_time)) - 1.0
+        p = curve.discount_many(np.concatenate([[purchase_time], grid]))
+        f = (p[0] / p[1:]) ** (1.0 / (grid - purchase_time)) - 1.0
         forward_max = float(np.max(f))
     return YieldBound(result.rate, forward_max, result.rate <= forward_max + tol)

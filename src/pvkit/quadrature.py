@@ -152,10 +152,7 @@ def _evaluate_items(fn, a, b, coeffs):
     rmax = sampled.max(axis=1)
     pad = 0.5 * (rmax - rmin) + 1e-15 * np.abs(f[:, _N_CHEB:_N_SAMPLED]).max(axis=1)
     # the density at the GL8 then GL7 nodes, by Horner in global time
-    ts = ts[:, n_f:]
-    rho = np.zeros_like(ts)
-    for k in range(coeffs.shape[1] - 1, -1, -1):
-        rho = rho * ts + coeffs[:, k:k + 1]
+    rho = poly.evaluate(coeffs.T[:, :, None], ts[:, n_f:])
     rho8, rho7 = rho[:, :8], rho[:, 8:]
     mass = half * (rho8 @ w8)
     exact = half * ((rho8 * (model[:, n_f - _N_CHEB:] + f_mid)) @ w8)

@@ -200,23 +200,47 @@ def _close_ulps(many, scalar, ulps):
     return all(abs(m - s) <= ulps * math.ulp(s) for m, s in zip(many, scalar))
 
 
+def _grid_closed_form(knots, t):
+    # log-linear between the knots, the last segment's forward rate after
+    # the last knot
+    (ta, pa), (tb, pb) = knots[-2], knots[-1]
+    if t >= tb:
+        return pb * math.exp(-(math.log(pa) - math.log(pb)) / (tb - ta) * (t - tb))
+    for (t0, p0), (t1, p1) in zip(knots, knots[1:]):
+        if t0 <= t < t1:
+            return p0 * (p1 / p0) ** ((t - t0) / (t1 - t0))
+
+
+def _svensson_closed_form(t):
+    # the formula of test_svensson_yield_formula_oracle, h1 -> 1 at t = 0
+    def h1(x):
+        return -math.expm1(-x) / x if x else 1.0
+    x1, x2 = t / 1.5, t / 6.0
+    y = (0.03 - 0.01 * h1(x1)
+         + 0.02 * (h1(x1) - math.exp(-x1))
+         + 0.015 * (h1(x2) - math.exp(-x2)))
+    return math.exp(-t * y)
+
+
 def test_discount_many_matches_discount():
-    grid = SpotGridCurve(((0.0, 1.0), (1.0, 0.97), (2.5, 0.92), (7.0, 0.74)),
-                         horizon=30.0)
+    knots = ((0.0, 1.0), (1.0, 0.97), (2.5, 0.92), (7.0, 0.74))
+    grid = SpotGridCurve(knots, horizon=30.0)
     curves = [
-        FlatCurve(0.05, horizon=30.0),
-        FlatCurve(-0.004, horizon=30.0),
-        grid,
-        SvenssonCurve(0.03, -0.01, 0.02, 0.015, tau1=1.5, tau2=6.0, horizon=30.0),
-        ScaledCurve(grid, 2.0),
+        (FlatCurve(0.05, horizon=30.0), lambda t: 1.05 ** -t),
+        (FlatCurve(-0.004, horizon=30.0), lambda t: 0.996 ** -t),
+        (grid, lambda t: _grid_closed_form(knots, t)),
+        (SvenssonCurve(0.03, -0.01, 0.02, 0.015, tau1=1.5, tau2=6.0, horizon=30.0),
+         _svensson_closed_form),
+        (ScaledCurve(grid, 2.0), lambda t: 2.0 * _grid_closed_form(knots, t)),
     ]
     # t = 0, every spot-grid knot, between and past the last knot, the horizon
     ts = [0.0, 0.3, 1.0, 1.7, 2.5, 4.0, 7.0, 7.5, 12.25, 30.0]
-    for curve in curves:
+    for curve, closed_form in curves:
         many = curve.discount_many(np.array(ts))
         assert many.dtype == np.float64 and many.shape == (len(ts),)
-        assert _close_ulps(many.tolist(), [curve.discount(t) for t in ts], 4), curve
-    scaled = curves[-1]
+        assert _close_ulps(many.tolist(), [closed_form(t) for t in ts], 4), curve
+        assert [curve.discount(t) for t in ts] == many.tolist(), curve
+    scaled = curves[-1][0]
     assert (scaled.discount_many(np.array(ts)) == 2.0 * grid.discount_many(np.array(ts))).all()
     # a grid with only the origin knot is flat at 1
     assert SpotGridCurve(((0.0, 1.0),)).discount_many(np.array(ts)).tolist() == [1.0] * len(ts)

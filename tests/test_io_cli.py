@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pvkit import SchemaError, density, dirac, total_mass
+from pvkit import SchemaError, density, dirac, spot_rate, total_mass
 from pvkit import io as fio
 from pvkit.cli import fmt, main
 
@@ -309,6 +309,24 @@ def test_cli_curve_eval(tmp_path, capsys):
                              "--step", step)
         assert code == 1 and out == ""
         assert err.count("error:") == 1
+
+
+def test_cli_curve_eval_rows_match_the_curve(tmp_path, capsys):
+    sv = {
+        "type": "svensson", "beta0": 0.03, "beta1": -0.01, "beta2": 0.01,
+        "beta3": 0.02, "tau1": 1.5, "tau2": 9.0,
+    }
+    curve = fio.parse_curve(sv)
+    code, out, _ = run(capsys, "curve-eval", "--curve", _write(tmp_path, "sv.json", sv),
+                       "--to", "30", "--step", "0.7", "--format", "structured")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["t"] for r in rows] == [0.7 * k for k in range(43)] + [30.0]
+    for r in rows:
+        assert r["P"] == curve.discount(r["t"])
+        if r["t"] > 0.0:
+            assert r["y"] == pytest.approx(spot_rate(curve, r["t"]), rel=1e-12, abs=0.0)
+            assert r["f"] == r["y"]
 
 
 def test_cli_fx_price_and_convert_round_trip(tmp_path, capsys):

@@ -4,6 +4,7 @@ The hypothesis suites draw random atom+density flows from seeded numpy
 generators so every failure is reproducible from the printed seed.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from pvkit import (
     trace,
     translate,
 )
+from pvkit import poly
 from pvkit.sampling import random_cashflow
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -114,6 +116,23 @@ def test_total_mass_and_variation():
     assert total_variation(a) == pytest.approx(3.0)
     assert not is_nonnegative(a)
     assert is_nonnegative(dirac(0.0, 1.0))
+
+
+@pytest.mark.parametrize("lo, hi, power, exact", [
+    (25.0, 25.0078125, 2, Fraction(1, 128) ** 5 / 30),
+    (19.5, 20.5, 4, Fraction(1, 630)),
+])
+def test_narrow_and_late_densities_keep_their_mass(lo, hi, power, exact):
+    # (t - lo)^power (t - hi)^power, expanded exactly in global monomials:
+    # the antiderivative's values at lo and hi cancel to below their own
+    # rounding error, so the masses must come from exact arithmetic
+    coeffs = (1.0,)
+    for root in (lo,) * power + (hi,) * power:
+        coeffs = poly.multiply(coeffs, (-root, 1.0))
+    flow = density(lo, hi, coeffs)
+    assert flow.pieces[0].mass() == float(exact)
+    assert total_mass(flow) == float(exact)
+    assert total_variation(flow) == float(exact)
 
 
 def test_trace_closures_at_atom_boundaries():
