@@ -6,19 +6,40 @@ time 0, exactly one of the following holds:
 
 * some strictly positive price vector ``p`` over the grid reprices every
   quote (``D p = 0`` where each row of ``D`` is right-minus-left), or
-* some linear combination of the quote differences is a nonnegative,
-  nonzero flow -- an arbitrage: a costless position with a free lunch.
+* some linear combination ``y^T D`` of the quote differences is a
+  nonnegative, nonzero flow -- an arbitrage: a costless position with a
+  free lunch.
 
-:func:`check` decides this constructively with an exact rational LP
-(maximize the minimum price component subject to repricing and a scale
-cap), so the verdict boundary is exact and every certificate replays
-exactly.  :func:`implied_curve` additionally demands that the repricing
-vector is unique up to scale and returns it as a discount curve.
+:func:`reduce_quotes` scales each row of ``D`` to integers (every amount is
+a float, so every denominator is a power of two) and brings it to row
+echelon form by fraction-free elimination (Bareiss, *Math. Comp.* 1968):
+every entry is a minor of the scaled ``D``, so the arithmetic is exact and
+the integers stay as short as the minors.  The dimension ``k`` of the null
+space of ``D`` then decides :func:`check`:
+
+* ``k = 1``, spanned by ``v``: the quotes are arbitrage-free exactly when
+  ``v`` or ``-v`` is strictly positive, and ``v / v_0`` is the price
+  vector.  Otherwise a nonnegative ``w`` orthogonal to ``v`` lies in the
+  row space: ``e_z`` for the first ``v_z = 0``, or ``|v_j| e_i + v_i e_j``
+  for the first ``v_i > 0`` and the first ``v_j < 0``;
+* ``k = 0``: only ``p = 0`` reprices, and ``w = e_0`` is a free payment
+  at time 0;
+* ``k >= 2``: an exact rational LP (:mod:`pvkit.simplex`) maximizes the
+  minimum price component subject to repricing and a scale cap.
+
+With ``k <= 1`` an arbitrage certificate solves ``y^T D = w`` by the same
+elimination of ``D^T``; with ``k >= 2`` it is the LP's dual.  Every price
+vector and certificate is replayed in exact arithmetic before it is
+returned.  :func:`implied_curve` additionally demands that the repricing
+vector is unique up to scale (``k = 1``) and returns it as a discount
+curve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,29 +112,175 @@ class ArbitrageFree:
 
 @dataclass(frozen=True)
 class Arbitrage:
-    """Per-quote weights whose difference combination is >= 0 and nonzero."""
+    """Per-quote weights whose difference combination is >= 0 and nonzero.
+
+    ``coefficients`` are the floats of ``exact_coefficients``, the rational
+    weights scaled so that the largest is 1 in magnitude; ``portfolio`` is
+    their combination of the quote differences, rounded once per atom.
+    """
 
     coefficients: tuple[float, ...]
     portfolio: CashFlow
+    exact_coefficients: tuple[Fraction, ...] = field(repr=False)
+
+
+class Reduction(NamedTuple):
+    """The difference matrix of a quote set in exact fraction-free echelon form.
+
+    ``rows[i]`` is row ``i`` of ``D`` times the power of two ``scales[i]``,
+    an integer vector; ``echelon`` holds the nonzero rows of a Bareiss row
+    echelon form of ``rows``, with ``pivots`` its pivot columns.  A named
+    tuple, because its class is built in a fifth of a dataclass's time and
+    every CLI call imports it.
+    """
+
+    grid: tuple[float, ...]
+    rows: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
+    echelon: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
+
+    @property
+    def free(self) -> tuple[int, ...]:
+        """The non-pivot columns; one null-space direction each."""
+        pivots = set(self.pivots)
+        return tuple(j for j in range(len(self.grid)) if j not in pivots)
+
+    @property
+    def null_dim(self) -> int:
+        return len(self.grid) - len(self.pivots)
+
+    @property
+    def max_bits(self) -> int:
+        """The largest bit length among the integer rows and the echelon."""
+        return max((abs(a).bit_length() for row in self.rows + self.echelon
+                    for a in row), default=0)
+
+    def null_vector(self, col: int) -> list[int]:
+        """The null vector of ``D`` that is 1 at free column ``col`` and 0 at
+        the other free columns, times the last pivot."""
+        x = [0] * len(self.grid)
+        x[col] = 1
+        return _back_substitute(self.echelon, self.pivots, x,
+                                [0] * len(self.pivots))
+
+
+def _echelon(rows, width):
+    """Forward-only fraction-free (Bareiss) elimination of integer rows.
+
+    Pivots are searched in the first ``width`` columns, the first nonzero
+    entry from the top; later columns are carried along.  Returns the
+    nonzero rows of the echelon form and their pivot columns.  After each
+    step every entry is a minor of the input (Sylvester's identity), so
+    the division by the previous pivot is exact.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    prev = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r][c + 1:]
+        p = rows[r][c]
+        for row in rows[r + 1:]:
+            a = row[c]
+            row[c] = 0
+            row[c + 1:] = [(p * x - a * y) // prev
+                           for x, y in zip(row[c + 1:], top)]
+        prev = p
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def _back_substitute(echelon, pivots, x, rhs):
+    """The solution of ``echelon @ x == rhs`` whose non-pivot entries are
+    those of ``x``, times the last pivot ``d``.
+
+    Scaled by ``d``, every entry is an integer, a minor of the input by
+    Cramer's rule, so every division is exact.
+    """
+    d = echelon[-1][pivots[-1]] if pivots else 1
+    x = [d * xj for xj in x]
+    for row, c, b in zip(reversed(echelon), reversed(pivots), reversed(rhs)):
+        x[c] = (d * b - sum(a * xj for a, xj in zip(row[c + 1:], x[c + 1:]))) // row[c]
+    return x
+
+
+def _integers(values) -> tuple[list[int], int]:
+    """Rationals times their common denominator, and that denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def reduce_quotes(quote_set: QuoteSet) -> Reduction:
+    """Scale ``D`` row by row to integers and reduce it to echelon form."""
+    rows, scales = [], []
+    for row in quote_set.difference_matrix():
+        ints, s = _integers(row)
+        rows.append(tuple(ints))
+        scales.append(s)
+    echelon, pivots = _echelon(rows, len(quote_set.grid))
+    return Reduction(quote_set.grid, tuple(rows), tuple(scales),
+                     tuple(map(tuple, echelon)), tuple(pivots))
 
 
 def check(quote_set: QuoteSet) -> ArbitrageFree | Arbitrage:
     """Decide arbitrage-freeness of the quotes, with a certificate either way.
 
     With no quotes at all, any price vector works: the all-equal vector is
-    returned by convention.  Otherwise an exact LP maximizes ``s`` subject
-    to ``D (s*1 + q) = 0``, ``s + q_j + r_j = 1``, ``q, r >= 0``: its
-    optimum is the best minimum component among repricing vectors capped
-    at 1, so ``s > 0`` yields the positive vector and ``s = 0`` makes the
-    quote-row duals an exact arbitrage certificate.
+    returned by convention.  Otherwise the null space of ``D`` decides
+    (see the module docstring).  When it has one dimension the verdict
+    follows from the signs of its basis vector, and when it has none the
+    certificate pays at time 0.  When it has two or more, an exact LP
+    maximizes ``s`` subject to ``D (s*1 + q) = 0``, ``s + q_j + r_j = 1``,
+    ``q, r >= 0``: its optimum is the best minimum component among
+    repricing vectors capped at 1, so ``s > 0`` yields the positive vector
+    and ``s = 0`` makes the quote-row duals an exact arbitrage certificate.
     """
-    g = len(quote_set.grid)
-    if not quote_set.quotes:
-        return ArbitrageFree(quote_set.grid, tuple(1.0 for _ in range(g)))
-    D = quote_set.difference_matrix()
+    return _decide(reduce_quotes(quote_set))
+
+
+def _decide(red: Reduction) -> ArbitrageFree | Arbitrage:
+    g = len(red.grid)
+    if not red.rows:
+        return ArbitrageFree(red.grid, tuple(1.0 for _ in range(g)))
+    free = red.free
+    if len(free) >= 2:
+        return _lp_check(red)
+    w = [0] * g
+    if not free:
+        w[0] = 1
+    else:
+        v = red.null_vector(free[0])
+        if all(x > 0 for x in v) or all(x < 0 for x in v):
+            return _repricing(red, v)
+        zero = next((k for k, x in enumerate(v) if x == 0), None)
+        if zero is not None:
+            w[zero] = 1
+        else:
+            i = next(k for k, x in enumerate(v) if x > 0)
+            j = next(k for k, x in enumerate(v) if x < 0)
+            w[i], w[j] = -v[j], v[i]
+    # y^T D = w: reduce D^T with w as its last column
+    m = len(red.rows)
+    echelon, pivots = _echelon(
+        [[row[j] for row in red.rows] + [w[j]] for j in range(g)], m)
+    return _certificate(red, _back_substitute(
+        echelon, pivots, [0] * m, [row[m] for row in echelon]))
+
+
+def _lp_check(red: Reduction) -> ArbitrageFree | Arbitrage:
+    """The exact LP of :func:`check`, for a null space of two or more
+    dimensions."""
+    g = len(red.grid)
+    D = [[Fraction(a, s) for a in row] for row, s in zip(red.rows, red.scales)]
     m = len(D)
     # variables: s+, s-, q_0..q_{g-1}, r_0..r_{g-1}
-    n = 2 + 2 * g
     A = []
     b = []
     for i in range(m):
@@ -132,29 +299,44 @@ def check(quote_set: QuoteSet) -> ArbitrageFree | Arbitrage:
         raise RuntimeError(f"repricing LP unexpectedly {res.status}")
     s_star = res.x[0] - res.x[1]
     if s_star > 0:
-        p = [s_star + res.x[2 + j] for j in range(g)]
-        assert all(sum(D[i][j] * p[j] for j in range(g)) == 0 for i in range(m))
-        p0 = p[0]
-        return ArbitrageFree(
-            quote_set.grid, tuple(float(pj / p0) for pj in p)
-        )
-    cert = [-res.duals[i] for i in range(m)]
-    combo = [sum(cert[i] * D[i][j] for i in range(m)) for j in range(g)]
-    if not (all(v >= 0 for v in combo) and any(v > 0 for v in combo)):
-        cert = [-w for w in cert]
+        return _repricing(red, _integers([s_star + res.x[2 + j] for j in range(g)])[0])
+    # the dual of row i weighs D's row i; red.rows[i] is that row times scales[i]
+    return _certificate(red, _integers(
+        [-y / s for y, s in zip(res.duals[:m], red.scales)])[0])
+
+
+def _repricing(red: Reduction, x: list[int]) -> ArbitrageFree:
+    """``x / x_0`` as the verdict, once ``D x = 0`` and ``x``'s strict sign
+    are checked exactly."""
+    if any(sum(a * xj for a, xj in zip(row, x)) for row in red.rows):
+        raise RuntimeError("price vector does not reprice the quotes")
+    if not (all(xj > 0 for xj in x) or all(xj < 0 for xj in x)):
+        raise RuntimeError("price vector is not strictly positive")
+    return ArbitrageFree(red.grid, tuple(xj / x[0] for xj in x))
+
+
+def _certificate(red: Reduction, y: list[int]) -> Arbitrage:
+    """The weights ``y`` on the integer rows (or their negation) as the
+    verdict, once their combination is checked exactly to be a nonnegative,
+    nonzero flow."""
+    combo = [sum(yi * row[j] for yi, row in zip(y, red.rows))
+             for j in range(len(red.grid))]
+    if not _free_lunch(combo):
+        y = [-yi for yi in y]
         combo = [-v for v in combo]
-    if not (all(v >= 0 for v in combo) and any(v > 0 for v in combo)):
-        raise RuntimeError("certificate extraction failed")  # unreachable
-    unit = max(abs(w) for w in cert)
-    cert = [w / unit for w in cert]
-    portfolio = CashFlow(
-        tuple(
-            Atom(t, float(v / unit))
-            for t, v in zip(quote_set.grid, combo)
-            if v != 0
-        )
-    )
-    return Arbitrage(tuple(float(w) for w in cert), portfolio)
+    if not _free_lunch(combo):
+        raise RuntimeError("certificate replay failed")
+    # weight on D's row i, in the common scale of combo
+    weights = [s * yi for s, yi in zip(red.scales, y)]
+    unit = max(abs(wi) for wi in weights)
+    portfolio = CashFlow(tuple(
+        Atom(t, v / unit) for t, v in zip(red.grid, combo) if v != 0))
+    return Arbitrage(tuple(wi / unit for wi in weights), portfolio,
+                     tuple(Fraction(wi, unit) for wi in weights))
+
+
+def _free_lunch(flow) -> bool:
+    return all(v >= 0 for v in flow) and any(v > 0 for v in flow)
 
 
 class NonUniqueImpliedPricesError(DomainError):
@@ -168,36 +350,6 @@ class NonUniqueImpliedPricesError(DomainError):
         )
 
 
-def _null_space(D, g):
-    """Exact basis of {x : D x = 0} via rational row reduction."""
-    rows = [list(r) for r in D]
-    pivots = []
-    r = 0
-    for col in range(g):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), -1)
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [v / rows[r][col] for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * p for a, p in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free_cols = [j for j in range(g) if j not in pivots]
-    basis = []
-    for fc in free_cols:
-        v = [_ZERO] * g
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(v)
-    return basis
-
-
 def implied_curve(quote_set: QuoteSet) -> SpotGridCurve:
     """The unique implied discount curve through the grid prices.
 
@@ -205,19 +357,21 @@ def implied_curve(quote_set: QuoteSet) -> SpotGridCurve:
     up to scale (difference matrix rank = grid size - 1).  Raises
     :class:`NonUniqueImpliedPricesError` listing the residual degrees of
     freedom otherwise; the reported directions keep the t=0 price fixed.
+    The verdict and the null-space basis come from one reduction of ``D``.
     """
-    verdict = check(quote_set)
+    red = reduce_quotes(quote_set)
+    verdict = _decide(red)
     if isinstance(verdict, Arbitrage):
         raise DomainError("quotes admit arbitrage; no implied curve exists")
-    g = len(quote_set.grid)
-    basis = _null_space(quote_set.difference_matrix(), g)
-    if len(basis) > 1:
+    if len(red.free) > 1:
         p = [Fraction(v) for v in verdict.implied]
         free = []
-        for v in basis:
+        for col in red.free:
+            x = red.null_vector(col)
+            v = [Fraction(xj, x[col]) for xj in x]
             adj = [vj - (v[0] / p[0]) * pj for vj, pj in zip(v, p)]
-            if any(x != 0 for x in adj):
-                free.append([float(x) for x in adj])
+            if any(a != 0 for a in adj):
+                free.append([float(a) for a in adj])
         if free:
             raise NonUniqueImpliedPricesError(free)
     knots = tuple(zip(quote_set.grid, verdict.implied))

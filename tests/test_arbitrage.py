@@ -4,9 +4,13 @@ The checker decides, with exact rational arithmetic, whether a strictly
 positive price vector reprices every quote; otherwise it returns weights
 whose quote combination is a nonnegative, nonzero flow.  Certificates are
 replayed here in floating point and, for the random sample, compared to
-a brute-force integer-coefficient search.
+a brute-force integer-coefficient search.  Long ladders and one pinned
+case per branch of the null-space decision replay their certificates in
+exact arithmetic, and a copy of the general LP the checker once ran on
+every quote set serves as an oracle for verdicts and prices.
 """
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +31,10 @@ from pvkit import (
     implied_curve,
     price,
 )
+from pvkit import arbitrage
+from pvkit.arbitrage import reduce_quotes
 from pvkit.measures import Atom
+from pvkit.simplex import solve_lp
 
 
 def _quote(left, right):
@@ -248,3 +255,233 @@ def test_scaled_quotes_keep_the_verdict():
             Quote(2.0 * q.left, 2.0 * q.right) for q in qs.quotes))
         assert isinstance(check(qs), Arbitrage) == isinstance(
             check(scaled), Arbitrage)
+
+
+# --- the null-space decision -------------------------------------------------
+
+
+def exact_replay(quote_set, verdict):
+    """Replay a certificate from its exact weights, in rationals."""
+    D = quote_set.difference_matrix()
+    weights = verdict.exact_coefficients
+    assert verdict.coefficients == tuple(float(w) for w in weights)
+    assert max(abs(w) for w in weights) == 1
+    combo = [sum((w * row[j] for w, row in zip(weights, D)), Fraction(0))
+             for j in range(len(quote_set.grid))]
+    assert all(v >= 0 for v in combo) and any(v > 0 for v in combo)
+    assert verdict.portfolio.atoms == tuple(
+        Atom(t, float(v)) for t, v in zip(quote_set.grid, combo) if v != 0)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts the checker's calls of the general LP."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_lp(*args)
+    monkeypatch.setattr(arbitrage, "solve_lp", counted)
+    return calls
+
+
+def ladder_quote_set(rng, points, rate, off_curve=0):
+    """A coupon-bond ladder priced on the flat curve (1+rate)^-t, grid
+    0..points-1; ``off_curve`` = +1 or -1 adds a zero-coupon quote 2% to 8%
+    off the curve in that direction."""
+    grid = tuple(float(t) for t in range(points))
+    quotes = []
+    for k in range(1, points):
+        c = rng.uniform(0.0, 0.08)
+        right = [(float(j), c) for j in range(1, k)] + [(float(k), 1.0 + c)]
+        value = sum(a * (1.0 + rate) ** -t for t, a in right)
+        quotes.append(_quote([(0.0, value)], right))
+    if off_curve:
+        k = rng.randrange(1, points)
+        miss = rng.uniform(0.02, 0.08) * off_curve
+        quotes.append(_quote([(0.0, (1.0 + rate) ** -k * (1.0 + miss))],
+                             [(float(k), 1.0)]))
+    return QuoteSet(grid=grid, quotes=tuple(quotes))
+
+
+@pytest.mark.parametrize("off_curve", [0, 1, -1])
+@pytest.mark.parametrize("points", [30, 60])
+def test_long_ladders(points, off_curve, lp_calls):
+    rng = random.Random(f"ladder-{points}-{off_curve}")
+    rate = rng.uniform(0.005, 0.08)
+    qs = ladder_quote_set(rng, points, rate, off_curve)
+    verdict = check(qs)
+    assert not lp_calls
+    if off_curve:
+        assert isinstance(verdict, Arbitrage)
+        exact_replay(qs, verdict)
+    else:
+        assert isinstance(verdict, ArbitrageFree)
+        for t, p in zip(qs.grid, verdict.implied):
+            want = (1.0 + rate) ** -t
+            assert abs(p - want) <= 1e-12 * want
+    replay(qs, verdict)
+
+
+def test_branch_no_null_space():
+    # a package quoted 0.05 above its two bonds: sell it, buy the bonds,
+    # and keep the difference at t=0 (w = e_0)
+    qs = QuoteSet(grid=(0.0, 1.0, 2.0), quotes=(
+        _quote([(0.0, 0.95)], [(1.0, 1.0)]),
+        _quote([(0.0, 0.90)], [(2.0, 1.0)]),
+        _quote([(0.0, 1.90)], [(1.0, 1.0), (2.0, 1.0)]),
+    ))
+    assert reduce_quotes(qs).null_dim == 0
+    verdict = check(qs)
+    assert isinstance(verdict, Arbitrage)
+    assert verdict.coefficients == (1.0, 1.0, -1.0)
+    (free_lunch,) = verdict.portfolio.atoms
+    assert free_lunch.time == 0.0
+    assert free_lunch.amount == float(
+        Fraction(1.90) - Fraction(0.95) - Fraction(0.90))
+    exact_replay(qs, verdict)
+
+
+def test_branch_null_vector_with_a_zero():
+    # both quotes price the t=2 payment at 0.8, but the second also asks
+    # for a payment at t=1, which must then be worth 0 (w = e_1)
+    qs = QuoteSet(grid=(0.0, 1.0, 2.0), quotes=(
+        _quote([(0.0, 0.8)], [(2.0, 1.0)]),
+        _quote([(0.0, 0.8), (1.0, 1.0)], [(2.0, 1.0)]),
+    ))
+    red = reduce_quotes(qs)
+    assert red.null_dim == 1
+    assert red.null_vector(red.free[0])[1] == 0
+    verdict = check(qs)
+    assert isinstance(verdict, Arbitrage)
+    assert verdict.coefficients == (1.0, -1.0)
+    assert verdict.portfolio.atoms == (Atom(1.0, 1.0),)
+    exact_replay(qs, verdict)
+
+
+def test_branch_null_vector_of_mixed_signs():
+    # the quotes force p_2 = 0.5 - 0.9 < 0; the first positive and first
+    # negative entries, t=0 and t=2, give w = 0.4 e_0 + e_2 (up to scale)
+    qs = QuoteSet(grid=(0.0, 1.0, 2.0), quotes=(
+        _quote([(0.0, 0.9)], [(1.0, 1.0)]),
+        _quote([(0.0, 0.5)], [(1.0, 1.0), (2.0, 1.0)]),
+    ))
+    red = reduce_quotes(qs)
+    assert red.null_dim == 1
+    v = red.null_vector(red.free[0])
+    assert v[0] * v[2] < 0 and all(x != 0 for x in v)
+    verdict = check(qs)
+    assert isinstance(verdict, Arbitrage)
+    assert verdict.coefficients == (-1.0, 1.0)
+    assert verdict.portfolio.atoms == (
+        Atom(0.0, float(Fraction(0.9) - Fraction(0.5))), Atom(2.0, 1.0))
+    exact_replay(qs, verdict)
+
+
+def test_branch_wide_null_space_runs_the_lp(lp_calls):
+    free = QuoteSet(grid=(0.0, 1.0, 2.0), quotes=(
+        _quote([(0.0, 0.95)], [(1.0, 1.0)]),
+    ))
+    arb = QuoteSet(grid=(0.0, 1.0, 2.0, 3.0), quotes=(
+        _quote([], [(0.0, 1.0), (1.0, 1.0)]),
+        _quote([(0.0, 0.9)], [(2.0, 1.0)]),
+    ))
+    for qs in (free, arb):
+        assert reduce_quotes(qs).null_dim >= 2
+    verdict = check(free)
+    assert isinstance(verdict, ArbitrageFree)
+    assert verdict.implied == lp_oracle(free)[1]
+    verdict = check(arb)
+    assert isinstance(verdict, Arbitrage)
+    assert lp_oracle(arb) == ("arbitrage", verdict.coefficients,
+                              verdict.portfolio.atoms)
+    exact_replay(arb, verdict)
+    assert len(lp_calls) == 2
+
+
+# --- agreement with the general LP -------------------------------------------
+
+
+def lp_oracle(quote_set):
+    """The general LP verdict: maximize s subject to D (s*1 + q) = 0,
+    s + q_j + r_j = 1, q, r >= 0, solved exactly; s > 0 gives the price
+    vector and s = 0 makes the quote-row duals a certificate."""
+    g = len(quote_set.grid)
+    if not quote_set.quotes:
+        return ("free", (1.0,) * g)
+    zero = Fraction(0)
+    D = quote_set.difference_matrix()
+    m = len(D)
+    A, b = [], []
+    for i in range(m):
+        s_i = sum(D[i], zero)
+        A.append([s_i, -s_i] + list(D[i]) + [zero] * g)
+        b.append(zero)
+    for j in range(g):
+        row = [Fraction(1), Fraction(-1)] + [zero] * (2 * g)
+        row[2 + j] = Fraction(1)
+        row[2 + g + j] = Fraction(1)
+        A.append(row)
+        b.append(Fraction(1))
+    c = [Fraction(-1), Fraction(1)] + [zero] * (2 * g)
+    res = solve_lp(A, b, c)
+    assert res.status == "optimal"
+    s_star = res.x[0] - res.x[1]
+    if s_star > 0:
+        p = [s_star + res.x[2 + j] for j in range(g)]
+        return ("free", tuple(float(pj / p[0]) for pj in p))
+    cert = [-res.duals[i] for i in range(m)]
+    combo = [sum(cert[i] * D[i][j] for i in range(m)) for j in range(g)]
+    if not (all(v >= 0 for v in combo) and any(v > 0 for v in combo)):
+        cert = [-w for w in cert]
+        combo = [-v for v in combo]
+    unit = max(abs(w) for w in cert)
+    return ("arbitrage", tuple(float(w / unit) for w in cert), tuple(
+        Atom(t, float(v / unit)) for t, v in zip(quote_set.grid, combo) if v != 0))
+
+
+def random_float_quote_set(rng):
+    """Up to 8 grid points, most often few, and one quote more: quotes of
+    integer amounts, or quotes priced at t=0 on a flat curve, some of them
+    off it.  Prices are full-length floats; the paid amounts are multiples
+    of 1/16, so that the oracle's LP stays quick."""
+    g = min(rng.randint(1, 8), rng.randint(1, 8))
+    grid = tuple(float(t) for t in range(g))
+    quotes = []
+    if rng.random() < 0.4:
+        for _ in range(rng.randint(1, g + 1)):
+            quotes.append(_quote(*(
+                [(t, float(rng.randint(-3, 3))) for t in grid if rng.random() < 0.5]
+                for _side in range(2))))
+    else:
+        rate = rng.uniform(-0.02, 0.1)
+        for _ in range(rng.randint(1, g + 1)):
+            right = [(t, rng.randint(-16, 32) / 16.0)
+                     for t in grid if rng.random() < 0.5]
+            value = sum(a * (1.0 + rate) ** -t for t, a in right)
+            if rng.random() < 0.2:
+                value *= 1.0 + rng.uniform(-0.05, 0.05)
+            quotes.append(_quote([(0.0, value)], right))
+    return QuoteSet(grid=grid, quotes=tuple(quotes))
+
+
+def test_verdicts_match_the_lp_oracle():
+    rng = random.Random(606)
+    seen = set()
+    for _ in range(500):
+        qs = random_float_quote_set(rng)
+        verdict = check(qs)
+        oracle = lp_oracle(qs)
+        k = reduce_quotes(qs).null_dim if qs.quotes else None
+        if isinstance(verdict, ArbitrageFree):
+            assert oracle == ("free", verdict.implied)
+        else:
+            assert oracle[0] == "arbitrage"
+            exact_replay(qs, verdict)
+            if k >= 2:
+                assert oracle == ("arbitrage", verdict.coefficients,
+                                  verdict.portfolio.atoms)
+        seen.add((min(k, 2) if k is not None else None,
+                  isinstance(verdict, Arbitrage)))
+    # every branch of the decision was exercised
+    assert {(0, True), (1, True), (1, False), (2, True), (2, False)} <= seen
