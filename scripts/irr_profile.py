@@ -1,0 +1,95 @@
+"""Work counts and wall time of ``irr`` solves on seeded flows.
+
+Each flow is priced on a flat curve at a seeded rate and ``irr`` solves
+for that price.  For every solve the script prints the rate steps
+(``iterations``), the certified present-value brackets computed (calls
+of the quadrature refinement loop, ``quadrature.refine``), the quadrature
+batches and items built (``quadrature._evaluate_items`` calls and the
+intervals they evaluate) and the best wall time of a solve.  The first
+three flows are fixed: the 10-year annual annuity, a unit density on
+[0, 10) and a narrow degree-4 bump worth 3.4e-13; the rest come from
+``random_cashflow`` (nonnegative, horizon 30) with rates drawn from
+[0.005, 0.08).  Every column but the time repeats exactly::
+
+    PYTHONPATH=src python scripts/irr_profile.py
+"""
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from pvkit import FlatCurve, density, dirac, irr, poly, price, pricing, quadrature
+from pvkit.sampling import random_cashflow
+
+SEED = 7
+RANDOM_FLOWS = 12
+# best of this many solves, or of as many as fit in MIN_SECONDS
+REPEATS = 5
+MIN_SECONDS = 0.1
+
+
+def bump():
+    """``(t - 25)^2 (t - 25.0078125)^2`` on [25, 25.0078125); exact coefficients."""
+    coeffs = (1.0,)
+    for root in (25.0, 25.0, 25.0078125, 25.0078125):
+        coeffs = poly.multiply(coeffs, (-root, 1.0))
+    return density(25.0, 25.0078125, coeffs)
+
+
+def cases():
+    annuity = sum((dirac(float(k)) for k in range(2, 11)), dirac(1.0))
+    out = [("annuity 10y", annuity, 0.05), ("density [0,10)", density(0.0, 10.0), 0.05),
+           ("bump near 25", bump(), 0.04)]
+    rng = np.random.default_rng(SEED)
+    for k in range(RANDOM_FLOWS):
+        flow = random_cashflow(rng, nonnegative=True)
+        out.append((f"random {k}", flow, float(rng.uniform(0.005, 0.08))))
+    return out
+
+
+def best_time(flow, target) -> float:
+    times = []
+    while len(times) < REPEATS or sum(times) < MIN_SECONDS:
+        t0 = time.perf_counter()
+        irr(flow, target)
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def main() -> None:
+    counts = {"pv": 0, "batches": 0, "items": 0}
+    refine, evaluate_items = pricing.refine, quadrature._evaluate_items
+
+    def counted_refine(*args):
+        counts["pv"] += 1
+        return refine(*args)
+
+    def counted_items(fn, a, b, coeffs):
+        counts["batches"] += 1
+        counts["items"] += len(a)
+        return evaluate_items(fn, a, b, coeffs)
+
+    print(f"{'flow':>15} {'rate':>7} {'steps':>5} {'PV evals':>8} {'batches':>7} "
+          f"{'items':>6} {'solve ms':>9}")
+    rows = []
+    for name, flow, rate in cases():
+        target = price(FlatCurve(rate), flow).value
+        for key in counts:
+            counts[key] = 0
+        pricing.refine, quadrature._evaluate_items = counted_refine, counted_items
+        try:
+            steps = irr(flow, target).iterations
+        finally:
+            pricing.refine, quadrature._evaluate_items = refine, evaluate_items
+        ms = 1e3 * best_time(flow, target)
+        rows.append((steps, counts["pv"], counts["batches"], counts["items"], ms))
+        print(f"{name:>15} {rate:>7.4f} {steps:>5} {counts['pv']:>8} {counts['batches']:>7} "
+              f"{counts['items']:>6} {ms:>9.3f}")
+    mean = np.mean(rows, axis=0)
+    print(f"{'mean':>15} {'':>7} {mean[0]:>5.1f} {mean[1]:>8.1f} {mean[2]:>7.1f} "
+          f"{mean[3]:>6.1f} {mean[4]:>9.3f}")
+
+
+if __name__ == "__main__":
+    main()

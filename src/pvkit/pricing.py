@@ -15,13 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves as _curves
+from . import poly
 from .errors import DomainError
-from .measures import CashFlow, is_nonnegative, total_variation, translate
-from .quadrature import Bracket, bracketed_integral
+from .measures import CashFlow, is_nonnegative, total_mass, total_variation, translate
+from .quadrature import Bracket, bracketed_integral, estimate, refine, split_units
 
 TOLERANCE_SCALE = 1e-10
 _IRR_LO = -0.999
 _IRR_HI = 10.0
+_IRR_STEPS = 200
 
 
 def default_tolerance(flow: CashFlow) -> float:
@@ -91,24 +93,57 @@ class YieldResult:
     iterations: int
 
 
-def _pv_at_rate(flow: CashFlow, rate: float, quad_tol: float,
-                variation: float) -> float:
-    sup = flow.support_bounds()[1]
-    try:
-        # near rate = -1 the discount factor reaches ~(1+rate)^-sup, so a
-        # fixed absolute tolerance is not certifiable there; what the root
-        # search needs from such evaluations is only the sign, so the
-        # tolerance follows the attainable magnitude
-        far = (1.0 + rate) ** (-sup)
-        scale = variation * max(1.0, far)
-        if not math.isfinite(scale):
-            return math.inf
-        curve = _curves.FlatCurve(rate, horizon=max(1.0, sup) + 1.0)
-        return price(curve, flow, max(quad_tol, 1e-12 * scale)).value
-    except (DomainError, OverflowError):
-        # discounting blew up (rate extremely close to -1); treat as +inf so
-        # the bracketing logic keeps moving away from the boundary
-        return math.inf
+_NO_VALUE = Bracket(math.inf, math.inf, math.inf, 0.0)
+
+
+class _FlatValuation:
+    """A flow prepared for valuation on flat curves, one rate after another.
+
+    Holds the flow's atoms as arrays and its density's sign-definite units
+    with their coefficient rows, split once.  Each :meth:`at` evaluates the
+    partition the previous call ended with, as one batch, and refines it
+    only while the enclosure is wider than the tolerance.
+    """
+
+    def __init__(self, flow: CashFlow, mass: float, eff_tol: float):
+        self.times = np.array([a.time for a in flow.atoms])
+        self.amounts = np.array([a.amount for a in flow.atoms])
+        self.rows, self.partition = split_units(
+            [(p.start, p.end, p.coeffs) for p in flow.pieces])
+        self.sup = flow.support_bounds()[1]
+        self.mass = mass
+        self.eff_tol = eff_tol
+
+    def at(self, rate: float, cap: float = math.inf) -> tuple[Bracket, float]:
+        """The price bracket at a flat ``rate`` and the first moment
+        ``sum a_k t_k P(t_k) + integral t rho(t) P(t) dt``, an estimate.
+
+        The bracket's width is at most ``eff_tol / 8``, or ``1e-12`` of the
+        flow's largest discounted mass where that is wider, and at most
+        ``cap``.  Both results are infinite when discounting overflows
+        before the horizon (rate extremely close to -1): an infinite value
+        keeps the search moving away from that end.  Raises DomainError
+        when the width is not achievable.
+        """
+        try:
+            # near rate = -1 the discount factor reaches ~(1+rate)^-sup, so
+            # a fixed absolute tolerance is not certifiable there; what the
+            # search needs from such evaluations is only the sign, so the
+            # tolerance follows the attainable magnitude
+            scale = self.mass * max(1.0, (1.0 + rate) ** (-self.sup))
+            curve = _curves.FlatCurve(rate, horizon=max(1.0, self.sup) + 1.0)
+        except (DomainError, OverflowError):
+            return _NO_VALUE, math.nan
+        tol = min(cap, max(self.eff_tol / 8.0, 1e-12 * scale))
+        p = curve.discount_many(self.times)
+        atom = math.fsum((self.amounts * p).tolist())
+        try:
+            dens, self.partition = refine(curve.discount_many, self.rows, self.partition, tol)
+        except DomainError as err:
+            raise DomainError(f"irr tolerance not achievable at rate {rate!r}: {err}") from err
+        moment = math.fsum((self.amounts * self.times * p).tolist()) + estimate(
+            lambda ts: ts * curve.discount_many(ts), self.rows, self.partition)
+        return Bracket(atom + dens.lower, atom + dens.upper, atom, dens.density_part), moment
 
 
 def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
@@ -121,11 +156,31 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     strictly decreasing in the rate (constant only when all mass sits
     exactly at the purchase time, in which case rate 0 is returned when
     the target matches and an error is raised otherwise).  The search is
-    confined to rates in (-0.999, 10]: a bracketing scheme that bisects
-    until a secant step is trustworthy, stopping when
-    |PV - target| <= tol * (1 + |target|) -- relative to the target scale,
-    since an absolute residual finer than double precision allows is not
-    certifiable for large flows.
+    confined to rates in (-0.999, 10].
+
+    The shifted flow is prepared once: atoms as arrays, densities split
+    into sign-definite units, and a partition that each rate step starts
+    from and refines only as far as that step's tolerance needs.  The
+    steps are Newton steps on ``ln PV`` against ``ln(1 + rate)``, with the
+    slope ``-(sum a_k t_k P(t_k) + integral t rho P dt) / PV`` estimated on
+    the same partition.  ``PV`` is log-convex in ``ln(1 + rate)``, so from
+    below the root the steps rise monotonically towards it; the first
+    step, where the flow's mass discounted at its mean payment time meets
+    the target, is below it by Jensen's inequality.  A step that leaves
+    the certified bracket of the root bisects it instead, and the
+    window's ends are evaluated only when a step reaches them.
+
+    The stop is on the rate: the result is returned once the certified
+    price brackets at two rates at most ``tol`` apart straddle the target,
+    at a rate between them with ``|PV - target| <= tol * (1 + |target|)``
+    (relative to the target scale, since an absolute residual finer than
+    double precision allows is not certifiable for large flows).  Near the
+    root each step aims just past the predicted rate, on the side still
+    lacking a certified bracket, and a bracket that contains the target is
+    tightened to half the residual.  ``iterations`` counts the rate steps.
+    Raises DomainError when no rate in the window reaches the target, and
+    when a step's bracket cannot be made narrow enough (a ``tol`` below the
+    flow's noise floor).
     """
     if flow.is_null or not is_nonnegative(flow):
         raise DomainError("internal rate needs a nonnegative, nonzero flow")
@@ -140,49 +195,88 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
         raise DomainError("flow must be supported at or after the purchase time")
     shifted = translate(flow, -purchase_time)
     eff_tol = tol * (1.0 + abs(target_price))
-    quad_tol = eff_tol / 8.0
-    variation = total_variation(shifted)
-
-    def f(rate: float) -> float:
-        return _pv_at_rate(shifted, rate, quad_tol, variation) - target_price
-
-    lo, hi = _IRR_LO + 1e-9, _IRR_HI
-    flo, fhi = f(lo), f(hi)
-    evals = 2
-    if flo == fhi:  # all mass at the purchase time: PV constant in the rate
-        if abs(flo) <= eff_tol:
-            return YieldResult(0.0, flo, evals)
+    mass = total_mass(shifted)
+    sup = shifted.support_bounds()[1]
+    if sup == 0.0:  # all mass at the purchase time: PV constant in the rate
+        if abs(mass - target_price) <= eff_tol:
+            return YieldResult(0.0, mass - target_price, 0)
         raise DomainError("present value does not depend on the rate; no root")
-    if flo < 0.0 or fhi > 0.0:
-        raise DomainError(
-            f"no internal rate in ({_IRR_LO}, {_IRR_HI}] reaches the target"
-        )
-    if abs(flo) <= eff_tol:
-        return YieldResult(lo, flo, evals)
-    if abs(fhi) <= eff_tol:
-        return YieldResult(hi, fhi, evals)
-    prev, fprev = lo, flo
-    cur, fcur = hi, fhi
-    for _ in range(200):
-        x = cur - fcur * (cur - prev) / (fcur - fprev) if fcur != fprev else None
-        if x is None or not (lo < x < hi):
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        evals += 1
-        if abs(fx) <= eff_tol:
-            return YieldResult(x, fx, evals)
-        if math.isinf(fx) or fx > 0.0:
-            lo, flo = x, fx
+    flat = _FlatValuation(shifted, mass, eff_tol)
+    lo_end, hi_end = _IRR_LO + 1e-9, _IRR_HI
+    lo, hi = lo_end, hi_end  # bounds on the root, proved once lo_ok / hi_ok
+    lo_ok = hi_ok = False
+    close = []  # (|residual|, rate, residual) of the steps within eff_tol
+    first = math.fsum([a.amount * a.time for a in shifted.atoms]
+                      + [poly.definite_integral(poly.multiply(p.coeffs, (0.0, 1.0)),
+                                                p.start, p.end) for p in shifted.pieces])
+    # the first step is where the mass, discounted at the flow's mean
+    # payment time first / mass, meets the target
+    x = _newton_rate(0.0, mass, first, target_price)
+    x = 0.0 if math.isnan(x) else min(max(x, lo_end), hi_end)
+    for step in range(1, _IRR_STEPS + 1):
+        pv, moment = flat.at(x)
+        res = pv.value - target_price
+        if (x == hi_end and res > 0.0) or (x == lo_end and res < 0.0):
+            raise DomainError(
+                f"no internal rate in ({_IRR_LO}, {_IRR_HI}] reaches the target")
+        if pv.lower < target_price < pv.upper and res != 0.0:
+            # the bracket does not tell the side: tighten it to |res| / 2
+            pv, moment = flat.at(x, 0.5 * abs(res))
+            res = pv.value - target_price
+        if pv.lower >= target_price:
+            lo, lo_ok = max(lo, x), True
+        if pv.upper <= target_price:
+            hi, hi_ok = min(hi, x), True
+        if abs(res) <= eff_tol:
+            close.append((abs(res), x, res))
+        both = lo_ok and hi_ok and hi - lo <= tol
+        if both:
+            inside = [c for c in close if lo <= c[1] <= hi]
+            if inside:
+                _, rate, res = min(inside)
+                return YieldResult(rate, res, step)
+        p = _newton_rate(x, pv.value, moment, target_price)
+        # a prediction within tol past a certified bound puts the root at
+        # that bound, up to rounding
+        if hi_ok and hi <= p <= hi + tol:
+            p = hi
+        elif lo_ok and lo - tol <= p <= lo:
+            p = lo
+        if not lo <= p <= hi:
+            if p > hi and not hi_ok:
+                x = hi_end
+            elif p < lo and not lo_ok:
+                x = lo_end
+            else:
+                x = 0.5 * (lo + hi)
+        elif both:
+            # the root is bracketed, but no step there has a small residual
+            x = p if lo < p < hi else 0.5 * (lo + hi)
         else:
-            hi, fhi = x, fx
-        prev, fprev = cur, fcur
-        cur, fcur = x, fx
-        if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
-            break
-    fx = f(0.5 * (lo + hi))
-    if abs(fx) <= eff_tol:
-        return YieldResult(0.5 * (lo + hi), fx, evals + 1)
+            # aim delta past the prediction, on the side still lacking a
+            # certified bracket within tol / 2: delta keeps the residual
+            # within eff_tol / 2 and two such steps within tol of each other
+            delta = min(0.4 * tol, 0.5 * eff_tol * (1.0 + x) / moment)
+            if lo_ok and p - lo <= 0.5 * tol:
+                side = 1.0
+            elif hi_ok and hi - p <= 0.5 * tol:
+                side = -1.0
+            else:
+                side = 1.0 if res > 0.0 else -1.0
+            x = min(max(p + side * delta, lo), hi)
     raise DomainError("internal rate search did not converge to the tolerance")
+
+
+def _newton_rate(rate: float, pv: float, moment: float, target: float) -> float:
+    """One Newton step on ``ln PV`` against ``lam = ln(1 + rate)``.
+
+    ``moment`` is ``-dPV/dlam``.  Returns NaN when the step is undefined
+    and inf when it leaves every representable rate.
+    """
+    if not (0.0 < pv < math.inf and 0.0 < moment < math.inf):
+        return math.nan
+    lam = math.log1p(rate) + math.log(pv / target) * pv / moment
+    return math.expm1(lam) if lam < 700.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,11 @@ tolerance.  For smooth ``f`` the residual shrinks spectrally, so
 tolerances near 1e-12 cost only a handful of rounds; supplying the
 integrand's kink points as ``breakpoints`` keeps each work item inside a
 smooth span.
+
+The split and the refinement are separate steps (:func:`split_units`,
+:func:`refine`), so a caller integrating the same densities against a
+sequence of integrands splits once and starts each refinement from the
+partition the previous one ended with.
 """
 from __future__ import annotations
 
@@ -181,13 +186,18 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     coefficients of degree at most ``poly.MAX_DEGREE``.  The result's
     ``atom_part`` is 0 and its ``density_part`` is the estimate.
 
+    This is :func:`split_units` followed by :func:`refine` on the starting
+    partition it returns; ``irr`` calls the two itself, so that each rate
+    step starts from the partition the previous step ended with.
+
     Every interval (item) gets a degree-6 model of ``fn`` through 7
     Chebyshev nodes, 33 evenly spaced residual samples and a 7-point
     Gauss-Legendre correction: 47 points.  Items are built in batches, and
     one ``fn`` call evaluates every point of a batch; fixed matrices map
     node values to the model's values at the samples.  The first batch is
-    every initial item.  Each later round takes the widest items until
-    their widths cover ``total - tol`` and bisects them all as one batch.
+    every item of the starting partition.  Each later round takes the
+    widest items until their widths cover ``total - tol`` and bisects them
+    all as one batch.
 
     The residual at a sample ``s`` is computed centred on the item's
     midpoint value, ``(f_s - f(mid)) - L (f_c - f(mid))``, where ``f_c``
@@ -212,11 +222,23 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
+    rows, partition = split_units(pieces, breakpoints)
+    return refine(fn, rows, partition, tol)[0]
+
+
+def split_units(pieces, breakpoints=()):
+    """The sign-definite units of ``pieces`` and the starting partition.
+
+    Each piece is split at its density's sign changes (``poly.sign_spans``)
+    into units.  Returns ``(rows, partition)``: row ``u`` of ``rows`` holds
+    unit ``u``'s coefficients, padded with zeros, and the partition is a
+    tuple ``(a, b, unit)`` of arrays, one entry per item: the units cut at
+    the ``breakpoints`` inside them.  Raises DomainError when a density's
+    degree exceeds ``poly.MAX_DEGREE``.
+    """
     units = [(a, b, poly.trim(coeffs)) for start, end, coeffs in pieces
              for a, b, _ in poly.sign_spans(coeffs, start, end)]
-    if not units:
-        return Bracket(0.0, 0.0, 0.0, 0.0)
-    size = max(len(rho) for _, _, rho in units)
+    size = max((len(rho) for _, _, rho in units), default=0)
     if size > poly.MAX_DEGREE + 1:
         raise DomainError(f"density degree is capped at {poly.MAX_DEGREE}")
     rows = np.zeros((len(units), size))
@@ -228,9 +250,26 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
         a += cuts[:-1]
         b += cuts[1:]
         unit += [u] * (len(cuts) - 1)
-    unit = np.array(unit)
-    items = _evaluate_items(fn, np.array(a), np.array(b), rows[unit])
-    done = []  # rows of items too narrow to bisect
+    return rows, (np.array(a, dtype=float), np.array(b, dtype=float),
+                  np.array(unit, dtype=int))
+
+
+def refine(fn, rows, partition, tol: float):
+    """Enclose ``integral rho f`` over a partition's items within ``tol``.
+
+    ``rows`` and ``partition`` are as :func:`split_units` returns them: item
+    ``k`` spans ``[a[k], b[k])`` and carries the density of row
+    ``unit[k]``.  Every item is evaluated as one batch, then the widest
+    items are bisected worst-first (see :func:`bracketed_integral`) until
+    the enclosure's width is at most ``tol``.  Returns the ``Bracket`` and
+    the final partition, every item that ended the refinement, in the
+    same ``(a, b, unit)`` form.
+    """
+    a, b, unit = partition
+    if not len(a):
+        return Bracket(0.0, 0.0, 0.0, 0.0), partition
+    items = _evaluate_items(fn, a, b, rows[unit])
+    done, done_unit = [], []  # rows and units of items too narrow to bisect
     built = len(items)
     while True:
         lower = math.fsum(items[:, 3].tolist() + [r[3] for r in done])
@@ -248,6 +287,7 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
         if not ((a < mid) & (mid < b)).all():
             narrow = pick[(a >= mid) | (mid >= b)]
             done += items[narrow].tolist()
+            done_unit += unit[narrow].tolist()
             items, unit = np.delete(items, narrow, axis=0), np.delete(unit, narrow)
             continue
         if built + 2 * len(pick) > _MAX_INTERVALS:
@@ -269,4 +309,27 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     # each item's value lies in its enclosure, so the correctly rounded sum
     # lies in [lower, upper]
     value = math.fsum(items[:, 2].tolist() + [r[2] for r in done])
-    return Bracket(lower, upper, 0.0, value)
+    if done:
+        items = np.concatenate((items, done))
+        unit = np.concatenate((unit, done_unit))
+    return Bracket(lower, upper, 0.0, value), (items[:, 0], items[:, 1], unit)
+
+
+def estimate(fn, rows, partition) -> float:
+    """Gauss-Legendre estimate of ``integral rho f`` over a partition.
+
+    The 8-point rule on every item of ``partition`` (as :func:`refine`
+    returns it), with one ``fn`` call for all items.  No enclosure: for
+    quantities that steer a search but certify nothing, such as ``irr``'s
+    Newton slope.
+    """
+    a, b, unit = partition
+    if not len(a):
+        return 0.0
+    points, _, w8, _ = _tables()
+    n_f = len(_F_POINTS)
+    half = 0.5 * (b - a)
+    ts = 0.5 * (a + b)[:, None] + half[:, None] * points[n_f:n_f + len(w8)]
+    rho = poly.evaluate(rows[unit].T[:, :, None], ts)
+    f = fn(ts.ravel()).reshape(ts.shape)
+    return math.fsum((half * ((rho * f) @ w8)).tolist())

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pvkit import (
@@ -249,6 +249,7 @@ def test_yield_bound_flat_curve_is_tight():
 
 
 @given(seeds)
+@example(309652245)  # flat 2.44% on [0.118, 0.533): a residual stop overshot the slack
 def test_yield_bound_property(seed):
     rng = np.random.default_rng(seed)
     curve = random_curve(rng, horizon=120.0)
@@ -344,3 +345,14 @@ def test_degree_eight_bump_has_variation_and_a_yield():
     assert total_variation(flow) > 0.0
     target = price(FlatCurve(0.04, horizon=30.0), flow).value
     assert irr(flow, target).rate == pytest.approx(0.04, abs=1e-6)
+
+
+def test_irr_of_a_flow_worth_less_than_tol():
+    # the bump is worth 3.4e-13 at 4%, below irr's tol of 1e-10 (1 + target):
+    # a residual stop accepted any rate there and returned 10.0
+    flow = _bump(25.0, 25.0078125, 2)
+    target = price(FlatCurve(0.04, horizon=30.0), flow).value
+    assert 3e-13 < target < 4e-13
+    res = irr(flow, target)
+    assert res.rate == pytest.approx(0.04, abs=1e-9)
+    assert abs(res.residual) <= 1e-10 * (1.0 + target)

@@ -141,3 +141,36 @@ def test_interval_too_narrow_to_bisect_is_kept_as_is():
     assert br.lower <= math.exp(3.0) - math.exp(2.0) + math.e * 2.0 ** -52 <= br.upper
     with pytest.raises(DomainError, match="attained width"):
         bracketed_integral(np.exp, (narrow,), tol=1e-40)
+
+
+def test_refine_continues_from_a_final_partition():
+    # one split, then a sequence of integrands: each refine starts from the
+    # partition the previous one ended with and still meets its tolerance
+    pieces = ((0.0, 10.0, (1.0, 0.1)), (12.0, 20.0, (2.0, -0.3, 0.01)))
+    rows, part = quadrature.split_units(pieces)
+    first, part = quadrature.refine(_exp_decay, rows, part, 1e-10)
+    assert first == bracketed_integral(_exp_decay, pieces, tol=1e-10)
+    for lam in (0.03, 0.08, 0.2):
+        br, finer = quadrature.refine(lambda t: np.exp(-lam * t), rows, part, 1e-10)
+        assert len(finer[0]) >= len(part[0])
+        part = finer
+        exact = sum(
+            math.fsum(c * math.gamma(k + 1) / lam ** (k + 1) * (
+                math.exp(-lam * a) * _poisson(k, lam * a)
+                - math.exp(-lam * b) * _poisson(k, lam * b))
+                for k, c in enumerate(coeffs))
+            for a, b, coeffs in pieces)
+        assert br.lower <= exact <= br.upper
+        assert br.upper - br.lower <= 1e-10
+        # the final partition tiles every unit without gaps or overlaps
+        order = np.lexsort((part[0], part[2]))
+        a, b, unit = (x[order] for x in part)
+        same = unit[1:] == unit[:-1]
+        assert (a[1:][same] == b[:-1][same]).all()
+        estimate = quadrature.estimate(lambda t: np.exp(-lam * t), rows, part)
+        assert estimate == pytest.approx(exact, rel=1e-9)
+
+
+def _poisson(k, x):
+    """``sum_{j <= k} x^j / j!``, for ``integral t^k e^(-lam t)``."""
+    return math.fsum(x ** j / math.factorial(j) for j in range(k + 1))
