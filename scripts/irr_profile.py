@@ -3,9 +3,10 @@
 Each flow is priced on a flat curve at a seeded rate and ``irr`` solves
 for that price.  For every solve the script prints the rate steps
 (``iterations``), the certified present-value brackets computed (calls
-of the quadrature refinement loop, ``quadrature.refine``), the quadrature
-batches and items built (``quadrature._evaluate_items`` calls and the
-intervals they evaluate) and the best wall time of a solve.  The first
+of ``quadrature.enclose``, the atoms-plus-density valuation each rate step
+runs), the sign splits of a density piece (``poly.sign_spans`` calls), the
+quadrature batches and items built (``quadrature._evaluate_items`` calls
+and the intervals they evaluate) and the best wall time of a solve.  The first
 three flows are fixed: the 10-year annual annuity, a unit density on
 [0, 10) and a narrow degree-4 bump worth 3.4e-13; the rest come from
 ``random_cashflow`` (nonnegative, horizon 30) with rates drawn from
@@ -58,37 +59,44 @@ def best_time(flow, target) -> float:
 
 
 def main() -> None:
-    counts = {"pv": 0, "batches": 0, "items": 0}
-    refine, evaluate_items = pricing.refine, quadrature._evaluate_items
+    counts = {"pv": 0, "splits": 0, "batches": 0, "items": 0}
+    enclose, sign_spans, evaluate_items = pricing.enclose, poly.sign_spans, quadrature._evaluate_items
 
-    def counted_refine(*args):
+    def counted_enclose(*args):
         counts["pv"] += 1
-        return refine(*args)
+        return enclose(*args)
+
+    def counted_spans(*args):
+        counts["splits"] += 1
+        return sign_spans(*args)
 
     def counted_items(fn, a, b, coeffs):
         counts["batches"] += 1
         counts["items"] += len(a)
         return evaluate_items(fn, a, b, coeffs)
 
-    print(f"{'flow':>15} {'rate':>7} {'steps':>5} {'PV evals':>8} {'batches':>7} "
+    print(f"{'flow':>15} {'rate':>7} {'steps':>5} {'PV evals':>8} {'splits':>6} {'batches':>7} "
           f"{'items':>6} {'solve ms':>9}")
     rows = []
     for name, flow, rate in cases():
         target = price(FlatCurve(rate), flow).value
         for key in counts:
             counts[key] = 0
-        pricing.refine, quadrature._evaluate_items = counted_refine, counted_items
+        patched = counted_enclose, counted_spans, counted_items
+        pricing.enclose, poly.sign_spans, quadrature._evaluate_items = patched
         try:
             steps = irr(flow, target).iterations
         finally:
-            pricing.refine, quadrature._evaluate_items = refine, evaluate_items
+            pricing.enclose, poly.sign_spans, quadrature._evaluate_items = (
+                enclose, sign_spans, evaluate_items)
         ms = 1e3 * best_time(flow, target)
-        rows.append((steps, counts["pv"], counts["batches"], counts["items"], ms))
-        print(f"{name:>15} {rate:>7.4f} {steps:>5} {counts['pv']:>8} {counts['batches']:>7} "
-              f"{counts['items']:>6} {ms:>9.3f}")
+        rows.append((steps, counts["pv"], counts["splits"], counts["batches"], counts["items"],
+                     ms))
+        print(f"{name:>15} {rate:>7.4f} {steps:>5} {counts['pv']:>8} {counts['splits']:>6} "
+              f"{counts['batches']:>7} {counts['items']:>6} {ms:>9.3f}")
     mean = np.mean(rows, axis=0)
-    print(f"{'mean':>15} {'':>7} {mean[0]:>5.1f} {mean[1]:>8.1f} {mean[2]:>7.1f} "
-          f"{mean[3]:>6.1f} {mean[4]:>9.3f}")
+    print(f"{'mean':>15} {'':>7} {mean[0]:>5.1f} {mean[1]:>8.1f} {mean[2]:>6.1f} "
+          f"{mean[3]:>7.1f} {mean[4]:>6.1f} {mean[5]:>9.3f}")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 Prices 150 random flows on random curves (``numpy.random.default_rng(7)``,
 one ``random_curve`` then one ``random_cashflow`` per case, horizon 30) at
-tol 1e-6, 1e-10 and 1e-12, and prints for each tolerance how many cases
-raise DomainError (the tolerance is below the flow's noise floor), which
-ones, and how many returned brackets are wider than the tolerance.  The
+tol 1e-6, 1e-10 and 1e-12 and at the default tolerance (``tol=None``,
+``1e-10 * (1 + total variation)``), and prints for each tolerance how many
+cases raise DomainError (the tolerance is below the flow's noise floor),
+which ones, and how many returned brackets are wider than the tolerance.  The
 refused set shows where the noise floor of the bracketed quadrature lies,
 so two revisions can be compared case by case.
 
@@ -22,12 +23,12 @@ import time
 
 import numpy as np
 
-from pvkit import DomainError, price
+from pvkit import DomainError, default_tolerance, price
 from pvkit.sampling import random_cashflow, random_curve
 
 CASES = 150
 HORIZON = 30.0
-TOLERANCES = (1e-6, 1e-10, 1e-12)
+TOLERANCES = (1e-6, 1e-10, 1e-12, None)
 FIELDS = ("value", "lower", "upper", "atom_part", "density_part")
 
 
@@ -46,11 +47,11 @@ def main():
             except DomainError:
                 refused.append(i)
                 continue
-            too_wide += res.upper - res.lower > tol
+            too_wide += res.upper - res.lower > (default_tolerance(flow) if tol is None else tol)
             digest.update(repr(tuple(getattr(res, f) for f in FIELDS)).encode())
             density.update(repr((res.density_part,)).encode())
         total += len(refused)
-        print(f"tol {tol:g}: {len(refused)} of {CASES} refused, {too_wide} wider than tol, "
+        print(f"tol {'default' if tol is None else f'{tol:g}'}: {len(refused)} of {CASES} refused, {too_wide} wider than tol, "
               f"{time.perf_counter() - start:.2f} s; refused {refused}; "
               f"sha256 {digest.hexdigest()}; density_part sha256 {density.hexdigest()}")
     print(f"total: {total} of {CASES * len(TOLERANCES)} refused")

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import Iterable
 
 from . import poly
 from .errors import DomainError
-from .quadrature import Bracket, bracketed_integral
+from .quadrature import Bracket, enclose, prepare, sign_units
 
 CLOSURES = ("[]", "[)", "(]", "()")
 
@@ -204,20 +202,30 @@ class JordanDecomposition:
     negative: CashFlow
 
 
+def _units(a: CashFlow) -> list:
+    return sign_units([(p.start, p.end, p.coeffs) for p in a.pieces])
+
+
+def _variation(atoms, units) -> float:
+    """``a+(R+) + a-(R+)``, each part summed as ``total_mass`` sums jordan's."""
+    pos = [x.amount for x in atoms if x.amount > 0] + [
+        poly.definite_integral(c, lo, hi) for lo, hi, c, s in units if s > 0]
+    neg = [-x.amount for x in atoms if x.amount < 0] + [
+        -poly.definite_integral(c, lo, hi) for lo, hi, c, s in units if s < 0]
+    return math.fsum(pos) + math.fsum(neg)
+
+
+def _nonnegative(atoms, units) -> bool:
+    return all(x.amount > 0 for x in atoms) and all(s > 0 for *_, s in units)
+
+
 def jordan(a: CashFlow) -> JordanDecomposition:
-    pos_atoms = tuple(x for x in a.atoms if x.amount > 0)
-    neg_atoms = tuple(Atom(x.time, -x.amount) for x in a.atoms if x.amount < 0)
-    pos_pieces: list[DensityPiece] = []
-    neg_pieces: list[DensityPiece] = []
-    for p in a.pieces:
-        for lo, hi, s in poly.sign_spans(p.coeffs, p.start, p.end):
-            if s > 0:
-                pos_pieces.append(DensityPiece(lo, hi, p.coeffs))
-            else:
-                neg_pieces.append(DensityPiece(lo, hi, poly.negate(p.coeffs)))
+    units = _units(a)
     return JordanDecomposition(
-        CashFlow(pos_atoms, tuple(pos_pieces)),
-        CashFlow(neg_atoms, tuple(neg_pieces)),
+        CashFlow(tuple(x for x in a.atoms if x.amount > 0),
+                 tuple(DensityPiece(lo, hi, c) for lo, hi, c, s in units if s > 0)),
+        CashFlow(tuple(Atom(x.time, -x.amount) for x in a.atoms if x.amount < 0),
+                 tuple(DensityPiece(lo, hi, poly.negate(c)) for lo, hi, c, s in units if s < 0)),
     )
 
 
@@ -290,22 +298,21 @@ def distribution(a: CashFlow, t: float) -> float:
 
 
 def total_variation(a: CashFlow) -> float:
-    j = jordan(a)
-    return total_mass(j.positive) + total_mass(j.negative)
+    return _variation(a.atoms, _units(a))
 
 
 def is_nonnegative(a: CashFlow) -> bool:
     """True when the flow is a nonnegative measure."""
-    return jordan(a).negative.is_null
+    return _nonnegative(a.atoms, _units(a))
 
 
-def integrate(fn: Callable[[float], float], a: CashFlow, tol: float = 1e-10) -> Bracket:
+def integrate(fn, a: CashFlow, tol: float = 1e-10) -> Bracket:
     """Enclose ``integral fn d(a)`` for continuous bounded ``fn``.
 
-    The atom part is an exact finite sum; the density part is enclosed by
+    ``fn`` is vectorised, as in ``quadrature.bracketed_integral``.  The atom
+    part is a correctly rounded finite sum; the density part is enclosed by
     adaptive bracketed quadrature with total width <= tol.
     """
-    atom_part = math.fsum(x.amount * fn(x.time) for x in a.atoms)
-    dens = bracketed_integral(lambda ts: np.array([fn(t) for t in ts.tolist()]),
-                              [(p.start, p.end, p.coeffs) for p in a.pieces], tol)
-    return Bracket(atom_part + dens.lower, atom_part + dens.upper, atom_part, dens.density_part)
+    if not tol > 0.0:
+        raise DomainError("tolerance must be positive")
+    return enclose(fn, prepare(_units(a), atoms=a.atoms), tol)[0]

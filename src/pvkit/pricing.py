@@ -17,8 +17,9 @@ import numpy as np
 from . import curves as _curves
 from . import poly
 from .errors import DomainError
-from .measures import CashFlow, is_nonnegative, total_mass, total_variation, translate
-from .quadrature import Bracket, bracketed_integral, estimate, refine, split_units
+from .measures import (CashFlow, _nonnegative, _units, _variation, is_nonnegative,
+                       total_mass, total_variation)
+from .quadrature import Bracket, enclose, estimate, prepare
 
 TOLERANCE_SCALE = 1e-10
 _IRR_LO = -0.999
@@ -42,37 +43,30 @@ def check_support(flow: CashFlow, horizon: float, what: str = "flow",
 
 def price(curve, flow: CashFlow, tol: float | None = None) -> Bracket:
     """Present value at time 0 with a certified bracket of width <= tol."""
-    if tol is None:
-        tol = default_tolerance(flow)
-    if not tol > 0.0:
-        raise DomainError("tolerance must be positive")
-    check_support(flow, curve.horizon)
-    times = np.array([a.time for a in flow.atoms])
-    amounts = np.array([a.amount for a in flow.atoms])
-    atom = math.fsum((amounts * curve.discount_many(times)).tolist())
-    dens = bracketed_integral(
-        curve.discount_many,
-        [(p.start, p.end, p.coeffs) for p in flow.pieces],
-        tol,
-        breakpoints=curve.knot_times(),
-    )
-    return Bracket(atom + dens.lower, atom + dens.upper, atom, dens.density_part)
+    return _price(curve, flow, tol, 1.0)
 
 
 def forward_price(curve, flow: CashFlow, at: float, tol: float | None = None) -> Bracket:
     """Value of the flow quoted for delivery at time ``at``: price / P(at)."""
     if not 0.0 <= at <= curve.horizon:
         raise DomainError(f"forward time must lie in [0, {curve.horizon}], got {at}")
-    if tol is None:
-        tol = default_tolerance(flow)
     p_at = curve.discount(at)
-    inner = price(curve, flow, tol * p_at)
-    return Bracket(
-        inner.lower / p_at,
-        inner.upper / p_at,
-        inner.atom_part / p_at,
-        inner.density_part / p_at,
-    )
+    inner = _price(curve, flow, tol, p_at)
+    return Bracket(inner.lower / p_at, inner.upper / p_at, inner.atom_part / p_at,
+                   inner.density_part / p_at)
+
+
+def _price(curve, flow: CashFlow, tol: float | None, scale: float) -> Bracket:
+    """The price to width ``tol * scale``; the default ``tol`` and the
+    quadrature read one split of the flow."""
+    units = _units(flow)
+    if tol is None:
+        tol = TOLERANCE_SCALE * (1.0 + _variation(flow.atoms, units))
+    tol *= scale
+    if not tol > 0.0:
+        raise DomainError("tolerance must be positive")
+    check_support(flow, curve.horizon)
+    return enclose(curve.discount_many, prepare(units, curve.knot_times(), flow.atoms), tol)[0]
 
 
 def numeraire_price(curve, flow: CashFlow, numeraire: CashFlow,
@@ -93,59 +87,6 @@ class YieldResult:
     iterations: int
 
 
-_NO_VALUE = Bracket(math.inf, math.inf, math.inf, 0.0)
-
-
-class _FlatValuation:
-    """A flow prepared for valuation on flat curves, one rate after another.
-
-    Holds the flow's atoms as arrays and its density's sign-definite units
-    with their coefficient rows, split once.  Each :meth:`at` evaluates the
-    partition the previous call ended with, as one batch, and refines it
-    only while the enclosure is wider than the tolerance.
-    """
-
-    def __init__(self, flow: CashFlow, mass: float, eff_tol: float):
-        self.times = np.array([a.time for a in flow.atoms])
-        self.amounts = np.array([a.amount for a in flow.atoms])
-        self.rows, self.partition = split_units(
-            [(p.start, p.end, p.coeffs) for p in flow.pieces])
-        self.sup = flow.support_bounds()[1]
-        self.mass = mass
-        self.eff_tol = eff_tol
-
-    def at(self, rate: float, cap: float = math.inf) -> tuple[Bracket, float]:
-        """The price bracket at a flat ``rate`` and the first moment
-        ``sum a_k t_k P(t_k) + integral t rho(t) P(t) dt``, an estimate.
-
-        The bracket's width is at most ``eff_tol / 8``, or ``1e-12`` of the
-        flow's largest discounted mass where that is wider, and at most
-        ``cap``.  Both results are infinite when discounting overflows
-        before the horizon (rate extremely close to -1): an infinite value
-        keeps the search moving away from that end.  Raises DomainError
-        when the width is not achievable.
-        """
-        try:
-            # near rate = -1 the discount factor reaches ~(1+rate)^-sup, so
-            # a fixed absolute tolerance is not certifiable there; what the
-            # search needs from such evaluations is only the sign, so the
-            # tolerance follows the attainable magnitude
-            scale = self.mass * max(1.0, (1.0 + rate) ** (-self.sup))
-            curve = _curves.FlatCurve(rate, horizon=max(1.0, self.sup) + 1.0)
-        except (DomainError, OverflowError):
-            return _NO_VALUE, math.nan
-        tol = min(cap, max(self.eff_tol / 8.0, 1e-12 * scale))
-        p = curve.discount_many(self.times)
-        atom = math.fsum((self.amounts * p).tolist())
-        try:
-            dens, self.partition = refine(curve.discount_many, self.rows, self.partition, tol)
-        except DomainError as err:
-            raise DomainError(f"irr tolerance not achievable at rate {rate!r}: {err}") from err
-        moment = math.fsum((self.amounts * self.times * p).tolist()) + estimate(
-            lambda ts: ts * curve.discount_many(ts), self.rows, self.partition)
-        return Bracket(atom + dens.lower, atom + dens.upper, atom, dens.density_part), moment
-
-
 def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
         tol: float = 1e-10) -> YieldResult:
     """The flat annual rate at which the flow's value at ``purchase_time``
@@ -158,8 +99,9 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     the target matches and an error is raised otherwise).  The search is
     confined to rates in (-0.999, 10].
 
-    The shifted flow is prepared once: atoms as arrays, densities split
-    into sign-definite units, and a partition that each rate step starts
+    The flow is split once, which decides its nonnegativity, and prepared
+    once with time measured from the purchase time: atoms as arrays, the
+    split's units shifted, and a partition that each rate step starts
     from and refines only as far as that step's tolerance needs.  The
     steps are Newton steps on ``ln PV`` against ``ln(1 + rate)``, with the
     slope ``-(sum a_k t_k P(t_k) + integral t rho P dt) / PV`` estimated on
@@ -182,7 +124,8 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     when a step's bracket cannot be made narrow enough (a ``tol`` below the
     flow's noise floor).
     """
-    if flow.is_null or not is_nonnegative(flow):
+    units = _units(flow)
+    if flow.is_null or not _nonnegative(flow.atoms, units):
         raise DomainError("internal rate needs a nonnegative, nonzero flow")
     if not (math.isfinite(target_price) and target_price > 0.0):
         raise DomainError(f"target price must be positive, got {target_price!r}")
@@ -190,38 +133,64 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
         raise DomainError(f"purchase time must be >= 0, got {purchase_time!r}")
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    lo_support = flow.support_bounds()[0]
+    lo_support, hi_support = flow.support_bounds()
     if lo_support < purchase_time:
         raise DomainError("flow must be supported at or after the purchase time")
-    shifted = translate(flow, -purchase_time)
     eff_tol = tol * (1.0 + abs(target_price))
-    mass = total_mass(shifted)
-    sup = shifted.support_bounds()[1]
+    mass = total_mass(flow)
+    sup = hi_support - purchase_time
     if sup == 0.0:  # all mass at the purchase time: PV constant in the rate
         if abs(mass - target_price) <= eff_tol:
             return YieldResult(0.0, mass - target_price, 0)
         raise DomainError("present value does not depend on the rate; no root")
-    flat = _FlatValuation(shifted, mass, eff_tol)
+    times, amounts, rows, partition = prepare(units, atoms=flow.atoms, origin=purchase_time)
+
+    def value(rate: float, cap: float = math.inf) -> tuple[Bracket, float]:
+        """The price bracket at a flat ``rate``, from the partition the last
+        call ended with, and the first moment ``sum a_k t_k P(t_k) +
+        integral t rho P dt``, an estimate.  The width is at most ``eff_tol
+        / 8``, or ``1e-12`` of the largest discounted mass where wider, and
+        at most ``cap``.  Both are infinite when discounting overflows
+        (rate very close to -1), which keeps the search away from there.
+        """
+        nonlocal partition
+        try:
+            # near rate -1 the discount factor reaches ~(1+rate)^-sup, where
+            # a fixed absolute tolerance is not certifiable and the search
+            # needs only the sign, so the tolerance follows that magnitude
+            scale = mass * max(1.0, (1.0 + rate) ** (-sup))
+            curve = _curves.FlatCurve(rate, horizon=max(1.0, sup) + 1.0)
+        except (DomainError, OverflowError):
+            return Bracket(math.inf, math.inf, math.inf, 0.0), math.nan
+        try:
+            pv, partition = enclose(curve.discount_many, (times, amounts, rows, partition),
+                                    min(cap, max(eff_tol / 8.0, 1e-12 * scale)))
+        except DomainError as err:
+            raise DomainError(f"irr tolerance not achievable at rate {rate!r}: {err}") from err
+        moment = math.fsum((amounts * times * curve.discount_many(times)).tolist()) + estimate(
+            lambda ts: ts * curve.discount_many(ts), rows, partition)
+        return pv, moment
+
     lo_end, hi_end = _IRR_LO + 1e-9, _IRR_HI
     lo, hi = lo_end, hi_end  # bounds on the root, proved once lo_ok / hi_ok
     lo_ok = hi_ok = False
     close = []  # (|residual|, rate, residual) of the steps within eff_tol
-    first = math.fsum([a.amount * a.time for a in shifted.atoms]
-                      + [poly.definite_integral(poly.multiply(p.coeffs, (0.0, 1.0)),
-                                                p.start, p.end) for p in shifted.pieces])
+    first = math.fsum([x.amount * (x.time - purchase_time) for x in flow.atoms]
+                      + [poly.definite_integral(poly.multiply(p.coeffs, (-purchase_time, 1.0)),
+                                                p.start, p.end) for p in flow.pieces])
     # the first step is where the mass, discounted at the flow's mean
     # payment time first / mass, meets the target
     x = _newton_rate(0.0, mass, first, target_price)
     x = 0.0 if math.isnan(x) else min(max(x, lo_end), hi_end)
     for step in range(1, _IRR_STEPS + 1):
-        pv, moment = flat.at(x)
+        pv, moment = value(x)
         res = pv.value - target_price
         if (x == hi_end and res > 0.0) or (x == lo_end and res < 0.0):
             raise DomainError(
                 f"no internal rate in ({_IRR_LO}, {_IRR_HI}] reaches the target")
         if pv.lower < target_price < pv.upper and res != 0.0:
             # the bracket does not tell the side: tighten it to |res| / 2
-            pv, moment = flat.at(x, 0.5 * abs(res))
+            pv, moment = value(x, 0.5 * abs(res))
             res = pv.value - target_price
         if pv.lower >= target_price:
             lo, lo_ok = max(lo, x), True
@@ -296,9 +265,13 @@ def yield_bound_check(curve, flow: CashFlow, purchase_time: float = 0.0,
     forwards.  The maximum is scanned on a 1e-3-spaced grid over the
     support span (endpoints included); ``holds`` compares with slack
     ``tol``.
+
+    The target's default tolerance is absolute, too wide for a flow worth
+    less than it, so before answering ``holds=False`` the target is priced
+    again to ``1e-10`` of its value and the rate solved again.
     """
     target = forward_price(curve, flow, purchase_time).value
-    result = irr(flow, target, purchase_time, tol=min(1e-10, tol))
+    rate = irr(flow, target, purchase_time, tol=min(1e-10, tol)).rate
     lo, hi = flow.support_bounds()
     n = int(math.floor((hi - lo) / 1e-3))
     grid = np.unique(np.concatenate([lo + 1e-3 * np.arange(n + 1), [hi]]))
@@ -309,4 +282,7 @@ def yield_bound_check(curve, flow: CashFlow, purchase_time: float = 0.0,
         p = curve.discount_many(np.concatenate([[purchase_time], grid]))
         f = (p[0] / p[1:]) ** (1.0 / (grid - purchase_time)) - 1.0
         forward_max = float(np.max(f))
-    return YieldBound(result.rate, forward_max, result.rate <= forward_max + tol)
+    if not rate <= forward_max + tol:
+        target = forward_price(curve, flow, purchase_time, 1e-10 * target).value
+        rate = irr(flow, target, purchase_time, tol=min(1e-10, tol)).rate
+    return YieldBound(rate, forward_max, rate <= forward_max + tol)

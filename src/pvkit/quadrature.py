@@ -12,18 +12,18 @@ interpolant of ``f``:
   ``m = integral rho`` (``rho`` of one sign) the remainder lies between
   ``m*rmin`` and ``m*rmax``.
 
-Signed densities are first split at their sign changes so every work item
-has a sign-definite density.  Subintervals are bisected worst-first, in
+Signed densities are first cut at their sign changes into sign-definite
+units (:func:`sign_units`, the package's one sign split, which the Jordan
+decomposition also reads).  Subintervals are bisected worst-first, in
 rounds, until the total enclosure width drops below the requested
 tolerance.  For smooth ``f`` the residual shrinks spectrally, so
 tolerances near 1e-12 cost only a handful of rounds; supplying the
 integrand's kink points as ``breakpoints`` keeps each work item inside a
 smooth span.
 
-The split and the refinement are separate steps (:func:`split_units`,
-:func:`refine`), so a caller integrating the same densities against a
-sequence of integrands splits once and starts each refinement from the
-partition the previous one ended with.
+The split, the layout (:func:`prepare`) and the refinement (:func:`refine`)
+are separate steps: integrating against a sequence of integrands splits
+once and refines each from the partition the last one ended with.
 """
 from __future__ import annotations
 
@@ -186,9 +186,8 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     coefficients of degree at most ``poly.MAX_DEGREE``.  The result's
     ``atom_part`` is 0 and its ``density_part`` is the estimate.
 
-    This is :func:`split_units` followed by :func:`refine` on the starting
-    partition it returns; ``irr`` calls the two itself, so that each rate
-    step starts from the partition the previous step ended with.
+    This is :func:`enclose` on the pieces' units (:func:`sign_units`) laid
+    out by :func:`prepare`, with no atoms.
 
     Every interval (item) gets a degree-6 model of ``fn`` through 7
     Chebyshev nodes, 33 evenly spaced residual samples and a 7-point
@@ -222,42 +221,58 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    rows, partition = split_units(pieces, breakpoints)
-    return refine(fn, rows, partition, tol)[0]
+    return enclose(fn, prepare(sign_units(pieces), breakpoints), tol)[0]
 
 
-def split_units(pieces, breakpoints=()):
-    """The sign-definite units of ``pieces`` and the starting partition.
+def sign_units(pieces) -> list:
+    """``(a, b, coeffs, sign)`` for each span of each piece ``(start, end,
+    coeffs)`` between its density's sign changes (``poly.sign_spans``),
+    with the piece's trimmed coefficients and the sign there, +1 or -1."""
+    return [(a, b, poly.trim(coeffs), s) for start, end, coeffs in pieces
+            for a, b, s in poly.sign_spans(coeffs, start, end)]
 
-    Each piece is split at its density's sign changes (``poly.sign_spans``)
-    into units.  Returns ``(rows, partition)``: row ``u`` of ``rows`` holds
-    unit ``u``'s coefficients, padded with zeros, and the partition is a
-    tuple ``(a, b, unit)`` of arrays, one entry per item: the units cut at
-    the ``breakpoints`` inside them.  Raises DomainError when a density's
-    degree exceeds ``poly.MAX_DEGREE``.
+
+def prepare(units, breakpoints=(), atoms=(), origin: float = 0.0) -> tuple:
+    """``(times, amounts, rows, partition)``, a measure laid out for
+    :func:`enclose` with time measured from ``origin``: arrays of the
+    ``atoms``' ``time`` and ``amount``, row ``u`` holding unit ``u``'s
+    density Taylor-shifted and padded with zeros, and as partition
+    ``(a, b, unit)`` the units cut at the ``breakpoints`` inside them (item
+    ``k`` spans ``[a[k], b[k])`` with the density of row ``unit[k]``).
+    Raises DomainError when a density's degree exceeds the cap.
     """
-    units = [(a, b, poly.trim(coeffs)) for start, end, coeffs in pieces
-             for a, b, _ in poly.sign_spans(coeffs, start, end)]
-    size = max((len(rho) for _, _, rho in units), default=0)
+    size = max((len(c) for _, _, c, _ in units), default=0)
     if size > poly.MAX_DEGREE + 1:
         raise DomainError(f"density degree is capped at {poly.MAX_DEGREE}")
     rows = np.zeros((len(units), size))
     marks = sorted(set(breakpoints))
     a, b, unit = [], [], []
-    for u, (start, end, rho) in enumerate(units):
-        rows[u, :len(rho)] = rho
+    for u, (start, end, c, _) in enumerate(units):
+        rows[u, :len(c)] = poly.taylor_shift(c, origin)
+        start, end = start - origin, end - origin
         cuts = [start] + [m for m in marks if start < m < end] + [end]
         a += cuts[:-1]
         b += cuts[1:]
         unit += [u] * (len(cuts) - 1)
-    return rows, (np.array(a, dtype=float), np.array(b, dtype=float),
-                  np.array(unit, dtype=int))
+    return (np.array([x.time for x in atoms]) - origin, np.array([x.amount for x in atoms]),
+            rows, (np.array(a, dtype=float), np.array(b, dtype=float), np.array(unit, dtype=int)))
+
+
+def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
+    """Enclose ``integral fn d(measure)`` within ``tol`` for a measure as
+    :func:`prepare` returns it: a correctly rounded atom sum plus the
+    density part refined from the measure's partition.  Returns the bracket
+    and the final partition."""
+    times, amounts, rows, partition = measure
+    atom = math.fsum((amounts * fn(times)).tolist())
+    dens, partition = refine(fn, rows, partition, tol)
+    return Bracket(atom + dens.lower, atom + dens.upper, atom, dens.density_part), partition
 
 
 def refine(fn, rows, partition, tol: float):
     """Enclose ``integral rho f`` over a partition's items within ``tol``.
 
-    ``rows`` and ``partition`` are as :func:`split_units` returns them: item
+    ``rows`` and ``partition`` are as :func:`prepare` returns them: item
     ``k`` spans ``[a[k], b[k])`` and carries the density of row
     ``unit[k]``.  Every item is evaluated as one batch, then the widest
     items are bisected worst-first (see :func:`bracketed_integral`) until

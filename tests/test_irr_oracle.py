@@ -1,9 +1,9 @@
 """``irr`` against roots computed without pvkit.
 
-A zero-coupon payment of A at T bought for ``target`` has the closed-form
-rate ``(A / target)^(1/T) - 1``.  A unit density on [a, b) is worth
-``((1+i)^-a - (1+i)^-b) / ln(1+i)`` at flat rate i; its root is found by
-mpmath's ``findroot`` at 30 digits.  ``irr`` stops once certified price
+A zero-coupon payment of A at T bought at time s for ``target`` has the
+closed-form rate ``(A / target)^(1/(T-s)) - 1``.  A unit density on
+[a, b) is worth ``((1+i)^-(a-s) - (1+i)^-(b-s)) / ln(1+i)`` at time s at
+flat rate i; its root is found by mpmath's ``findroot`` at 30 digits.  ``irr`` stops once certified price
 brackets at two rates at most ``tol`` apart straddle the target, so the
 returned rate lies within ``tol`` of the root.
 """
@@ -18,9 +18,14 @@ TOL = 1e-10
 ANNUITY_10 = sum((dirac(float(k)) for k in range(2, 11)), dirac(1.0))
 
 
-def _zero_coupon_root(amount, t, target):
+# purchase time of the shifted cases: the flow's payments move later by
+# PURCHASE and irr values them at that time
+PURCHASE = 2.75
+
+
+def _zero_coupon_root(amount, t, target, s=0.0):
     with mp.workdps(30):
-        return float((mp.mpf(amount) / mp.mpf(target)) ** (1 / mp.mpf(t)) - 1)
+        return float((mp.mpf(amount) / mp.mpf(target)) ** (1 / (mp.mpf(t) - mp.mpf(s))) - 1)
 
 
 def _density_value(i, a, b):
@@ -28,9 +33,9 @@ def _density_value(i, a, b):
     return (mp.exp(-lam * a) - mp.exp(-lam * b)) / lam
 
 
-def _density_root(a, b, target, start):
+def _density_root(a, b, target, start, s=0.0):
     with mp.workdps(30):
-        a, b, target = mp.mpf(a), mp.mpf(b), mp.mpf(target)
+        a, b, target = mp.mpf(a) - mp.mpf(s), mp.mpf(b) - mp.mpf(s), mp.mpf(target)
         return float(mp.findroot(lambda i: _density_value(i, a, b) - target, mp.mpf(start)))
 
 
@@ -51,6 +56,9 @@ def _assert_contract(res, root, target):
 def test_zero_coupon_closed_form(amount, t, target):
     res = irr(dirac(t, amount), target, tol=TOL)
     _assert_contract(res, _zero_coupon_root(amount, t, target), target)
+    late = PURCHASE + t
+    res = irr(dirac(late, amount), target, purchase_time=PURCHASE, tol=TOL)
+    _assert_contract(res, _zero_coupon_root(amount, late, target, PURCHASE), target)
 
 
 @pytest.mark.parametrize("a, b, target", [
@@ -60,6 +68,9 @@ def test_zero_coupon_closed_form(amount, t, target):
 def test_constant_density_matches_findroot(a, b, target):
     res = irr(density(a, b), target, tol=TOL)
     _assert_contract(res, _density_root(a, b, target, res.rate), target)
+    a, b = a + PURCHASE, b + PURCHASE
+    res = irr(density(a, b), target, purchase_time=PURCHASE, tol=TOL)
+    _assert_contract(res, _density_root(a, b, target, res.rate, PURCHASE), target)
 
 
 def test_seeded_rates_across_the_window():

@@ -224,6 +224,9 @@ def test_jordan_reconstructs_and_is_minimal(seed):
     assert total_mass(j.positive) + total_mass(j.negative) == pytest.approx(
         total_variation(a), abs=1e-9 * (1 + total_variation(a))
     )
+    # total_variation and is_nonnegative read the split jordan builds from
+    assert total_variation(a) == total_mass(j.positive) + total_mass(j.negative)
+    assert is_nonnegative(a) == j.negative.is_null
 
 
 @given(seeds)
@@ -244,7 +247,7 @@ def test_integrate_against_atoms_is_exact():
 
 def test_integrate_density_brackets_closed_form():
     a = density(0.0, 1.0, (1.0,))
-    br = integrate(math.exp, a, tol=1e-12)
+    br = integrate(np.exp, a, tol=1e-12)
     exact = math.e - 1.0
     assert br.lower <= exact <= br.upper
     assert br.upper - br.lower <= 1e-12

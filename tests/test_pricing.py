@@ -260,6 +260,43 @@ def test_yield_bound_property(seed):
     assert report.holds, (report.rate, report.forward_max)
 
 
+def test_yield_bound_holds_for_flows_worth_less_than_the_default_width():
+    # at 823.71% these flows are worth about 1e-11, below the default
+    # tolerance 1e-10 (1 + variation); a target priced to that absolute
+    # width made draws 7, 9, 13, 16 and 18 report holds=False
+    rng = np.random.default_rng(1111)
+    curve = FlatCurve(8.2371, horizon=70.0)
+    for k in range(20):
+        flow = random_cashflow(rng, horizon=60.0, nonnegative=True)
+        report = yield_bound_check(curve, flow)
+        assert report.holds, (k, report.rate, report.forward_max)
+
+
+def test_each_call_splits_each_density_piece_once(monkeypatch):
+    # the default tolerance, the nonnegativity test and the quadrature read
+    # one sign split of the flow; yield_bound_check prices, then solves
+    flow = (dirac(1.0, 0.5) + density(0.0, 5.0, (1.0, 0.1))
+            + density(6.0, 9.0, (2.0, -0.1, 0.01)))
+    curve = FlatCurve(0.04)
+    target = price(curve, flow).value
+    calls = []
+    sign_spans = poly.sign_spans
+
+    def counted(*args):
+        calls.append(args)
+        return sign_spans(*args)
+
+    monkeypatch.setattr(poly, "sign_spans", counted)
+    pieces = len(flow.pieces)
+    for run, splits in ((lambda: price(curve, flow), 1),
+                        (lambda: forward_price(curve, flow, 2.0), 1),
+                        (lambda: irr(flow, target), 1),
+                        (lambda: yield_bound_check(curve, flow), 2)):
+        calls.clear()
+        run()
+        assert len(calls) == splits * pieces
+
+
 def test_results_hold_builtin_numbers():
     # numpy scalars would leak into JSON output and comparisons
     from pvkit import (DualCashFlow, DualCurrencyMarket, SvenssonCurve,

@@ -147,7 +147,7 @@ def test_refine_continues_from_a_final_partition():
     # one split, then a sequence of integrands: each refine starts from the
     # partition the previous one ended with and still meets its tolerance
     pieces = ((0.0, 10.0, (1.0, 0.1)), (12.0, 20.0, (2.0, -0.3, 0.01)))
-    rows, part = quadrature.split_units(pieces)
+    _, _, rows, part = quadrature.prepare(quadrature.sign_units(pieces))
     first, part = quadrature.refine(_exp_decay, rows, part, 1e-10)
     assert first == bracketed_integral(_exp_decay, pieces, tol=1e-10)
     for lam in (0.03, 0.08, 0.2):
