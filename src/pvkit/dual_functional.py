@@ -22,8 +22,8 @@ import numpy as np
 
 from .curves import ScaledCurve, check_positive
 from .errors import DomainError
-from .measures import CashFlow, dirac, lebesgue, scale, add
-from .pricing import default_tolerance, price
+from .measures import CashFlow, _units, dirac, lebesgue, scale, add
+from .pricing import _default_tolerance, _price, default_tolerance, price
 from .quadrature import Bracket
 from .sampling import random_cashflow
 
@@ -70,13 +70,15 @@ def dual_price(functional: DualFunctional, flow: CashFlow,
 
     The atomic layer is an exact sum against the atom curve; the density
     layer is bracketed quadrature against the density weight: ``atom_part``
-    is the atomic layer, ``density_part`` the stream layer.
+    is the atomic layer, ``density_part`` the stream layer.  The flow is
+    split once; the default tolerance and the stream layer read that split.
     """
+    units = _units(flow)
     if tol is None:
-        tol = default_tolerance(flow)
+        tol = _default_tolerance(flow, units)
     parts = lebesgue(flow)
     atoms = price(functional.atom_curve, parts.singular, tol)
-    dens = price(functional.density_weight, parts.absolutely_continuous, tol)
+    dens = _price(functional.density_weight, parts.absolutely_continuous, tol, units=units)
     return Bracket(
         atoms.value + dens.lower,
         atoms.value + dens.upper,

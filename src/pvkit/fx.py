@@ -19,10 +19,15 @@ time; densities are multiplied pointwise by ``fx(t)``, which leaves the
 polynomial representation, so each piece is replaced by a Chebyshev fit
 of the product with a certified relative sup-norm error of at most
 :data:`FIT_REL_TOL` (floored at the coefficient-evaluation roundoff of
-the stored representation), bisecting pieces as needed.
+the stored representation), bisecting pieces as needed.  Each piece is
+first cut at the curves' knots; every such span of one conversion is
+fitted in the same rounds, where one round fits all pending segments as
+arrays (one ``fx`` evaluation for all of their points) and bisects those
+that fail.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,15 +36,14 @@ import numpy as np
 from . import poly
 from .curves import _at, check_positive
 from .errors import DomainError
-from .measures import Atom, CashFlow, DensityPiece, total_variation
-from .pricing import TOLERANCE_SCALE, check_support, price
+from .measures import Atom, CashFlow, DensityPiece, _units, _variation
+from .pricing import TOLERANCE_SCALE, _price, check_support
 from .quadrature import Bracket
 
 FIT_REL_TOL = 1e-10
-FIT_MAX_SEGMENTS = 1024  # per original density piece
+FIT_MAX_SEGMENTS = 1024  # per span of a density piece between curve knots
 _FIT_NODES = 9  # degree-8 fit
 _FIT_SAMPLES = 33
-_FIT_CHEB = poly.chebyshev_nodes(_FIT_NODES)
 _EPS = 2.0 ** -52
 CURRENCIES = ("domestic", "foreign")
 
@@ -92,20 +96,28 @@ def _fx_forward_many(market: DualCurrencyMarket, ts: np.ndarray) -> np.ndarray:
 
 
 def default_dual_tolerance(market: DualCurrencyMarket, flow: DualCashFlow) -> float:
+    return _dual_tolerance(market, flow, _units(flow.domestic), _units(flow.foreign))
+
+
+def _dual_tolerance(market, flow, dom_units, for_units) -> float:
     return TOLERANCE_SCALE * (
         1.0
-        + total_variation(flow.domestic)
-        + market.spot_fx * total_variation(flow.foreign)
+        + _variation(flow.domestic.atoms, dom_units)
+        + market.spot_fx * _variation(flow.foreign.atoms, for_units)
     )
 
 
 def price_dual(market: DualCurrencyMarket, flow: DualCashFlow,
                currency: str = "domestic", tol: float | None = None) -> Bracket:
-    """Combined value of both legs, quoted in the requested currency."""
+    """Combined value of both legs, quoted in the requested currency.
+
+    Each leg is split once (``measures._units``); the default tolerance and
+    the leg's price read that split."""
     if currency not in CURRENCIES:
         raise DomainError(f"currency must be one of {CURRENCIES}, got {currency!r}")
+    dom_units, for_units = _units(flow.domestic), _units(flow.foreign)
     if tol is None:
-        tol = default_dual_tolerance(market, flow)
+        tol = _dual_tolerance(market, flow, dom_units, for_units)
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
     check_support(flow.domestic, market.horizon, "domestic leg", "market")
@@ -113,8 +125,8 @@ def price_dual(market: DualCurrencyMarket, flow: DualCashFlow,
     unit = 1.0 if currency == "domestic" else 1.0 / market.spot_fx
     dom_tol = 0.5 * tol / unit
     for_tol = 0.5 * tol / (unit * market.spot_fx)
-    dom = price(market.domestic_curve, flow.domestic, dom_tol)
-    for_ = price(market.foreign_curve, flow.foreign, for_tol)
+    dom = _price(market.domestic_curve, flow.domestic, dom_tol, units=dom_units)
+    for_ = _price(market.foreign_curve, flow.foreign, for_tol, units=for_units)
     s = market.spot_fx
     return Bracket(
         unit * (dom.lower + s * for_.lower),
@@ -124,70 +136,129 @@ def price_dual(market: DualCurrencyMarket, flow: DualCashFlow,
     )
 
 
-def _fit_piece(fn, piece: DensityPiece):
-    """Certified degree-8 fits of fn*density on [start, end), bisecting as needed.
+@functools.cache
+def _tables():
+    """Fit tables as arrays, built on first use.
 
-    ``fn`` is vectorised (an array of times to an array of values); each
-    segment makes one call for its 9 Chebyshev nodes and 33 samples.
-    Returns (pieces, abs_error_integral_bound).  The certificate samples
-    the stored global-monomial polynomial, so representation roundoff is
-    part of the measured error, never hidden by it.  Far from the origin
-    the monomial basis cancels heavily, so the acceptance threshold is
-    FIT_REL_TOL relative to the sampled product, floored at the roundoff
-    of evaluating the stored and input coefficients there -- below that
-    floor no stored polynomial could certify, and bisection cannot help.
+    Returns the 9 Chebyshev nodes on [-1, 1], the sample fractions j/32,
+    the (9, 1, 9) mask whose entry (i, 0, n) keeps local power i in
+    candidate n (the truncation to powers 0..n), and the slices of the
+    Taylor shift's wavefronts (see :func:`_shift`).
     """
-    segments: list[DensityPiece] = []
-    err_bound = 0.0
-    stack = [(piece.start, piece.end)]
-    used = 0
-    while stack:
-        a, b = stack.pop()
-        used += 1
-        if used > 2 * FIT_MAX_SEGMENTS:
-            raise DomainError(
-                f"FX conversion fit budget exceeded on [{piece.start}, {piece.end})"
-            )
+    n = _FIT_NODES
+    waves = []
+    for w in range(2 * n - 3):
+        # pass j updates power i = n - 2 + 2j - w; one wavefront's powers
+        # are two apart, and each reads a power that no other one writes
+        lo = n - 2 + 2 * max(0, w - (n - 2)) - w
+        hi = n - 2 + 2 * (w // 2) - w
+        waves.append((slice(lo, hi + 1, 2), slice(lo + 1, hi + 2, 2)))
+    return (
+        np.array(poly.chebyshev_nodes(n)),
+        np.arange(float(_FIT_SAMPLES)) / (_FIT_SAMPLES - 1),
+        np.tri(n).T[:, None, :],
+        tuple(waves),
+    )
+
+
+def _shift(coeffs, m, waves):
+    """Taylor-shift ``coeffs`` in place to ``u -> p(u + m)``.
+
+    ``coeffs`` has the powers on its first axis, and ``m`` broadcasts
+    against one power's block.  The updates are those of
+    ``poly.taylor_shift`` (pass j adds m times power i + 1 to power i, for
+    i from the top down to j), each with the same operands; they run in
+    wavefronts, where the updates of one wavefront do not depend on each
+    other.
+    """
+    for dst, src in waves:
+        coeffs[dst] += m * coeffs[src]
+
+
+def _fit_spans(fn, spans):
+    """Certified degree-8 fits of fn*density on every span, bisecting as needed.
+
+    ``spans`` lists ``(start, end, coeffs)`` with ``0 <= start < end``;
+    ``fn`` is vectorised (an array of times to an array of values).  The fit
+    runs in rounds over every pending segment of every span at once: one
+    ``fn`` call for each segment's 9 Chebyshev nodes and 33 samples, Newton
+    interpolation (``poly.interpolate_chebyshev``), the Taylor shift of the
+    9 truncations of each local fit to global powers, and one Horner
+    evaluation of every candidate at the samples.  Returns (pieces sorted
+    by start, abs_error_integral_bound).
+
+    The certificate samples the stored global-monomial polynomial, so
+    representation roundoff is part of the measured error, never hidden by
+    it.  Far from the origin the monomial basis cancels heavily, so the
+    acceptance threshold is FIT_REL_TOL relative to the sampled product,
+    floored at the roundoff of evaluating the stored and input coefficients
+    there -- below that floor no stored polynomial could certify, and
+    bisection cannot help.  Raises DomainError naming the span when one
+    span would need more than FIT_MAX_SEGMENTS segments.
+    """
+    cheb, steps, trunc, waves = _tables()
+    size = max(len(c) for _, _, c in spans)
+    rows = np.zeros((len(spans), size))
+    for s, (_, _, c) in enumerate(spans):
+        rows[s, :len(c)] = c
+    powers = np.arange(size)
+    a = np.array([x for x, _, _ in spans], dtype=float)
+    b = np.array([x for _, x, _ in spans], dtype=float)
+    span = np.arange(len(spans))
+    rounds = []
+    leaves = len(spans)
+    while True:
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        ts = np.array([mid + half * x for x in _FIT_CHEB]
-                      + [a + (b - a) * j / (_FIT_SAMPLES - 1) for j in range(_FIT_SAMPLES)])
-        fs = fn(ts)
-        vs = poly.evaluate(piece.coeffs, ts) * fs
-        local = poly.interpolate_chebyshev(vs[:_FIT_NODES], half)
-        ts, fs, vs = ts[_FIT_NODES:], fs[_FIT_NODES:], vs[_FIT_NODES:]
-        scale = float(np.abs(vs).max())
-        fmax = float(np.abs(fs).max())
-        # recentring at 0 amplifies the k-th local coefficient by mid**k,
+        width = b - a
+        ts = np.concatenate((mid[:, None] + half[:, None] * cheb,
+                             a[:, None] + width[:, None] * steps), axis=1)
+        fs = fn(ts.ravel()).reshape(ts.shape)
+        seg_rows = rows[span]
+        vs = poly.evaluate(seg_rows.T[:, :, None], ts) * fs
+        local = poly.interpolate_chebyshev(vs[:, :_FIT_NODES], half)
+        ts, fs, vs = ts[:, _FIT_NODES:], fs[:, _FIT_NODES:], vs[:, _FIT_NODES:]
+        # recentring at 0 amplifies the i-th local coefficient by mid**i,
         # which turns noise-level tail coefficients into cancellation the
         # samples can never certify; store whichever tail truncation of the
         # fit actually evaluates best (shortest wins ties)
-        cands = np.zeros((len(local), len(local)))
-        for n in range(1, len(local) + 1):
-            cands[n - 1, :n] = poly.taylor_shift(local[:n], -mid)
-        # Horner on every candidate at once: coefficient columns in, one row
-        # of sample values per candidate out
-        errors = np.abs(vs - poly.evaluate(cands.T[:, :, None], ts)).max(axis=1)
-        best = int(np.argmin(errors))
-        worst, coeffs = float(errors[best]), poly.trim(cands[best])
+        cands = local.T[:, :, None] * trunc
+        _shift(cands, -mid[:, None], waves)
+        errors = np.abs(vs[:, None, :] - poly.evaluate(cands[..., None], ts[:, None, :])).max(axis=2)
+        seg = np.arange(len(a))
+        best = errors.argmin(axis=1)
+        worst = errors[seg, best]
         # the sampled values themselves carry the roundoff of evaluating the
         # input coefficients; only that (never the candidate's own, which a
-        # bad fit could inflate) may relax the acceptance threshold
-        tmax = max(abs(a), abs(b))
-        in_cond = sum(abs(c) * tmax ** k for k, c in enumerate(piece.coeffs))
-        floor = 64.0 * _EPS * fmax * in_cond
-        if worst <= max(FIT_REL_TOL * max(scale, 1e-300), floor) or not (a < mid < b):
-            segments.append(DensityPiece(a, b, coeffs))
-            err_bound += worst * (b - a)
-        else:
-            if len(segments) + len(stack) + 2 > FIT_MAX_SEGMENTS:
-                raise DomainError(
-                    f"FX conversion fit budget exceeded on [{piece.start}, {piece.end})"
-                )
-            stack.append((mid, b))
-            stack.append((a, mid))
-    segments.sort(key=lambda p: p.start)
-    return segments, err_bound
+        # bad fit could inflate) may relax the acceptance threshold.  As
+        # 0 <= a < b, max(|a|, |b|) is b.
+        in_cond = np.cumsum(np.abs(seg_rows) * b[:, None] ** powers, axis=1)[:, -1]
+        floor = 64.0 * _EPS * np.abs(fs).max(axis=1) * in_cond
+        scale = np.abs(vs).max(axis=1)
+        accept = ((worst <= np.maximum(FIT_REL_TOL * np.maximum(scale, 1e-300), floor))
+                  | ~((a < mid) & (mid < b)))
+        rounds.append((accept, a, b, worst * width, cands[:, seg, best].T, span))
+        split = ~accept
+        n_split = int(split.sum())
+        if not n_split:
+            break
+        leaves += n_split
+        a, mid, b, span = a[split], mid[split], b[split], span[split]
+        if leaves > FIT_MAX_SEGMENTS:
+            # some span may be over budget: count its accepted segments and
+            # two for each of its segments split now
+            kept = [sp[acc] for acc, *_, sp in rounds]
+            over = np.flatnonzero(np.bincount(np.concatenate(kept + [span, span]))
+                                  > FIT_MAX_SEGMENTS)
+            if len(over):
+                start, end, _ = spans[over[0]]
+                raise DomainError(f"FX conversion fit budget exceeded on [{start}, {end})")
+        a, b, span = np.concatenate((a, mid)), np.concatenate((mid, b)), np.concatenate((span, span))
+    accept, a, b, errs, coeffs, _ = (np.concatenate(x) for x in zip(*rounds))
+    a, b, errs, coeffs = a[accept], b[accept], errs[accept], coeffs[accept]
+    pieces = [DensityPiece(a[i], b[i], poly.trim(coeffs[i].tolist()))
+              for i in np.argsort(a, kind="stable").tolist()]
+    return pieces, math.fsum(errs.tolist())
 
 
 def convert_measure_with_bound(market: DualCurrencyMarket,
@@ -197,25 +268,24 @@ def convert_measure_with_bound(market: DualCurrencyMarket,
     The bound is on the integral of the absolute density fit error, i.e.
     pricing the converted flow against any curve bounded by M on the
     support differs from pricing the exact product by at most M * bound.
-    Atoms convert exactly.
+    Atoms convert exactly.  Every density piece is cut at the curves'
+    knots, and all of the spans are fitted together (:func:`_fit_spans`).
     """
     check_support(foreign_flow, market.horizon, "foreign leg", "market")
     rates = _fx_forward_many(market, np.array([a.time for a in foreign_flow.atoms]))
     atoms = tuple(Atom(a.time, a.amount * r)
                   for a, r in zip(foreign_flow.atoms, rates.tolist()))
-    pieces: list[DensityPiece] = []
-    err = 0.0
-    fn = lambda ts: _fx_forward_many(market, ts)
     kinks = sorted(
         set(market.domestic_curve.knot_times()) | set(market.foreign_curve.knot_times())
     )
+    spans = []
     for p in foreign_flow.pieces:
         # fit only within smooth spans of the forward rate
         cuts = [p.start] + [k for k in kinks if p.start < k < p.end] + [p.end]
-        for a, b in zip(cuts, cuts[1:]):
-            segs, e = _fit_piece(fn, DensityPiece(a, b, p.coeffs))
-            pieces.extend(segs)
-            err += e
+        spans += [(a, b, p.coeffs) for a, b in zip(cuts, cuts[1:])]
+    if not spans:
+        return CashFlow(atoms, ()), 0.0
+    pieces, err = _fit_spans(lambda ts: _fx_forward_many(market, ts), spans)
     return CashFlow(atoms, tuple(pieces)), err
 
 

@@ -98,7 +98,7 @@ def _normalize_pieces(pieces: Iterable[DensityPiece]) -> tuple[DensityPiece, ...
         if out and out[-1].end == p.start and out[-1].coeffs == c:
             out[-1] = DensityPiece(out[-1].start, p.end, c)
         else:
-            out.append(DensityPiece(p.start, p.end, c))
+            out.append(p if c == p.coeffs else DensityPiece(p.start, p.end, c))
     return tuple(out)
 
 

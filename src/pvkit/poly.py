@@ -6,8 +6,11 @@ helpers themselves work for any degree.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 MAX_DEGREE = 8
 # Root isolation runs bisection down to this absolute width (or one ulp,
@@ -107,29 +110,50 @@ def taylor_shift(a, m: float) -> Coeffs:
     return tuple(c)
 
 
+@functools.cache
 def chebyshev_nodes(n: int) -> Coeffs:
     """The ``n`` Chebyshev points ``cos(pi * (2k + 1) / (2n))`` on [-1, 1]."""
     return tuple(math.cos(math.pi * (2 * k + 1) / (2 * n)) for k in range(n))
 
 
-def interpolate_chebyshev(values, half: float) -> Coeffs:
-    """Interpolant through ``values`` at ``u = half * chebyshev_nodes(n)``.
+@functools.cache
+def _newton_tables(n: int):
+    """The ``n`` Chebyshev nodes as a column, and the index pairs ``(i, i - j)``
+    of every divided-difference denominator, ``j = 1 .. n-1`` in turn."""
+    pairs = [(i, i - j) for j in range(1, n) for i in range(j, n)]
+    return (np.array(chebyshev_nodes(n))[:, None],
+            np.array([i for i, _ in pairs], dtype=int), np.array([i for _, i in pairs], dtype=int))
 
-    ``n = len(values)``; the result is in the local coordinate u (an
-    interval's midpoint is u = 0).  Newton divided differences expanded to
-    monomials; degree = n - 1.  Local coordinates keep the coefficients
+
+def interpolate_chebyshev(values, half):
+    """Interpolants through each row of ``values`` at ``u = half * chebyshev_nodes(n)``.
+
+    ``values`` is a (k, n) array and ``half`` a length-k array of half
+    widths; row i of the result holds the monomial coefficients, constant
+    first, of the degree n - 1 interpolant of row i in the local coordinate
+    u (an interval's midpoint is u = 0).  Newton divided differences, then
+    the nested Newton form expanded to monomials, each step one array
+    operation over all rows.  Local coordinates keep the coefficients
     well-scaled on off-origin intervals.
     """
-    nodes = len(values)
-    us = [half * x for x in chebyshev_nodes(nodes)]
-    coef = [float(v) for v in values]
-    for j in range(1, nodes):
-        for i in range(nodes - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (us[i] - us[i - j])
-    out: Coeffs = (coef[nodes - 1],)
-    for i in range(nodes - 2, -1, -1):
-        out = add(multiply(out, (-us[i], 1.0)), (coef[i],))
-    return out
+    values = np.asarray(values, dtype=float)
+    n = values.shape[1]
+    nodes, hi, lo = _newton_tables(n)
+    us = nodes * np.asarray(half, dtype=float)  # row i: node i of every interpolant
+    den = us[hi] - us[lo]
+    # rows 0 .. n-1 of buf: the divided differences, computed in place
+    buf = np.zeros((2 * n - 1, len(values)))
+    buf[:n] = values.T
+    at = 0
+    for j in range(1, n):
+        np.divide(buf[j:n] - buf[j - 1:n - 1], den[at:at + n - j], out=buf[j:n])
+        at += n - j
+    # rows i+1 .. i+n hold the expansion of the Newton form's tail from
+    # divided difference i+1 on; multiplying it by (u - us_i) and adding
+    # divided difference i, in row i, leaves the expansion in rows i .. i+n-1
+    for i in range(n - 2, -1, -1):
+        np.subtract(buf[i:i + n], buf[i + 1:i + 1 + n] * us[i], out=buf[i:i + n])
+    return buf[:n].T
 
 
 def _signer(coeffs):

@@ -17,8 +17,7 @@ import numpy as np
 from . import curves as _curves
 from . import poly
 from .errors import DomainError
-from .measures import (CashFlow, _nonnegative, _units, _variation, is_nonnegative,
-                       total_mass, total_variation)
+from .measures import CashFlow, _nonnegative, _units, _variation, total_mass
 from .quadrature import Bracket, enclose, estimate, prepare
 
 TOLERANCE_SCALE = 1e-10
@@ -28,7 +27,12 @@ _IRR_STEPS = 200
 
 
 def default_tolerance(flow: CashFlow) -> float:
-    return TOLERANCE_SCALE * (1.0 + total_variation(flow))
+    return _default_tolerance(flow, _units(flow))
+
+
+def _default_tolerance(flow: CashFlow, units: list) -> float:
+    """:func:`default_tolerance` from the flow's split (``measures._units``)."""
+    return TOLERANCE_SCALE * (1.0 + _variation(flow.atoms, units))
 
 
 def check_support(flow: CashFlow, horizon: float, what: str = "flow",
@@ -56,12 +60,15 @@ def forward_price(curve, flow: CashFlow, at: float, tol: float | None = None) ->
                    inner.density_part / p_at)
 
 
-def _price(curve, flow: CashFlow, tol: float | None, scale: float) -> Bracket:
+def _price(curve, flow: CashFlow, tol: float | None, scale: float = 1.0,
+           units: list | None = None) -> Bracket:
     """The price to width ``tol * scale``; the default ``tol`` and the
-    quadrature read one split of the flow."""
-    units = _units(flow)
+    quadrature read one split of the flow, ``units`` when the caller has
+    split it already (``measures._units``)."""
+    if units is None:
+        units = _units(flow)
     if tol is None:
-        tol = TOLERANCE_SCALE * (1.0 + _variation(flow.atoms, units))
+        tol = _default_tolerance(flow, units)
     tol *= scale
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
@@ -72,9 +79,10 @@ def _price(curve, flow: CashFlow, tol: float | None, scale: float) -> Bracket:
 def numeraire_price(curve, flow: CashFlow, numeraire: CashFlow,
                     tol: float | None = None) -> float:
     """Price of ``flow`` expressed in units of a nonnegative, nonzero flow."""
-    if numeraire.is_null or not is_nonnegative(numeraire):
+    units = _units(numeraire)
+    if numeraire.is_null or not _nonnegative(numeraire.atoms, units):
         raise DomainError("numeraire must be a nonnegative, nonzero flow")
-    denom = price(curve, numeraire, tol).value
+    denom = _price(curve, numeraire, tol, units=units).value
     if denom <= 0.0:
         raise DomainError("numeraire has nonpositive price")
     return price(curve, flow, tol).value / denom

@@ -28,7 +28,8 @@ from pvkit import (
     price_dual,
     total_variation,
 )
-from pvkit.fx import default_dual_tolerance
+from pvkit import poly
+from pvkit.fx import _shift, _tables, default_dual_tolerance
 from pvkit.sampling import random_cashflow, random_curve
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -168,6 +169,22 @@ def test_dual_linearity(seed):
     assert lhs == pytest.approx(rhs, abs=1e-9 * scale)
 
 
+def test_wavefront_shift_matches_taylor_shift():
+    # the fitter shifts all 9 truncations of every local fit at once, with
+    # the same updates as poly.taylor_shift on each truncation
+    rng = np.random.default_rng(5)
+    *_, trunc, waves = _tables()
+    local = rng.normal(size=(4, 9)) * 10.0 ** -np.arange(9.0)
+    mid = rng.uniform(0.5, 60.0, size=4)
+    cands = local.T[:, :, None] * trunc
+    _shift(cands, -mid[:, None], waves)
+    for s in range(4):
+        for n in range(1, 10):
+            assert cands[:n, s, n - 1].tolist() == list(
+                poly.taylor_shift(tuple(local[s, :n].tolist()), -mid[s]))
+            assert not cands[n:, s, n - 1].any()
+
+
 class _RingingCurve:
     # smooth and positive, but oscillating far too fast for any degree-8
     # fit over a knot-free span
@@ -193,3 +210,45 @@ def test_fit_budget_guard():
     )
     with pytest.raises(DomainError):
         convert_measure(wild, density(0.0, 19.0, (1.0,)))
+
+
+def test_batched_spans_fit_independently():
+    # every span of a conversion is fitted in the same rounds; no span's
+    # fit may depend on the others
+    kinked = DualCurrencyMarket(
+        domestic_curve=SpotGridCurve(((0.0, 1.0), (2.0, 0.95), (6.0, 0.8), (30.0, 0.05))),
+        foreign_curve=SpotGridCurve(((0.0, 1.0), (3.0, 0.9), (30.0, 0.7))),
+        spot_fx=1.25,
+    )
+    parts = [density(0.0, 2.5, (1.0, 0.3)),
+             density(3.5, 7.0, (2.0, -0.1, 0.01, 0.0, 0.0, 0.0, 1e-4)),
+             density(8.0, 29.5, (0.5, 0.0, 0.0, 0.002, 0.0, 0.0, 0.0, 0.0, 1e-9))]
+    converted, bound = convert_measure_with_bound(kinked, parts[0] + parts[1] + parts[2])
+    alone = [convert_measure_with_bound(kinked, p) for p in parts]
+    assert len(converted.pieces) == 12  # the last span is bisected
+    assert converted.pieces == tuple(q for c, _ in alone for q in c.pieces)
+    assert bound == pytest.approx(sum(e for _, e in alone), rel=1e-14)
+
+
+class _LateRingingCurve(_RingingCurve):
+    # plain exponential before its knot at t = 10, ringing after it
+    def discount(self, t: float) -> float:
+        return float(self.discount_many(np.array([t]))[0])
+
+    def discount_many(self, ts):
+        return np.where(ts < 10.0, np.exp(-0.02 * ts), super().discount_many(ts))
+
+    def knot_times(self):
+        return (10.0,)
+
+
+def test_fit_budget_guard_names_the_span():
+    # one span over budget fails the conversion, though the others fit
+    wild = DualCurrencyMarket(
+        domestic_curve=_LateRingingCurve(),
+        foreign_curve=FlatCurve(0.03, horizon=30.0),
+        spot_fx=1.0,
+    )
+    convert_measure(wild, density(0.0, 8.0, (1.0,)) + density(9.0, 10.0, (1.0,)))
+    with pytest.raises(DomainError, match=r"budget exceeded on \[10\.0, 19\.0\)"):
+        convert_measure(wild, density(0.0, 8.0, (1.0,)) + density(9.0, 19.0, (1.0,)))

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from pvkit import (
     DomainError,
+    DualCashFlow,
+    DualCurrencyMarket,
     FlatCurve,
     SpotGridCurve,
     default_tolerance,
@@ -25,10 +27,13 @@ from pvkit import (
     jordan,
     numeraire_price,
     price,
+    price_dual,
     total_variation,
     yield_bound_check,
 )
 from pvkit import poly
+from pvkit.dual_functional import double_density, dual_price
+from pvkit.fx import default_dual_tolerance
 from pvkit.measures import CashFlow
 from pvkit.sampling import random_cashflow, random_curve
 
@@ -287,14 +292,28 @@ def test_each_call_splits_each_density_piece_once(monkeypatch):
         return sign_spans(*args)
 
     monkeypatch.setattr(poly, "sign_spans", counted)
+    market = DualCurrencyMarket(curve, FlatCurve(0.02), 1.3)
+    both = DualCashFlow(flow, flow)
     pieces = len(flow.pieces)
     for run, splits in ((lambda: price(curve, flow), 1),
                         (lambda: forward_price(curve, flow, 2.0), 1),
                         (lambda: irr(flow, target), 1),
-                        (lambda: yield_bound_check(curve, flow), 2)):
+                        (lambda: yield_bound_check(curve, flow), 2),
+                        (lambda: price_dual(market, both), 2),
+                        (lambda: dual_price(double_density(curve), flow), 1),
+                        (lambda: numeraire_price(curve, flow, flow), 2)):
         calls.clear()
         run()
         assert len(calls) == splits * pieces
+    # the default tolerance read from that split is the one an explicit
+    # call passes, so the results are those of the separate calls
+    assert price_dual(market, both) == price_dual(
+        market, both, tol=default_dual_tolerance(market, both))
+    assert dual_price(double_density(curve), flow) == dual_price(
+        double_density(curve), flow, default_tolerance(flow))
+    numeraire = density(0.0, 4.0, (1.0,)) + dirac(2.0, 1.0)
+    assert numeraire_price(curve, flow, numeraire) == (
+        price(curve, flow).value / price(curve, numeraire).value)
 
 
 def test_results_hold_builtin_numbers():
