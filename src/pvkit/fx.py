@@ -225,9 +225,8 @@ def _fit_spans(fn, spans):
         cands = local.T[:, :, None] * trunc
         _shift(cands, -mid[:, None], waves)
         errors = np.abs(vs[:, None, :] - poly.evaluate(cands[..., None], ts[:, None, :])).max(axis=2)
-        seg = np.arange(len(a))
         best = errors.argmin(axis=1)
-        worst = errors[seg, best]
+        worst = errors.min(axis=1)
         # the sampled values themselves carry the roundoff of evaluating the
         # input coefficients; only that (never the candidate's own, which a
         # bad fit could inflate) may relax the acceptance threshold.  As
@@ -235,9 +234,10 @@ def _fit_spans(fn, spans):
         in_cond = np.cumsum(np.abs(seg_rows) * b[:, None] ** powers, axis=1)[:, -1]
         floor = 64.0 * _EPS * np.abs(fs).max(axis=1) * in_cond
         scale = np.abs(vs).max(axis=1)
-        accept = ((worst <= np.maximum(FIT_REL_TOL * np.maximum(scale, 1e-300), floor))
-                  | ~((a < mid) & (mid < b)))
-        rounds.append((accept, a, b, worst * width, cands[:, seg, best].T, span))
+        accept = worst <= np.maximum(FIT_REL_TOL * np.maximum(scale, 1e-300), floor)
+        if not accept.all():
+            accept |= ~((a < mid) & (mid < b))  # too narrow to split
+        rounds.append((accept, a, b, worst * width, cands[:, np.arange(len(a)), best].T, span))
         split = ~accept
         n_split = int(split.sum())
         if not n_split:
