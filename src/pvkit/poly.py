@@ -110,7 +110,6 @@ def taylor_shift(a, m: float) -> Coeffs:
     return tuple(c)
 
 
-@functools.cache
 def chebyshev_nodes(n: int) -> Coeffs:
     """The ``n`` Chebyshev points ``cos(pi * (2k + 1) / (2n))`` on [-1, 1]."""
     return tuple(math.cos(math.pi * (2 * k + 1) / (2 * n)) for k in range(n))
