@@ -7,9 +7,13 @@ curve can match it on both kinds of flow.  The table below shows the gap
 growing with the density share of the flow while pure-atom flows price
 identically under both rules.
 
-Run:  python scripts/counterexample_demo.py
+The positivity and linearity trials are the test suite's self-check
+(``tests/selfchecks.py``), which the script imports from there.
+
+Run:  PYTHONPATH=src python scripts/counterexample_demo.py
 """
-import numpy as np
+import pathlib
+import sys
 
 from pvkit import (
     FlatCurve,
@@ -19,8 +23,10 @@ from pvkit import (
     double_density,
     dual_price,
     price,
-    verify_na_positivity,
 )
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from selfchecks import verify_na_positivity  # noqa: E402
 
 
 def main():

@@ -11,12 +11,10 @@ single discount curve can represent.
 from .arbitrage import (
     Arbitrage,
     ArbitrageFree,
-    ClosureReport,
     NonUniqueImpliedPricesError,
     Quote,
     QuoteSet,
     check,
-    closure_probe,
     implied_curve,
 )
 from .curves import (
@@ -32,17 +30,14 @@ from .curves import (
 from .dual_functional import (
     PRESETS,
     DualFunctional,
-    PositivityReport,
     choquet_gap,
     double_density,
     dual_price,
-    verify_na_positivity,
 )
 from .errors import DomainError, SchemaError
 from .fx import (
     DualCashFlow,
     DualCurrencyMarket,
-    convert_measure,
     convert_measure_with_bound,
     fx_forward,
     price_dual,
@@ -57,7 +52,6 @@ from .measures import (
     density,
     dirac,
     distribution,
-    integrate,
     is_nonnegative,
     jordan,
     lebesgue,
@@ -73,7 +67,6 @@ from .pricing import (
     default_tolerance,
     forward_price,
     irr,
-    numeraire_price,
     price,
     yield_bound_check,
 )
@@ -87,7 +80,6 @@ __all__ = [
     "Atom",
     "Bracket",
     "CashFlow",
-    "ClosureReport",
     "DensityPiece",
     "DomainError",
     "DualCashFlow",
@@ -99,7 +91,6 @@ __all__ = [
     "NULL",
     "NonUniqueImpliedPricesError",
     "PRESETS",
-    "PositivityReport",
     "Quote",
     "QuoteSet",
     "ScaledCurve",
@@ -110,8 +101,6 @@ __all__ = [
     "YieldResult",
     "check",
     "choquet_gap",
-    "closure_probe",
-    "convert_measure",
     "convert_measure_with_bound",
     "default_tolerance",
     "density",
@@ -125,13 +114,11 @@ __all__ = [
     "forward_rate_composition_check",
     "fx_forward",
     "implied_curve",
-    "integrate",
     "irr",
     "is_nonnegative",
     "jordan",
     "lebesgue",
     "mass",
-    "numeraire_price",
     "price",
     "price_dual",
     "spot_rate",
@@ -139,6 +126,5 @@ __all__ = [
     "total_variation",
     "trace",
     "translate",
-    "verify_na_positivity",
     "yield_bound_check",
 ]

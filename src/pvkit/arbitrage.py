@@ -41,11 +41,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .curves import DEFAULT_HORIZON, SpotGridCurve
 from .errors import DomainError
-from .measures import Atom, CashFlow, add, scale
+from .measures import Atom, CashFlow
 from .simplex import solve_lp
 
 _ZERO = Fraction(0)
@@ -378,63 +376,3 @@ def implied_curve(quote_set: QuoteSet) -> SpotGridCurve:
     horizon = max(DEFAULT_HORIZON, quote_set.grid[-1])
     return SpotGridCurve(knots, horizon=horizon)
 
-
-@dataclass(frozen=True)
-class ClosureReport:
-    trials: int
-    combination_failures: int
-    inversion_failures: int
-    scaling_failures: int
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.combination_failures == 0
-            and self.inversion_failures == 0
-            and self.scaling_failures == 0
-        )
-
-
-def _implied_value(grid, prices, flow: CashFlow) -> float:
-    table = dict(zip(grid, prices))
-    return float(sum(a.amount * table[a.time] for a in flow.atoms))
-
-
-def closure_probe(quote_set: QuoteSet, trials: int = 200,
-                  seed: int = 0) -> ClosureReport:
-    """Randomized consistency check of the equal-value relation.
-
-    Requires an arbitrage-free quote set.  Draws random integer
-    combinations of quotes, rebuilds both sides through the measure
-    algebra, and verifies the implied prices still agree; also checks
-    behavior under negation and scalar multiples.  Slack is 1e-9 scaled
-    by the position size.
-    """
-    verdict = check(quote_set)
-    if isinstance(verdict, Arbitrage):
-        raise DomainError("closure probe needs an arbitrage-free quote set")
-    grid, prices = verdict.grid, verdict.implied
-    rng = np.random.default_rng(seed)
-    comb = inv = scl = 0
-    quotes = quote_set.quotes
-    for _ in range(trials):
-        if quotes:
-            coeffs = rng.integers(-3, 4, size=len(quotes))
-            left = CashFlow()
-            right = CashFlow()
-            for w, q in zip(coeffs, quotes):
-                left = add(left, scale(q.left, float(w)))
-                right = add(right, scale(q.right, float(w)))
-            size = 1.0 + sum(abs(a.amount) for a in (left + right).atoms)
-            tol = 1e-9 * size * max(prices)
-            if abs(_implied_value(grid, prices, left) - _implied_value(grid, prices, right)) > tol:
-                comb += 1
-            if abs(_implied_value(grid, prices, -left) + _implied_value(grid, prices, left)) > tol:
-                inv += 1
-            k = float(rng.uniform(-3.0, 3.0))
-            if abs(
-                _implied_value(grid, prices, scale(left, k))
-                - k * _implied_value(grid, prices, left)
-            ) > tol * (1.0 + abs(k)):
-                scl += 1
-    return ClosureReport(trials, comb, inv, scl)

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import io as fio
 from .arbitrage import Arbitrage, check
-from .dual_functional import PRESETS, choquet_gap, dual_price
+from .dual_functional import PRESETS, dual_price
 from .errors import DomainError, SchemaError
-from .fx import convert_measure, price_dual
+from .fx import convert_measure_with_bound, price_dual
 from .measures import jordan, lebesgue, total_mass
 from .pricing import forward_price, irr, price
 
@@ -187,7 +187,7 @@ def _run_fx_price(args):
 def _run_fx_convert(args):
     market = fio.parse_market(fio.read_json(args.market))
     flow = fio.parse_cashflow(fio.read_json(args.cashflow))
-    converted = convert_measure(market, flow)
+    converted, _ = convert_measure_with_bound(market, flow)
     payload = fio.cashflow_json(converted)
     # the converted flow is itself a cash-flow file in both modes, so the
     # output can always be fed straight back into `price`
@@ -269,7 +269,7 @@ def _run_counterexample(args):
     flow = fio.parse_cashflow(fio.read_json(args.cashflow))
     dual = dual_price(functional, flow, args.tol)
     curve_res = price(functional.atom_curve, flow, args.tol)
-    gap = choquet_gap(functional, flow, args.tol)
+    gap = dual.value - curve_res.value
     p = args.precision
     text = "\n".join([
         f"dual {_price_text(dual, p)}",

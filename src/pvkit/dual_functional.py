@@ -18,14 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .curves import ScaledCurve, check_positive
 from .errors import DomainError
-from .measures import CashFlow, _units, dirac, lebesgue, scale, add
+from .measures import CashFlow, _units, lebesgue
 from .pricing import _default_tolerance, _price, default_tolerance, price
 from .quadrature import Bracket
-from .sampling import random_cashflow
 
 
 @dataclass(frozen=True)
@@ -103,54 +100,3 @@ def choquet_gap(functional: DualFunctional, flow: CashFlow,
         - price(functional.atom_curve, flow, tol).value
     )
 
-
-@dataclass(frozen=True)
-class PositivityReport:
-    trials: int
-    positivity_failures: int
-    linearity_failures: int
-    unit_price_gap: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.positivity_failures == 0
-            and self.linearity_failures == 0
-            and self.unit_price_gap <= 1e-12
-        )
-
-
-def verify_na_positivity(functional: DualFunctional, trials: int = 1000,
-                         seed: int = 0) -> PositivityReport:
-    """Random evidence that the dual rule is a positive linear unit-price rule.
-
-    Draws nonnegative nonzero flows and checks that the certified lower
-    price bound stays strictly positive; draws signed pairs and checks
-    linearity within a tolerance-scaled slack; checks the unit payment at
-    time 0 prices to 1.
-    """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    horizon = 0.9 * functional.horizon
-    pos_failures = 0
-    lin_failures = 0
-    for _ in range(trials):
-        flow = random_cashflow(rng, horizon=min(30.0, horizon), nonnegative=True)
-        if dual_price(functional, flow).lower <= 0.0:
-            pos_failures += 1
-        a = float(rng.uniform(-2.0, 2.0))
-        b = float(rng.uniform(-2.0, 2.0))
-        alpha = random_cashflow(rng, horizon=min(30.0, horizon))
-        beta = random_cashflow(rng, horizon=min(30.0, horizon))
-        combo = add(scale(alpha, a), scale(beta, b))
-        tol = 1e-9 * (1.0 + abs(a) + abs(b))
-        gap = abs(
-            dual_price(functional, combo, tol).value
-            - a * dual_price(functional, alpha, tol).value
-            - b * dual_price(functional, beta, tol).value
-        )
-        if gap > 4.0 * tol * (1.0 + abs(a) + abs(b)):
-            lin_failures += 1
-    unit_gap = abs(dual_price(functional, dirac(0.0)).value - 1.0)
-    return PositivityReport(trials, pos_failures, lin_failures, unit_gap)

@@ -13,17 +13,17 @@ domestic units is the domestic price of the domestic leg plus spot times
 the foreign price of the foreign leg, and the foreign-unit value is that
 divided by spot.
 
-:func:`convert_measure` rewrites a foreign flow as the equivalent
-domestic flow: atoms are multiplied by the forward rate at their payment
-time; densities are multiplied pointwise by ``fx(t)``, which leaves the
-polynomial representation, so each piece is replaced by a Chebyshev fit
-of the product with a certified relative sup-norm error of at most
-:data:`FIT_REL_TOL` (floored at the coefficient-evaluation roundoff of
-the stored representation), bisecting pieces as needed.  Each piece is
-first cut at the curves' knots; every such span of one conversion is
-fitted in the same rounds, where one round fits all pending segments as
-arrays (one ``fx`` evaluation for all of their points) and bisects those
-that fail.
+:func:`convert_measure_with_bound` rewrites a foreign flow as the
+equivalent domestic flow: atoms are multiplied by the forward rate at
+their payment time; densities are multiplied pointwise by ``fx(t)``,
+which leaves the polynomial representation, so each piece is replaced
+by a Chebyshev fit of the product with a certified relative sup-norm
+error of at most :data:`FIT_REL_TOL` (floored at the
+coefficient-evaluation roundoff of the stored representation),
+bisecting pieces as needed.  Each piece is first cut at the curves'
+knots; every such span of one conversion is fitted in the same rounds,
+where one round fits all pending segments as arrays (one ``fx``
+evaluation for all of their points) and bisects those that fail.
 """
 from __future__ import annotations
 
@@ -288,7 +288,3 @@ def convert_measure_with_bound(market: DualCurrencyMarket,
     pieces, err = _fit_spans(lambda ts: _fx_forward_many(market, ts), spans)
     return CashFlow(atoms, tuple(pieces)), err
 
-
-def convert_measure(market: DualCurrencyMarket, foreign_flow: CashFlow) -> CashFlow:
-    """Domestic-currency flow equivalent to a foreign flow."""
-    return convert_measure_with_bound(market, foreign_flow)[0]

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from . import poly
 from .errors import DomainError
-from .quadrature import Bracket, enclose, prepare, sign_units
+from .quadrature import sign_units
 
 CLOSURES = ("[]", "[)", "(]", "()")
 
@@ -75,11 +75,15 @@ class DensityPiece:
 
 
 def _normalize_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
+    """Sorted by time, with zero amounts dropped; atoms that share a time
+    are merged into a new atom, and an atom alone at its time is kept."""
     merged: dict[float, float] = {}
+    alone: dict[float, Atom | None] = {}
     for a in atoms:
         merged[a.time] = merged.get(a.time, 0.0) + a.amount
+        alone[a.time] = None if a.time in alone else a
     return tuple(
-        Atom(t, c) for t, c in sorted(merged.items()) if c != 0.0
+        alone[t] or Atom(t, c) for t, c in sorted(merged.items()) if c != 0.0
     )
 
 
@@ -305,14 +309,3 @@ def is_nonnegative(a: CashFlow) -> bool:
     """True when the flow is a nonnegative measure."""
     return _nonnegative(a.atoms, _units(a))
 
-
-def integrate(fn, a: CashFlow, tol: float = 1e-10) -> Bracket:
-    """Enclose ``integral fn d(a)`` for continuous bounded ``fn``.
-
-    ``fn`` is vectorised, as in ``quadrature.bracketed_integral``.  The atom
-    part is a correctly rounded finite sum; the density part is enclosed by
-    adaptive bracketed quadrature with total width <= tol.
-    """
-    if not tol > 0.0:
-        raise DomainError("tolerance must be positive")
-    return enclose(fn, prepare(_units(a), atoms=a.atoms), tol)[0]

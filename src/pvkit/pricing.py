@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curves as _curves
 from . import poly
 from .errors import DomainError
 from .measures import CashFlow, _nonnegative, _units, _variation, total_mass
@@ -74,18 +73,6 @@ def _price(curve, flow: CashFlow, tol: float | None, scale: float = 1.0,
         raise DomainError("tolerance must be positive")
     check_support(flow, curve.horizon)
     return enclose(curve.discount_many, prepare(units, curve.knot_times(), flow.atoms), tol)[0]
-
-
-def numeraire_price(curve, flow: CashFlow, numeraire: CashFlow,
-                    tol: float | None = None) -> float:
-    """Price of ``flow`` expressed in units of a nonnegative, nonzero flow."""
-    units = _units(numeraire)
-    if numeraire.is_null or not _nonnegative(numeraire.atoms, units):
-        raise DomainError("numeraire must be a nonnegative, nonzero flow")
-    denom = _price(curve, numeraire, tol, units=units).value
-    if denom <= 0.0:
-        raise DomainError("numeraire has nonpositive price")
-    return price(curve, flow, tol).value / denom
 
 
 @dataclass(frozen=True)
@@ -167,16 +154,19 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
             # a fixed absolute tolerance is not certifiable and the search
             # needs only the sign, so the tolerance follows that magnitude
             scale = mass * max(1.0, (1.0 + rate) ** (-sup))
-            curve = _curves.FlatCurve(rate, horizon=max(1.0, sup) + 1.0)
-        except (DomainError, OverflowError):
+        except OverflowError:
             return Bracket(math.inf, math.inf, math.inf, 0.0), math.nan
+
+        def discount(ts):
+            return np.power(1.0 + rate, -ts)
+
         try:
-            pv, partition = enclose(curve.discount_many, (times, amounts, rows, partition),
+            pv, partition = enclose(discount, (times, amounts, rows, partition),
                                     min(cap, max(eff_tol / 8.0, 1e-12 * scale)))
         except DomainError as err:
             raise DomainError(f"irr tolerance not achievable at rate {rate!r}: {err}") from err
-        moment = math.fsum((amounts * times * curve.discount_many(times)).tolist()) + estimate(
-            lambda ts: ts * curve.discount_many(ts), rows, partition)
+        moment = math.fsum((amounts * times * discount(times)).tolist()) + estimate(
+            lambda ts: ts * discount(ts), rows, partition)
         return pv, moment
 
     lo_end, hi_end = _IRR_LO + 1e-9, _IRR_HI
@@ -252,7 +242,10 @@ def _newton_rate(rate: float, pv: float, moment: float, target: float) -> float:
     """
     if not (0.0 < pv < math.inf and 0.0 < moment < math.inf):
         return math.nan
-    lam = math.log1p(rate) + math.log(pv / target) * pv / moment
+    ratio = pv / target
+    # a ratio that underflows still has a finite logarithm
+    log_ratio = math.log(ratio) if ratio > 0.0 else math.log(pv) - math.log(target)
+    lam = math.log1p(rate) + log_ratio * pv / moment
     return math.expm1(lam) if lam < 700.0 else math.inf
 
 

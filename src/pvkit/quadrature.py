@@ -21,7 +21,7 @@ tolerances near 1e-12 cost only a handful of rounds; supplying the
 integrand's kink points as ``breakpoints`` keeps each work item inside a
 smooth span.
 
-The split, the layout (:func:`prepare`) and the refinement (:func:`refine`)
+The split, the layout (:func:`prepare`) and the refinement (:func:`enclose`)
 are separate steps: integrating against a sequence of integrands splits
 once and refines each from the partition the last one ended with.
 """
@@ -260,29 +260,21 @@ def prepare(units, breakpoints=(), atoms=(), origin: float = 0.0) -> tuple:
 
 def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
     """Enclose ``integral fn d(measure)`` within ``tol`` for a measure as
-    :func:`prepare` returns it: a correctly rounded atom sum plus the
-    density part refined from the measure's partition.  Returns the bracket
-    and the final partition."""
-    times, amounts, rows, partition = measure
-    atom = math.fsum((amounts * fn(times)).tolist())
-    dens, partition = refine(fn, rows, partition, tol)
-    return Bracket(atom + dens.lower, atom + dens.upper, atom, dens.density_part), partition
+    :func:`prepare` returns it.
 
-
-def refine(fn, rows, partition, tol: float):
-    """Enclose ``integral rho f`` over a partition's items within ``tol``.
-
-    ``rows`` and ``partition`` are as :func:`prepare` returns them: item
-    ``k`` spans ``[a[k], b[k])`` and carries the density of row
-    ``unit[k]``.  Every item is evaluated as one batch, then the widest
-    items are bisected worst-first (see :func:`bracketed_integral`) until
-    the enclosure's width is at most ``tol``.  Returns the ``Bracket`` and
-    the final partition, every item that ended the refinement, in the
+    The atom part is a correctly rounded sum.  For the density part, item
+    ``k`` of the partition spans ``[a[k], b[k])`` and carries the density
+    of row ``unit[k]``; every item is evaluated as one batch, then the
+    widest items are bisected worst-first (see :func:`bracketed_integral`)
+    until the enclosure's width is at most ``tol``.  Returns the bracket
+    and the final partition, every item that ended the refinement, in the
     same ``(a, b, unit)`` form.
     """
+    times, amounts, rows, partition = measure
+    atom = math.fsum((amounts * fn(times)).tolist())
     a, b, unit = partition
     if not len(a):
-        return Bracket(0.0, 0.0, 0.0, 0.0), partition
+        return Bracket(atom, atom, atom, 0.0), partition
     items = _evaluate_items(fn, a, b, rows[unit])
     done, done_unit = [], []  # rows and units of items too narrow to bisect
     built = len(items)
@@ -327,13 +319,14 @@ def refine(fn, rows, partition, tol: float):
     if done:
         items = np.concatenate((items, done))
         unit = np.concatenate((unit, done_unit))
-    return Bracket(lower, upper, 0.0, value), (items[:, 0], items[:, 1], unit)
+    return (Bracket(atom + lower, atom + upper, atom, value),
+            (items[:, 0], items[:, 1], unit))
 
 
 def estimate(fn, rows, partition) -> float:
     """Gauss-Legendre estimate of ``integral rho f`` over a partition.
 
-    The 8-point rule on every item of ``partition`` (as :func:`refine`
+    The 8-point rule on every item of ``partition`` (as :func:`enclose`
     returns it), with one ``fn`` call for all items.  No enclosure: for
     quantities that steer a search but certify nothing, such as ``irr``'s
     Newton slope.

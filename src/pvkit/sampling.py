@@ -1,7 +1,6 @@
 """Seeded random generators for cash flows and curves.
 
-Used by the self-check routines (positivity trials, closure probes), the
-test suite, and the experiment scripts.  Everything takes a
+Used by the test suite and the experiment scripts.  Everything takes a
 ``numpy.random.Generator`` so runs are reproducible.
 """
 from __future__ import annotations

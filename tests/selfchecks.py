@@ -1,0 +1,133 @@
+"""Randomized self-checks of the no-arbitrage axioms, used as test oracles.
+
+:func:`closure_probe` checks that the equal-value relation of an
+arbitrage-free quote set is closed under combination, negation and
+scaling; :func:`verify_na_positivity` checks that a two-weight pricing
+rule is positive, linear and prices the unit payment at time 0 to 1.
+Both are seeded, so a failure reproduces.  The module is not collected
+(its name does not start with ``test_``); the tests and
+``scripts/counterexample_demo.py`` import it.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from pvkit import (Arbitrage, CashFlow, DomainError, DualFunctional, QuoteSet, check,
+                   dirac, dual_price)
+from pvkit.measures import add, scale
+from pvkit.sampling import random_cashflow
+
+
+@dataclass(frozen=True)
+class ClosureReport:
+    trials: int
+    combination_failures: int
+    inversion_failures: int
+    scaling_failures: int
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.combination_failures == 0
+            and self.inversion_failures == 0
+            and self.scaling_failures == 0
+        )
+
+
+def _implied_value(grid, prices, flow: CashFlow) -> float:
+    table = dict(zip(grid, prices))
+    return float(sum(a.amount * table[a.time] for a in flow.atoms))
+
+
+def closure_probe(quote_set: QuoteSet, trials: int = 200,
+                  seed: int = 0) -> ClosureReport:
+    """Randomized consistency check of the equal-value relation.
+
+    Requires an arbitrage-free quote set.  Draws random integer
+    combinations of quotes, rebuilds both sides through the measure
+    algebra, and verifies the implied prices still agree; also checks
+    behavior under negation and scalar multiples.  Slack is 1e-9 scaled
+    by the position size.
+    """
+    verdict = check(quote_set)
+    if isinstance(verdict, Arbitrage):
+        raise DomainError("closure probe needs an arbitrage-free quote set")
+    grid, prices = verdict.grid, verdict.implied
+    rng = np.random.default_rng(seed)
+    comb = inv = scl = 0
+    quotes = quote_set.quotes
+    for _ in range(trials):
+        if quotes:
+            coeffs = rng.integers(-3, 4, size=len(quotes))
+            left = CashFlow()
+            right = CashFlow()
+            for w, q in zip(coeffs, quotes):
+                left = add(left, scale(q.left, float(w)))
+                right = add(right, scale(q.right, float(w)))
+            size = 1.0 + sum(abs(a.amount) for a in (left + right).atoms)
+            tol = 1e-9 * size * max(prices)
+            if abs(_implied_value(grid, prices, left) - _implied_value(grid, prices, right)) > tol:
+                comb += 1
+            if abs(_implied_value(grid, prices, -left) + _implied_value(grid, prices, left)) > tol:
+                inv += 1
+            k = float(rng.uniform(-3.0, 3.0))
+            if abs(
+                _implied_value(grid, prices, scale(left, k))
+                - k * _implied_value(grid, prices, left)
+            ) > tol * (1.0 + abs(k)):
+                scl += 1
+    return ClosureReport(trials, comb, inv, scl)
+
+
+@dataclass(frozen=True)
+class PositivityReport:
+    trials: int
+    positivity_failures: int
+    linearity_failures: int
+    unit_price_gap: float
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.positivity_failures == 0
+            and self.linearity_failures == 0
+            and self.unit_price_gap <= 1e-12
+        )
+
+
+def verify_na_positivity(functional: DualFunctional, trials: int = 1000,
+                         seed: int = 0) -> PositivityReport:
+    """Random evidence that the dual rule is a positive linear unit-price rule.
+
+    Draws nonnegative nonzero flows and checks that the certified lower
+    price bound stays strictly positive; draws signed pairs and checks
+    linearity within a tolerance-scaled slack; checks the unit payment at
+    time 0 prices to 1.
+    """
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    horizon = 0.9 * functional.horizon
+    pos_failures = 0
+    lin_failures = 0
+    for _ in range(trials):
+        flow = random_cashflow(rng, horizon=min(30.0, horizon), nonnegative=True)
+        if dual_price(functional, flow).lower <= 0.0:
+            pos_failures += 1
+        a = float(rng.uniform(-2.0, 2.0))
+        b = float(rng.uniform(-2.0, 2.0))
+        alpha = random_cashflow(rng, horizon=min(30.0, horizon))
+        beta = random_cashflow(rng, horizon=min(30.0, horizon))
+        combo = add(scale(alpha, a), scale(beta, b))
+        tol = 1e-9 * (1.0 + abs(a) + abs(b))
+        gap = abs(
+            dual_price(functional, combo, tol).value
+            - a * dual_price(functional, alpha, tol).value
+            - b * dual_price(functional, beta, tol).value
+        )
+        if gap > 4.0 * tol * (1.0 + abs(a) + abs(b)):
+            lin_failures += 1
+    unit_gap = abs(dual_price(functional, dirac(0.0)).value - 1.0)
+    return PositivityReport(trials, pos_failures, lin_failures, unit_gap)

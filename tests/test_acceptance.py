@@ -38,13 +38,13 @@ from pvkit import (
     price_dual,
     total_mass,
     total_variation,
-    verify_na_positivity,
     yield_bound_check,
 )
 from pvkit.fx import default_dual_tolerance
 from pvkit.pricing import default_tolerance
 from pvkit.quadrature import bracketed_integral
 from pvkit.sampling import CURVE_FAMILIES, random_cashflow, random_curve
+from selfchecks import verify_na_positivity
 
 from test_arbitrage import brute_force_has_arbitrage, random_quote_set, replay
 

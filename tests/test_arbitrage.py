@@ -26,7 +26,6 @@ from pvkit import (
     Quote,
     QuoteSet,
     check,
-    closure_probe,
     dirac,
     implied_curve,
     price,
@@ -35,6 +34,7 @@ from pvkit import arbitrage
 from pvkit.arbitrage import reduce_quotes
 from pvkit.measures import Atom
 from pvkit.simplex import solve_lp
+from selfchecks import closure_probe
 
 
 def _quote(left, right):

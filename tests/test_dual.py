@@ -24,9 +24,9 @@ from pvkit import (
     dual_price,
     price,
     total_variation,
-    verify_na_positivity,
 )
 from pvkit.sampling import random_cashflow
+from selfchecks import verify_na_positivity
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 

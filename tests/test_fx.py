@@ -19,7 +19,6 @@ from pvkit import (
     DualCurrencyMarket,
     FlatCurve,
     SpotGridCurve,
-    convert_measure,
     convert_measure_with_bound,
     density,
     dirac,
@@ -99,7 +98,7 @@ def test_bracket_splits_tolerance_between_legs():
 
 
 def test_atoms_convert_by_forward_fx():
-    converted = convert_measure(MARKET, dirac(1.0, 100.0))
+    converted, _ = convert_measure_with_bound(MARKET, dirac(1.0, 100.0))
     (atom,) = converted.atoms
     assert atom.time == 1.0
     assert atom.amount == pytest.approx(100.0 * fx_forward(MARKET, 1.0),
@@ -117,7 +116,7 @@ def test_convert_route_equals_direct_price():
 
 def test_convert_keeps_degree_cap():
     foreign = density(0.0, 8.0, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5))
-    converted = convert_measure(MARKET, foreign)
+    converted, _ = convert_measure_with_bound(MARKET, foreign)
     assert all(len(p.coeffs) <= 9 for p in converted.pieces)
 
 
@@ -209,7 +208,7 @@ def test_fit_budget_guard():
         spot_fx=1.0,
     )
     with pytest.raises(DomainError):
-        convert_measure(wild, density(0.0, 19.0, (1.0,)))
+        convert_measure_with_bound(wild, density(0.0, 19.0, (1.0,)))
 
 
 def test_batched_spans_fit_independently():
@@ -249,6 +248,6 @@ def test_fit_budget_guard_names_the_span():
         foreign_curve=FlatCurve(0.03, horizon=30.0),
         spot_fx=1.0,
     )
-    convert_measure(wild, density(0.0, 8.0, (1.0,)) + density(9.0, 10.0, (1.0,)))
+    convert_measure_with_bound(wild, density(0.0, 8.0, (1.0,)) + density(9.0, 10.0, (1.0,)))
     with pytest.raises(DomainError, match=r"budget exceeded on \[10\.0, 19\.0\)"):
-        convert_measure(wild, density(0.0, 8.0, (1.0,)) + density(9.0, 19.0, (1.0,)))
+        convert_measure_with_bound(wild, density(0.0, 8.0, (1.0,)) + density(9.0, 19.0, (1.0,)))

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pvkit import SchemaError, density, dirac, spot_rate, total_mass
+from pvkit import FlatCurve, SchemaError, density, dirac, forward_price, spot_rate, total_mass
 from pvkit import io as fio
 from pvkit.cli import fmt, main
 
@@ -213,6 +213,23 @@ def test_cli_exit_codes(tmp_path, capsys):
         main(["price"])
     capsys.readouterr()
     assert stop.value.code == 2
+
+
+def test_cli_forward_price(tmp_path, capsys):
+    # the annuity's price carried forward to t = 2: 7.721734929... * 1.05^2
+    curve = _write(tmp_path, "curve.json", FLAT5)
+    flow = _write(tmp_path, "flow.json", ANNUITY)
+    code, out, err = run(capsys, "forward-price", "--curve", curve, "--cashflow", flow,
+                         "--t", "2")
+    assert (code, err) == (0, "")
+    assert out == "8.513213 [8.513213, 8.513213]\n"
+    code, out, _ = run(capsys, "forward-price", "--curve", curve, "--cashflow", flow,
+                       "--t", "2", "--format", "structured")
+    assert code == 0
+    res = forward_price(FlatCurve(0.05), fio.parse_cashflow(ANNUITY), 2.0)
+    assert out == json.dumps(fio.price_json(res), indent=2, sort_keys=True) + "\n"
+    assert json.loads(out)["value"] == pytest.approx(7.721734929184818 * 1.05 ** 2,
+                                                     rel=1e-14)
 
 
 def test_cli_irr(tmp_path, capsys):

@@ -20,7 +20,6 @@ from pvkit import (
     density,
     dirac,
     distribution,
-    integrate,
     is_nonnegative,
     jordan,
     lebesgue,
@@ -47,6 +46,18 @@ def test_atoms_merge_and_sort():
     a = CashFlow(atoms=(Atom(2.0, 1.0), Atom(1.0, 3.0), Atom(2.0, -0.25)))
     assert [at.time for at in a.atoms] == [1.0, 2.0]
     assert a.atoms[1].amount == 0.75
+
+
+def test_atoms_alone_at_their_time_are_kept_as_given():
+    given = (Atom(3.0, 1.5), Atom(1.0, 2.0), Atom(3.0, -1.5), Atom(2.0, 0.1),
+             Atom(2.0, 0.2), Atom(4.0, 0.0), Atom(5.0, -4.0))
+    a = CashFlow(atoms=given)
+    # 3.0 sums to zero and 4.0 is zero: both dropped; 2.0 is a new merged atom
+    assert [(x.time, x.amount) for x in a.atoms] == [(1.0, 2.0), (2.0, 0.1 + 0.2),
+                                                     (5.0, -4.0)]
+    assert a.atoms[0] is given[1]
+    assert a.atoms[2] is given[6]
+    assert a.atoms[1] is not given[3] and a.atoms[1] is not given[4]
 
 
 def test_zero_amounts_drop():
@@ -237,17 +248,3 @@ def test_lebesgue_reconstructs_with_disjoint_parts(seed):
     assert d.singular.pieces == ()
     assert (d.absolutely_continuous + d.singular) == a
 
-
-def test_integrate_against_atoms_is_exact():
-    a = dirac(1.0, 2.0) + dirac(4.0, -1.0)
-    br = integrate(lambda t: t * t, a)
-    assert br.value == pytest.approx(2.0 - 16.0)
-    assert br.lower == br.upper == br.value
-
-
-def test_integrate_density_brackets_closed_form():
-    a = density(0.0, 1.0, (1.0,))
-    br = integrate(np.exp, a, tol=1e-12)
-    exact = math.e - 1.0
-    assert br.lower <= exact <= br.upper
-    assert br.upper - br.lower <= 1e-12

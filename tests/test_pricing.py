@@ -25,13 +25,12 @@ from pvkit import (
     irr,
     is_nonnegative,
     jordan,
-    numeraire_price,
     price,
     price_dual,
     total_variation,
     yield_bound_check,
 )
-from pvkit import poly
+from pvkit import poly, pricing
 from pvkit.dual_functional import double_density, dual_price
 from pvkit.fx import default_dual_tolerance
 from pvkit.measures import CashFlow
@@ -162,18 +161,6 @@ def test_forward_price_uses_forward_discounts():
     assert res.value == pytest.approx(forward_discount(c, 1.0, 2.0), rel=1e-14)
 
 
-def test_numeraire_price_in_units_of_bond():
-    c = FlatCurve(0.05)
-    flow = dirac(1.0, 1.0)
-    bond2 = dirac(2.0, 1.0)
-    ratio = numeraire_price(c, flow, bond2)
-    assert ratio == pytest.approx(c.discount(1.0) / c.discount(2.0), rel=1e-12)
-    with pytest.raises(DomainError):
-        numeraire_price(c, flow, dirac(1.0, -1.0))
-    with pytest.raises(DomainError):
-        numeraire_price(c, flow, CashFlow())
-
-
 # --- internal rate of return -------------------------------------------------
 
 
@@ -216,6 +203,38 @@ def test_irr_no_rate_reaches_target():
         irr(dirac(1.0, 1.0), 2000.0)
     with pytest.raises(DomainError):
         irr(dirac(1.0, 1.0), 0.05)
+
+
+def test_irr_bisects_when_newton_steps_leave_the_bracket(monkeypatch):
+    # predictions past both ends of the window: the first two steps go to
+    # the window's ends, and every later one bisects the certified bracket
+    target = price(FlatCurve(0.05), ANNUITY_10).value
+    expected = irr(ANNUITY_10, target)
+    calls = []
+
+    def wild(rate, pv, moment, tgt):
+        calls.append(rate)
+        return 20.0 if len(calls) % 2 else -0.9999
+
+    monkeypatch.setattr(pricing, "_newton_rate", wild)
+    res = irr(ANNUITY_10, target)
+    assert abs(res.rate - expected.rate) <= 1e-10
+    assert abs(res.residual) <= 1e-10 * (1.0 + target)
+    assert res.iterations > expected.iterations
+    assert calls[1:3] == [10.0, pricing._IRR_LO + 1e-9]
+
+
+def test_irr_long_dated_flow_at_a_high_rate():
+    # 1 at t = 700 is worth 1e-300 at about 168%; the discount factor at
+    # rate 10 underflows to 0 beyond t = 310, which must not end the search
+    res = irr(dirac(700.0, 1.0), 1e-300)
+    assert res.rate == pytest.approx(math.expm1(300.0 * math.log(10.0) / 700.0), abs=1e-9)
+
+
+def test_irr_target_beyond_every_value_is_a_domain_error():
+    # value / target underflows to 0 on the first Newton step
+    with pytest.raises(DomainError, match="no internal rate"):
+        irr(dirac(1.0, 1e-300), 1e300)
 
 
 def test_irr_degenerate_all_at_purchase_time():
@@ -300,8 +319,7 @@ def test_each_call_splits_each_density_piece_once(monkeypatch):
                         (lambda: irr(flow, target), 1),
                         (lambda: yield_bound_check(curve, flow), 2),
                         (lambda: price_dual(market, both), 2),
-                        (lambda: dual_price(double_density(curve), flow), 1),
-                        (lambda: numeraire_price(curve, flow, flow), 2)):
+                        (lambda: dual_price(double_density(curve), flow), 1)):
         calls.clear()
         run()
         assert len(calls) == splits * pieces
@@ -311,9 +329,6 @@ def test_each_call_splits_each_density_piece_once(monkeypatch):
         market, both, tol=default_dual_tolerance(market, both))
     assert dual_price(double_density(curve), flow) == dual_price(
         double_density(curve), flow, default_tolerance(flow))
-    numeraire = density(0.0, 4.0, (1.0,)) + dirac(2.0, 1.0)
-    assert numeraire_price(curve, flow, numeraire) == (
-        price(curve, flow).value / price(curve, numeraire).value)
 
 
 def test_results_hold_builtin_numbers():

@@ -23,6 +23,14 @@ def test_bracket_contains_closed_form():
     assert br.value == pytest.approx(exact, abs=1e-10)
 
 
+def test_growing_integrand_brackets_closed_form():
+    # e^t against the unit density on [0, 1): exact e - 1
+    br = bracketed_integral(np.exp, ((0.0, 1.0, (1.0,)),), tol=1e-12)
+    exact = math.e - 1.0
+    assert br.lower <= exact <= br.upper
+    assert br.upper - br.lower <= 1e-12
+
+
 def test_polynomial_integrand_times_density():
     # f(t) = t^2 against rho(t) = t on [0, 2): exact 2^4/4 = 4
     br = bracketed_integral(lambda t: t * t,
@@ -144,14 +152,15 @@ def test_interval_too_narrow_to_bisect_is_kept_as_is():
 
 
 def test_refine_continues_from_a_final_partition():
-    # one split, then a sequence of integrands: each refine starts from the
+    # one split, then a sequence of integrands: each enclose starts from the
     # partition the previous one ended with and still meets its tolerance
     pieces = ((0.0, 10.0, (1.0, 0.1)), (12.0, 20.0, (2.0, -0.3, 0.01)))
-    _, _, rows, part = quadrature.prepare(quadrature.sign_units(pieces))
-    first, part = quadrature.refine(_exp_decay, rows, part, 1e-10)
+    times, amounts, rows, part = quadrature.prepare(quadrature.sign_units(pieces))
+    first, part = quadrature.enclose(_exp_decay, (times, amounts, rows, part), 1e-10)
     assert first == bracketed_integral(_exp_decay, pieces, tol=1e-10)
     for lam in (0.03, 0.08, 0.2):
-        br, finer = quadrature.refine(lambda t: np.exp(-lam * t), rows, part, 1e-10)
+        br, finer = quadrature.enclose(lambda t: np.exp(-lam * t),
+                                       (times, amounts, rows, part), 1e-10)
         assert len(finer[0]) >= len(part[0])
         part = finer
         exact = sum(
