@@ -4,13 +4,16 @@ For n = 5, 12, 30 and 60 grid points (times 0..n-1) the script builds a
 bootstrapped ladder on a flat curve: bond k pays a coupon at 1..k and its
 principal at k, and is quoted at its curve value.  Each ladder is checked
 as it is, and with one zero-coupon quote priced 2% to 8% off the curve,
-which breaks the law of one price.  Next to the best time of ``check`` it
-prints the work behind it: the verdict, the dimension of the null space of
-the difference matrix D (1 on a consistent ladder, 0 with the off-curve
-quote), how many times the LP fallback ran, the largest integer bit length
-of the fraction-free echelon form of D, and that of the certificate's
-exact weights.  The inputs are seeded, so every column but the time
-repeats exactly::
+which breaks the law of one price.  Two more consistent ladders leave some
+maturities unquoted, so that the null space has two or more dimensions and
+the exact LP runs: 12 points with 1 unquoted and 20 with 3.  Next to the
+best time of ``check`` it prints the work behind it: the verdict, the
+dimension of the null space of the difference matrix D (1 on a consistent
+ladder, 0 with the off-curve quote, 1 plus the number unquoted), how many
+times the LP fallback ran, the largest integer bit length of the
+fraction-free echelon form of D, and that of the certificate's exact
+weights.  The inputs are seeded, so every column but the time repeats
+exactly::
 
     PYTHONPATH=src python scripts/ladder_scaling.py
 """
@@ -23,13 +26,16 @@ from pvkit import Arbitrage, CashFlow, Quote, QuoteSet, arbitrage
 from pvkit.measures import Atom
 
 SIZES = (5, 12, 30, 60)
+# (grid points, unquoted maturities) of the ladders with a wider null space
+UNQUOTED = ((12, 1), (20, 3))
 SEED = 6
 # best of this many calls, or of as many as fit in MIN_SECONDS
 REPEATS = 5
 MIN_SECONDS = 0.2
 
 
-def ladder(rng: random.Random, points: int, rate: float, off_curve: int) -> QuoteSet:
+def ladder(rng: random.Random, points: int, rate: float, off_curve: int,
+           unquoted=()) -> QuoteSet:
     def flow(atoms):
         return CashFlow(atoms=tuple(Atom(t, a) for t, a in atoms))
 
@@ -37,6 +43,8 @@ def ladder(rng: random.Random, points: int, rate: float, off_curve: int) -> Quot
     quotes = []
     for k in range(1, points):
         c = rng.uniform(0.0, 0.08)
+        if k in unquoted:
+            continue
         right = [(float(j), c) for j in range(1, k)] + [(float(k), 1.0 + c)]
         value = sum(a * (1.0 + rate) ** -t for t, a in right)
         quotes.append(Quote(flow([(0.0, value)]), flow(right)))
@@ -67,28 +75,34 @@ def main() -> None:
         lp_calls += 1
         return solve_lp(*args)
 
-    print(f"{'n':>3} {'ladder':>9} {'verdict':>14} {'null dim':>8} {'LP runs':>7} "
+    def row(n: int, kind: str, qs: QuoteSet) -> None:
+        nonlocal lp_calls
+        lp_calls = 0
+        verdict = arbitrage.check(qs)
+        runs = lp_calls
+        ms = 1e3 * best_time(qs)
+        red = arbitrage.reduce_quotes(qs)
+        if isinstance(verdict, Arbitrage):
+            name = "arbitrage"
+            cert_bits = max(max(w.numerator.bit_length(), w.denominator.bit_length())
+                            for w in verdict.exact_coefficients)
+        else:
+            name, cert_bits = "free", "-"
+        print(f"{n:>3} {kind:>10} {name:>14} {red.null_dim:>8} {runs:>7} "
+              f"{red.max_bits:>12} {cert_bits:>9} {ms:>10.2f}")
+
+    print(f"{'n':>3} {'ladder':>10} {'verdict':>14} {'null dim':>8} {'LP runs':>7} "
           f"{'echelon bits':>12} {'cert bits':>9} {'check ms':>10}")
     arbitrage.solve_lp = counted
     try:
         for n in SIZES:
             rate = rng.uniform(0.005, 0.08)
             for off in (0, 1):
-                qs = ladder(rng, n, rate, off)
-                lp_calls = 0
-                verdict = arbitrage.check(qs)
-                runs = lp_calls
-                ms = 1e3 * best_time(qs)
-                red = arbitrage.reduce_quotes(qs)
-                if isinstance(verdict, Arbitrage):
-                    name = "arbitrage"
-                    cert_bits = max(max(w.numerator.bit_length(), w.denominator.bit_length())
-                                    for w in verdict.exact_coefficients)
-                else:
-                    name, cert_bits = "free", "-"
-                print(f"{n:>3} {'off-curve' if off else 'on-curve':>9} {name:>14} "
-                      f"{red.null_dim:>8} {runs:>7} {red.max_bits:>12} "
-                      f"{cert_bits:>9} {ms:>10.2f}")
+                row(n, "off-curve" if off else "on-curve", ladder(rng, n, rate, off))
+        for n, count in UNQUOTED:
+            rate = rng.uniform(0.005, 0.08)
+            unquoted = rng.sample(range(1, n), count)
+            row(n, f"{count} unquoted", ladder(rng, n, rate, 0, unquoted))
     finally:
         arbitrage.solve_lp = solve_lp
 

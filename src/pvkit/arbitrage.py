@@ -10,12 +10,18 @@ time 0, exactly one of the following holds:
   nonnegative, nonzero flow -- an arbitrage: a costless position with a
   free lunch.
 
-:func:`reduce_quotes` scales each row of ``D`` to integers (every amount is
-a float, so every denominator is a power of two) and brings it to row
-echelon form by fraction-free elimination (Bareiss, *Math. Comp.* 1968):
-every entry is a minor of the scaled ``D``, so the arithmetic is exact and
-the integers stay as short as the minors.  The dimension ``k`` of the null
-space of ``D`` then decides :func:`check`:
+:func:`reduce_quotes` builds each row of ``D`` as integers, straight from
+the amounts' ``float.as_integer_ratio()`` and scaled by the least power of
+two that makes it integral, and brings it to row echelon form by
+fraction-free elimination (Bareiss, *Math. Comp.* 1968): every entry is a
+minor of the scaled ``D``, so the arithmetic is exact and the integers stay
+as short as the minors.  Its columns are eliminated latest time first.  A
+flow's last payment is its maturity, so a bond ladder's ``D`` is
+triangular in that order and most rows are 0 in each pivot column.  Such
+a row would only be multiplied by the ratio of two pivots; the
+elimination defers that scaling until the row is next updated or chosen as
+a pivot, and the echelon is the same as the eager one.  The dimension ``k``
+of the null space of ``D`` then decides :func:`check`:
 
 * ``k = 1``, spanned by ``v``: the quotes are arbitrage-free exactly when
   ``v`` or ``-v`` is strictly positive, and ``v / v_0`` is the price
@@ -126,10 +132,12 @@ class Reduction(NamedTuple):
     """The difference matrix of a quote set in exact fraction-free echelon form.
 
     ``rows[i]`` is row ``i`` of ``D`` times the power of two ``scales[i]``,
-    an integer vector; ``echelon`` holds the nonzero rows of a Bareiss row
-    echelon form of ``rows``, with ``pivots`` its pivot columns.  A named
-    tuple, because its class is built in a fifth of a dataclass's time and
-    every CLI call imports it.
+    an integer vector in grid order.  ``echelon`` holds the nonzero rows of
+    a Bareiss row echelon form of ``rows`` with the columns reversed, latest
+    time first: its column ``j`` is grid column ``len(grid) - 1 - j``, and
+    ``pivots`` are its pivot columns in that order.  A named tuple, because
+    its class is built in a fifth of a dataclass's time and every CLI call
+    imports it.
     """
 
     grid: tuple[float, ...]
@@ -140,9 +148,11 @@ class Reduction(NamedTuple):
 
     @property
     def free(self) -> tuple[int, ...]:
-        """The non-pivot columns; one null-space direction each."""
+        """The grid columns that are not pivots, in grid order; one
+        null-space direction each."""
+        g = len(self.grid)
         pivots = set(self.pivots)
-        return tuple(j for j in range(len(self.grid)) if j not in pivots)
+        return tuple(g - 1 - j for j in reversed(range(g)) if j not in pivots)
 
     @property
     def null_dim(self) -> int:
@@ -155,12 +165,10 @@ class Reduction(NamedTuple):
                     for a in row), default=0)
 
     def null_vector(self, col: int) -> list[int]:
-        """The null vector of ``D`` that is 1 at free column ``col`` and 0 at
-        the other free columns, times the last pivot."""
-        x = [0] * len(self.grid)
-        x[col] = 1
-        return _back_substitute(self.echelon, self.pivots, x,
-                                [0] * len(self.pivots))
+        """The null vector of ``D`` over the grid that is 1 at free column
+        ``col`` and 0 at the other free columns, times the last pivot."""
+        g = len(self.grid)
+        return _null_vector(self.echelon, self.pivots, g, g - 1 - col)[::-1]
 
 
 def _echelon(rows, width):
@@ -171,8 +179,17 @@ def _echelon(rows, width):
     nonzero rows of the echelon form and their pivot columns.  After each
     step every entry is a minor of the input (Sylvester's identity), so
     the division by the previous pivot is exact.
+
+    A row that is 0 in the pivot column would only be multiplied by the
+    pivot over the previous pivot, so it is left as it is.  ``stamps[i]``
+    is the pivot at which row ``i`` was last current: its current values
+    are its stored ones times ``prev / stamps[i]``.  A stale row chosen as
+    the pivot row is brought current by that exact division; a stale row
+    that is updated divides by its stamp instead of ``prev``, which gives
+    the same integers.  The result is that of the eager elimination.
     """
     rows = [list(r) for r in rows]
+    stamps = [1] * len(rows)
     pivots = []
     prev = 1
     for c in range(width):
@@ -183,13 +200,20 @@ def _echelon(rows, width):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
+        stamps[r], stamps[piv] = stamps[piv], stamps[r]
+        if stamps[r] != prev:
+            rows[r][c:] = [x * prev // stamps[r] for x in rows[r][c:]]
         top = rows[r][c + 1:]
         p = rows[r][c]
-        for row in rows[r + 1:]:
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
             a = row[c]
-            row[c] = 0
-            row[c + 1:] = [(p * x - a * y) // prev
-                           for x, y in zip(row[c + 1:], top)]
+            if a:
+                s = stamps[i]
+                row[c] = 0
+                row[c + 1:] = [(p * x - a * y) // s
+                               for x, y in zip(row[c + 1:], top)]
+                stamps[i] = p
         prev = p
         pivots.append(c)
     return rows[:len(pivots)], pivots
@@ -209,21 +233,47 @@ def _back_substitute(echelon, pivots, x, rhs):
     return x
 
 
+def _null_vector(echelon, pivots, width, col):
+    """The null vector of an echelon form that is 1 at its free column
+    ``col`` and 0 at the others, times the last pivot."""
+    x = [0] * width
+    x[col] = 1
+    return _back_substitute(echelon, pivots, x, [0] * len(pivots))
+
+
 def _integers(values) -> tuple[list[int], int]:
     """Rationals times their common denominator, and that denominator."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _scaled_row(quote: Quote, index: dict, width: int) -> tuple[tuple[int, ...], int]:
+    """The row of ``D`` for ``quote`` times the least power of two that
+    makes it integral, and that power (1 for a zero row)."""
+    terms = []
+    for sign, side in ((1, quote.right), (-1, quote.left)):
+        for atom in side.atoms:
+            n, d = atom.amount.as_integer_ratio()
+            terms.append((index[atom.time], sign * n, d))
+    den = max((d for _, _, d in terms), default=1)
+    row = [0] * width
+    for j, n, d in terms:
+        row[j] += n * (den // d)
+    # den is a power of two, so den // common is the least common
+    # denominator of the row's reduced entries
+    common = math.gcd(den, *row)
+    return tuple(x // common for x in row), den // common
+
+
 def reduce_quotes(quote_set: QuoteSet) -> Reduction:
-    """Scale ``D`` row by row to integers and reduce it to echelon form."""
-    rows, scales = [], []
-    for row in quote_set.difference_matrix():
-        ints, s = _integers(row)
-        rows.append(tuple(ints))
-        scales.append(s)
-    echelon, pivots = _echelon(rows, len(quote_set.grid))
-    return Reduction(quote_set.grid, tuple(rows), tuple(scales),
+    """Scale ``D`` row by row to integers and reduce it to echelon form,
+    latest time first."""
+    g = len(quote_set.grid)
+    index = {t: j for j, t in enumerate(quote_set.grid)}
+    scaled = [_scaled_row(q, index, g) for q in quote_set.quotes]
+    rows = tuple(row for row, _ in scaled)
+    echelon, pivots = _echelon([row[::-1] for row in rows], g)
+    return Reduction(quote_set.grid, rows, tuple(s for _, s in scaled),
                      tuple(map(tuple, echelon)), tuple(pivots))
 
 
@@ -355,17 +405,22 @@ def implied_curve(quote_set: QuoteSet) -> SpotGridCurve:
     up to scale (difference matrix rank = grid size - 1).  Raises
     :class:`NonUniqueImpliedPricesError` listing the residual degrees of
     freedom otherwise; the reported directions keep the t=0 price fixed.
-    The verdict and the null-space basis come from one reduction of ``D``.
+    The verdict comes from one reduction of ``D``, latest time first.  The
+    directions are those of the leftmost free columns, from a second
+    reduction in grid order that runs only when they are reported.
     """
     red = reduce_quotes(quote_set)
     verdict = _decide(red)
     if isinstance(verdict, Arbitrage):
         raise DomainError("quotes admit arbitrage; no implied curve exists")
-    if len(red.free) > 1:
+    if red.null_dim > 1:
+        # the directions of the leftmost free columns: the grid-order echelon's
+        g = len(red.grid)
+        echelon, pivots = _echelon(red.rows, g)
         p = [Fraction(v) for v in verdict.implied]
         free = []
-        for col in red.free:
-            x = red.null_vector(col)
+        for col in sorted(set(range(g)) - set(pivots)):
+            x = _null_vector(echelon, pivots, g, col)
             v = [Fraction(xj, x[col]) for xj in x]
             adj = [vj - (v[0] / p[0]) * pj for vj, pj in zip(v, p)]
             if any(a != 0 for a in adj):

@@ -53,7 +53,9 @@ def read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read file: {exc}", path)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, bad UTF-8, and integer literals past Python's
+        # digit limit for int conversion
         raise SchemaError(f"invalid JSON: {exc}", path)
 
 
@@ -72,7 +74,10 @@ def _list(value, path: str) -> list:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError("expected a number", path)
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise SchemaError("integer too large for a float", path) from None
     if not math.isfinite(x):
         raise SchemaError(f"number must be finite, got {value!r}", path)
     return x

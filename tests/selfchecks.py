@@ -4,7 +4,9 @@
 arbitrage-free quote set is closed under combination, negation and
 scaling; :func:`verify_na_positivity` checks that a two-weight pricing
 rule is positive, linear and prices the unit payment at time 0 to 1.
-Both are seeded, so a failure reproduces.  The module is not collected
+Both are seeded, so a failure reproduces.  :func:`eager_echelon` is the
+fraction-free elimination that rescales every row at every step, the
+oracle for the checker's lazily scaled one.  The module is not collected
 (its name does not start with ``test_``); the tests and
 ``scripts/counterexample_demo.py`` import it.
 """
@@ -131,3 +133,35 @@ def verify_na_positivity(functional: DualFunctional, trials: int = 1000,
             lin_failures += 1
     unit_gap = abs(dual_price(functional, dirac(0.0)).value - 1.0)
     return PositivityReport(trials, pos_failures, lin_failures, unit_gap)
+
+
+def eager_echelon(rows, width):
+    """Forward-only fraction-free (Bareiss) elimination of integer rows.
+
+    Pivots are searched in the first ``width`` columns, the first nonzero
+    entry from the top; later columns are carried along.  Returns the
+    nonzero rows of the echelon form and their pivot columns.  After each
+    step every entry is a minor of the input (Sylvester's identity), so
+    the division by the previous pivot is exact.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    prev = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r][c + 1:]
+        p = rows[r][c]
+        for row in rows[r + 1:]:
+            a = row[c]
+            row[c] = 0
+            row[c + 1:] = [(p * x - a * y) // prev
+                           for x, y in zip(row[c + 1:], top)]
+        prev = p
+        pivots.append(c)
+    return rows[:len(pivots)], pivots

@@ -10,6 +10,7 @@ exact arithmetic, and a copy of the general LP the checker once ran on
 every quote set serves as an oracle for verdicts and prices.
 """
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -31,10 +32,10 @@ from pvkit import (
     price,
 )
 from pvkit import arbitrage
-from pvkit.arbitrage import reduce_quotes
+from pvkit.arbitrage import _echelon, reduce_quotes
 from pvkit.measures import Atom
 from pvkit.simplex import solve_lp
-from selfchecks import closure_probe
+from selfchecks import closure_probe, eager_echelon
 
 
 def _quote(left, right):
@@ -187,6 +188,31 @@ def test_implied_curve_needs_unique_prices():
         assert any(abs(x) > 0 for x in direction)
 
 
+def test_non_unique_directions_are_pinned():
+    # the directions of the grid-order reduction's free columns, t = 5, 6
+    # and 7 here (the latest-first reduction leaves t = 0, 3 and 6 free),
+    # to the last bit
+    rng = random.Random("unquoted")
+    qs = ladder_quote_set(rng, 8, rng.uniform(0.005, 0.08), unquoted=(3, 6))
+    want = (
+        (0.0, 1.3113431984246826e-16, 4.0098073276054515e-16, 310.00970856796977,
+         -8.061514643492314, -7.9881128120569755, -7.759529792622211,
+         -7.759529792622211),
+        (0.0, -3.563462550663101e-18, -1.089630713337413e-17, -9.478845640868503,
+         0.24648858027783654, 0.24424424853369028, 1.2108585598337704,
+         0.21085855983377036),
+        (0.0, -1.314338592496836e-16, -4.0189666027014107e-16, -349.6153659814826,
+         9.091422992747031, 9.008643623418505, 7.777254252223207,
+         8.777254252223207),
+    )
+    with pytest.raises(NonUniqueImpliedPricesError) as exc:
+        implied_curve(qs)
+    assert exc.value.free_directions == want
+    assert str(exc.value) == (
+        "implied prices are not unique; free directions over the grid: "
+        + "; ".join(str(v) for v in want))
+
+
 def test_implied_curve_rejects_arbitrage():
     qs = QuoteSet(grid=(0.0, 1.0), quotes=(
         _quote([(0.0, 0.95)], [(1.0, 1.0)]),
@@ -285,14 +311,17 @@ def lp_calls(monkeypatch):
     return calls
 
 
-def ladder_quote_set(rng, points, rate, off_curve=0):
+def ladder_quote_set(rng, points, rate, off_curve=0, unquoted=()):
     """A coupon-bond ladder priced on the flat curve (1+rate)^-t, grid
-    0..points-1; ``off_curve`` = +1 or -1 adds a zero-coupon quote 2% to 8%
-    off the curve in that direction."""
+    0..points-1, with no bond maturing at the times ``unquoted``;
+    ``off_curve`` = +1 or -1 adds a zero-coupon quote 2% to 8% off the
+    curve in that direction."""
     grid = tuple(float(t) for t in range(points))
     quotes = []
     for k in range(1, points):
         c = rng.uniform(0.0, 0.08)
+        if k in unquoted:
+            continue
         right = [(float(j), c) for j in range(1, k)] + [(float(k), 1.0 + c)]
         value = sum(a * (1.0 + rate) ** -t for t, a in right)
         quotes.append(_quote([(0.0, value)], right))
@@ -321,6 +350,55 @@ def test_long_ladders(points, off_curve, lp_calls):
             want = (1.0 + rate) ** -t
             assert abs(p - want) <= 1e-12 * want
     replay(qs, verdict)
+
+
+def test_lazy_echelon_matches_the_eager_one():
+    cases = [
+        ([[0, 2, 1], [3, 1, 0], [0, 0, 5]], 3),  # a row swap at the first pivot
+        ([[0, 4, 1], [0, 2, 3]], 3),  # a zero column
+        ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3),  # rank-deficient
+        ([[2, 0, 1], [0, 3, 1], [1, 1, 0]], 2),  # D^T with its right-hand side carried
+    ]
+    # sparse seeded integer matrices, some rank-deficient (a row that is a
+    # combination of two others), some with width short of the columns
+    rng = random.Random(404)
+    for _ in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, 0, rng.randint(-9, 9), rng.randint(-2**70, 2**70)))
+                 for _ in range(n)] for _ in range(m)]
+        if m >= 3 and rng.random() < 0.3:
+            rows[rng.randrange(m)] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y
+                                      for x, y in zip(rows[0], rows[1])]
+        cases.append((rows, n - 1 if n > 1 and rng.random() < 0.3 else n))
+    for rows, width in cases:
+        assert _echelon(rows, width) == eager_echelon(rows, width)
+
+
+def test_integer_rows_match_the_fraction_path():
+    # each integer row over its scale is D's row, and the scale is the least
+    # common denominator of that row (1 when it is 0)
+    cases = [
+        # 0.75 right against 0.25 left at t=1 leaves 1/2 there: scale 2, not 4
+        _quote([(1.0, 0.25)], [(1.0, 0.75)]),
+        _quote([(0.0, 0.3), (2.0, 1.5)], [(0.0, 0.3), (2.0, 1.5)]),
+        Quote(CashFlow(), CashFlow()),
+        _quote([(0.0, 1e-300)], [(1.0, 1e300), (2.0, 0.1)]),
+        _quote([(1.0, -0.0)], [(0.0, -0.0), (2.0, 3.0)]),
+    ]
+    rng = random.Random(505)
+    quote_sets = [QuoteSet(grid=(0.0, 1.0, 2.0), quotes=tuple(cases))]
+    quote_sets += [random_float_quote_set(rng) for _ in range(200)]
+    for qs in quote_sets:
+        red = reduce_quotes(qs)
+        for row, scale, want in zip(red.rows, red.scales, qs.difference_matrix(),
+                                    strict=True):
+            assert [Fraction(a, scale) for a in row] == want
+            assert scale == math.lcm(*(v.denominator for v in want))
+    red = reduce_quotes(quote_sets[0])
+    assert red.scales[:3] == (2, 1, 1)
+    assert red.rows[0] == (0, 1, 0) and red.rows[1] == red.rows[2] == (0, 0, 0)
+    assert red.scales[3:] == (Fraction(1e-300).denominator, 1)
+    assert red.rows[4] == (0, 0, 3)
 
 
 def test_branch_no_null_space():

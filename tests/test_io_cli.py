@@ -303,6 +303,23 @@ def test_cli_arbitrage_check(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_cli_malformed_numbers_exit_2(tmp_path, capsys):
+    # a 401-digit integer overflows float(); a 5,000-digit one is past
+    # Python's digit limit for int conversion while the JSON is parsed
+    quotes = tmp_path / "quotes.json"
+    template = ('{"grid": [0, 1], "quotes": [{"left": {"atoms": [{"t": 1, "amount": 1}]},'
+                ' "right": {"atoms": [{"t": 0, "amount": %s}]}}]}')
+    quotes.write_text(template % ("1" + "0" * 400))
+    code, out, err = run(capsys, "arbitrage-check", "--quotes", str(quotes))
+    assert (code, out) == (2, "")
+    assert err == ("error: quotes.quotes[0].right.atoms[0].amount: "
+                   "integer too large for a float\n")
+    quotes.write_text(template % ("1" + "0" * 4999))
+    code, out, err = run(capsys, "arbitrage-check", "--quotes", str(quotes))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {quotes}: invalid JSON: ")
+
+
 def test_cli_curve_eval(tmp_path, capsys):
     curve = _write(tmp_path, "curve.json", FLAT5)
     code, out, _ = run(capsys, "curve-eval", "--curve", curve, "--to", "2.5",
