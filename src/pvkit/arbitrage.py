@@ -45,12 +45,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .curves import DEFAULT_HORIZON, SpotGridCurve
 from .errors import DomainError
 from .measures import Atom, CashFlow
 from .simplex import solve_lp
+
+if TYPE_CHECKING:
+    from .curves import SpotGridCurve
 
 _ZERO = Fraction(0)
 
@@ -427,6 +429,9 @@ def implied_curve(quote_set: QuoteSet) -> SpotGridCurve:
                 free.append([float(a) for a in adj])
         if free:
             raise NonUniqueImpliedPricesError(free)
+    # curves (and numpy) load here, so that check alone stays numpy-free
+    from .curves import DEFAULT_HORIZON, SpotGridCurve
+
     knots = tuple(zip(quote_set.grid, verdict.implied))
     horizon = max(DEFAULT_HORIZON, quote_set.grid[-1])
     return SpotGridCurve(knots, horizon=horizon)

@@ -19,15 +19,18 @@ import json
 import math
 import sys
 
-import numpy as np
-
+# Handlers that need the numeric layer (pricing, fx, dual functionals and
+# numpy under them) import it when they run, so that decompose and
+# arbitrage-check start without numpy.
 from . import io as fio
 from .arbitrage import Arbitrage, check
-from .dual_functional import PRESETS, dual_price
 from .errors import DomainError, SchemaError
-from .fx import convert_measure_with_bound, price_dual
 from .measures import jordan, lebesgue, total_mass
-from .pricing import forward_price, irr, price
+
+# the keys of dual_functional.PRESETS, sorted: --preset's choices
+PRESET_NAMES = ("double-density",)
+# curve-eval refuses a table longer than this before building any row
+MAX_CURVE_ROWS = 100_000
 
 
 def fmt(x: float, precision: int) -> str:
@@ -45,8 +48,20 @@ def _price_text(res, p: int) -> str:
     return f"{fmt(res.value, p)} [{fmt(res.lower, p)}, {fmt(res.upper, p)}]"
 
 
+def _precision(text: str) -> int:
+    """``--precision``: a nonnegative int.  Text that is no int is refused
+    with the message argparse gives for ``type=int``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _common(sub, *, tol=True):
-    sub.add_argument("--precision", type=int, default=6,
+    sub.add_argument("--precision", type=_precision, default=6,
                      help="decimal places in text output (default 6)")
     sub.add_argument("--format", choices=("text", "structured"), default="text")
     sub.add_argument("--out", help="write output to this file instead of stdout")
@@ -112,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="price under a positive linear rule that is not a curve integral",
     )
     s.add_argument("--dual", help="dual functional file {f, g, g_unit_check}")
-    s.add_argument("--preset", choices=sorted(PRESETS),
+    s.add_argument("--preset", choices=PRESET_NAMES,
                    help="built-in functional; needs --curve for f")
     s.add_argument("--curve", help="curve file for --preset")
     s.add_argument("--cashflow", required=True)
@@ -121,6 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_price(args) -> tuple[str, object]:
+    from .pricing import price
+
     curve = fio.parse_curve(fio.read_json(args.curve))
     flow = fio.parse_cashflow(fio.read_json(args.cashflow))
     res = price(curve, flow, args.tol)
@@ -128,6 +145,8 @@ def _run_price(args) -> tuple[str, object]:
 
 
 def _run_forward_price(args):
+    from .pricing import forward_price
+
     curve = fio.parse_curve(fio.read_json(args.curve))
     flow = fio.parse_cashflow(fio.read_json(args.cashflow))
     res = forward_price(curve, flow, args.t, args.tol)
@@ -135,6 +154,8 @@ def _run_forward_price(args):
 
 
 def _run_irr(args):
+    from .pricing import irr
+
     flow = fio.parse_cashflow(fio.read_json(args.cashflow))
     res = irr(flow, args.target, args.purchase_time,
               **({} if args.tol is None else {"tol": args.tol}))
@@ -178,6 +199,8 @@ def _run_decompose(args):
 
 
 def _run_fx_price(args):
+    from .fx import price_dual
+
     market = fio.parse_market(fio.read_json(args.market))
     flow = fio.parse_dual_cashflow(fio.read_json(args.dual))
     res = price_dual(market, flow, args.currency, args.tol)
@@ -185,6 +208,8 @@ def _run_fx_price(args):
 
 
 def _run_fx_convert(args):
+    from .fx import convert_measure_with_bound
+
     market = fio.parse_market(fio.read_json(args.market))
     flow = fio.parse_cashflow(fio.read_json(args.cashflow))
     converted, _ = convert_measure_with_bound(market, flow)
@@ -221,7 +246,32 @@ def _run_arbitrage_check(args):
     return "\n".join(lines), payload
 
 
+def _tabulation_times(to: float, step: float) -> list[float]:
+    """``k * step`` for every k with ``k * step <= to`` (within 1e-12
+    relative), clipped to ``to``, then ``to`` itself if it is not the last.
+
+    The count comes first: more than :data:`MAX_CURVE_ROWS` times are
+    refused before any is built.
+    """
+    end = to * (1.0 + 1e-12)
+    count = MAX_CURVE_ROWS + 1
+    if end / step < MAX_CURVE_ROWS:
+        # k * step rises with k; the quotient can be one off at the edge
+        count = int(end / step) + 1
+        while count * step <= end:
+            count += 1
+        while (count - 1) * step > end:
+            count -= 1
+    last = min((count - 1) * step, to)
+    if count + (last < to) > MAX_CURVE_ROWS:
+        raise DomainError(f"--to {to} at --step {step} needs more than "
+                          f"{MAX_CURVE_ROWS} rows, the curve-eval limit")
+    return [min(k * step, to) for k in range(count)] + ([to] if last < to else [])
+
+
 def _run_curve_eval(args):
+    import numpy as np
+
     curve = fio.parse_curve(fio.read_json(args.curve))
     if not (math.isfinite(args.to) and math.isfinite(args.step)):
         raise DomainError("--to and --step must be finite")
@@ -229,16 +279,9 @@ def _run_curve_eval(args):
         raise DomainError("--step must be positive")
     if args.to < 0.0:
         raise DomainError("--to must be >= 0")
-    times = []
-    k = 0
-    while True:
-        t = k * args.step
-        if t > args.to * (1.0 + 1e-12):
-            break
-        times.append(min(t, args.to))
-        k += 1
-    if times[-1] < args.to:
-        times.append(args.to)
+    if args.to > curve.horizon:
+        raise DomainError(f"--to {args.to} is beyond the curve horizon {curve.horizon}")
+    times = _tabulation_times(args.to, args.step)
     discs = curve.discount_many(np.array(times)).tolist()
     p = args.precision
     lines = ["t,P,y,f"]
@@ -256,6 +299,9 @@ def _run_curve_eval(args):
 
 
 def _run_counterexample(args):
+    from .dual_functional import PRESETS, dual_price
+    from .pricing import price
+
     if args.dual and (args.preset or args.curve):
         raise SchemaError("give either --dual or --preset with --curve, not both")
     if args.dual:

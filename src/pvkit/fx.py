@@ -161,6 +161,47 @@ def _tables():
     )
 
 
+@functools.cache
+def _newton_tables(n: int):
+    """The ``n`` Chebyshev nodes as a column, and the index pairs ``(i, i - j)``
+    of every divided-difference denominator, ``j = 1 .. n-1`` in turn."""
+    pairs = [(i, i - j) for j in range(1, n) for i in range(j, n)]
+    return (np.array(poly.chebyshev_nodes(n))[:, None],
+            np.array([i for i, _ in pairs], dtype=int), np.array([i for _, i in pairs], dtype=int))
+
+
+def interpolate_chebyshev(values, half):
+    """Interpolants through each row of ``values`` at Chebyshev nodes.
+
+    ``values`` is a (k, n) array and ``half`` a length-k array of half
+    widths; row i holds values at ``u = half[i] * poly.chebyshev_nodes(n)``.
+    Row i of the result holds the monomial coefficients, constant first, of
+    the degree n - 1 interpolant of row i in the local coordinate u (an
+    interval's midpoint is u = 0).  Newton divided differences, then
+    the nested Newton form expanded to monomials, each step one array
+    operation over all rows.  Local coordinates keep the coefficients
+    well-scaled on off-origin intervals.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.shape[1]
+    nodes, hi, lo = _newton_tables(n)
+    us = nodes * np.asarray(half, dtype=float)  # row i: node i of every interpolant
+    den = us[hi] - us[lo]
+    # rows 0 .. n-1 of buf: the divided differences, computed in place
+    buf = np.zeros((2 * n - 1, len(values)))
+    buf[:n] = values.T
+    at = 0
+    for j in range(1, n):
+        np.divide(buf[j:n] - buf[j - 1:n - 1], den[at:at + n - j], out=buf[j:n])
+        at += n - j
+    # rows i+1 .. i+n hold the expansion of the Newton form's tail from
+    # divided difference i+1 on; multiplying it by (u - us_i) and adding
+    # divided difference i, in row i, leaves the expansion in rows i .. i+n-1
+    for i in range(n - 2, -1, -1):
+        np.subtract(buf[i:i + n], buf[i + 1:i + 1 + n] * us[i], out=buf[i:i + n])
+    return buf[:n].T
+
+
 def _shift(coeffs, m, waves):
     """Taylor-shift ``coeffs`` in place to ``u -> p(u + m)``.
 
@@ -182,7 +223,7 @@ def _fit_spans(fn, spans):
     ``fn`` is vectorised (an array of times to an array of values).  The fit
     runs in rounds over every pending segment of every span at once: one
     ``fn`` call for each segment's 9 Chebyshev nodes and 33 samples, Newton
-    interpolation (``poly.interpolate_chebyshev``), the Taylor shift of the
+    interpolation (:func:`interpolate_chebyshev`), the Taylor shift of the
     9 truncations of each local fit to global powers, and one Horner
     evaluation of every candidate at the samples.  Returns (pieces sorted
     by start, abs_error_integral_bound).
@@ -216,7 +257,7 @@ def _fit_spans(fn, spans):
         fs = fn(ts.ravel()).reshape(ts.shape)
         seg_rows = rows[span]
         vs = poly.evaluate(seg_rows.T[:, :, None], ts) * fs
-        local = poly.interpolate_chebyshev(vs[:, :_FIT_NODES], half)
+        local = interpolate_chebyshev(vs[:, :_FIT_NODES], half)
         ts, fs, vs = ts[:, _FIT_NODES:], fs[:, _FIT_NODES:], vs[:, _FIT_NODES:]
         # recentring at 0 amplifies the i-th local coefficient by mid**i,
         # which turns noise-level tail coefficients into cancellation the

@@ -3,7 +3,9 @@
 Parsers are strict: unknown keys, missing fields, non-finite numbers,
 negative times and empty-interval pieces are all rejected with a
 :class:`SchemaError` naming the offending path.  Writers emit the same
-shapes, so command outputs round-trip as inputs.
+shapes, so command outputs round-trip as inputs.  The curve, market and
+dual parsers import the numeric modules (and numpy with them) when they
+are called, so cash-flow and quote files parse without numpy.
 
 Formats (all JSON objects):
 
@@ -37,14 +39,16 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 from .arbitrage import Quote, QuoteSet
-from .curves import FlatCurve, ScaledCurve, SpotGridCurve, SvenssonCurve
-from .dual_functional import DualFunctional
 from .errors import DomainError, SchemaError
-from .fx import DualCashFlow, DualCurrencyMarket
 from .measures import Atom, CashFlow, DensityPiece
-from .quadrature import Bracket
+
+if TYPE_CHECKING:
+    from .dual_functional import DualFunctional
+    from .fx import DualCashFlow, DualCurrencyMarket
+    from .quadrature import Bracket
 
 
 def read_json(path: str):
@@ -135,6 +139,8 @@ _CURVE_FIELDS = {
 
 
 def parse_curve(value, path: str = "curve", allow_scaled: bool = False):
+    from .curves import FlatCurve, ScaledCurve, SpotGridCurve, SvenssonCurve
+
     obj = _obj(value, path)
     kind = _field(obj, "type", path)
     if kind not in _CURVE_FIELDS or (kind == "scaled" and not allow_scaled):
@@ -185,6 +191,8 @@ def parse_quotes(value, path: str = "quotes") -> QuoteSet:
 
 
 def parse_market(value, path: str = "market") -> DualCurrencyMarket:
+    from .fx import DualCurrencyMarket
+
     obj = _obj(value, path)
     _reject_unknown(obj, ("domestic_curve", "foreign_curve", "spot_fx"), path)
     dom = parse_curve(_field(obj, "domestic_curve", path), f"{path}.domestic_curve")
@@ -194,6 +202,8 @@ def parse_market(value, path: str = "market") -> DualCurrencyMarket:
 
 
 def parse_dual_cashflow(value, path: str = "dual-cashflow") -> DualCashFlow:
+    from .fx import DualCashFlow
+
     obj = _obj(value, path)
     _reject_unknown(obj, ("domestic", "foreign"), path)
     return DualCashFlow(
@@ -203,6 +213,8 @@ def parse_dual_cashflow(value, path: str = "dual-cashflow") -> DualCashFlow:
 
 
 def parse_dual_functional(value, path: str = "dual-functional") -> DualFunctional:
+    from .dual_functional import DualFunctional
+
     obj = _obj(value, path)
     _reject_unknown(obj, ("f", "g", "g_unit_check"), path)
     f = parse_curve(_field(obj, "f", path), f"{path}.f")

@@ -21,7 +21,6 @@ from typing import Iterable
 
 from . import poly
 from .errors import DomainError
-from .quadrature import sign_units
 
 CLOSURES = ("[]", "[)", "(]", "()")
 
@@ -207,7 +206,7 @@ class JordanDecomposition:
 
 
 def _units(a: CashFlow) -> list:
-    return sign_units([(p.start, p.end, p.coeffs) for p in a.pieces])
+    return poly.sign_units([(p.start, p.end, p.coeffs) for p in a.pieces])
 
 
 def _variation(atoms, units) -> float:

@@ -2,15 +2,14 @@
 
 A polynomial is a tuple ``(c0, c1, ..., cd)`` meaning ``c0 + c1*t + ... +
 cd*t**d``.  Stored densities cap the degree at :data:`MAX_DEGREE`; the
-helpers themselves work for any degree.
+helpers themselves work for any degree.  They use plain floats, integers
+and fractions, no numpy, so the measure algebra and the arbitrage checker
+built on them load none.
 """
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
-
-import numpy as np
 
 MAX_DEGREE = 8
 # Root isolation runs bisection down to this absolute width (or one ulp,
@@ -113,46 +112,6 @@ def taylor_shift(a, m: float) -> Coeffs:
 def chebyshev_nodes(n: int) -> Coeffs:
     """The ``n`` Chebyshev points ``cos(pi * (2k + 1) / (2n))`` on [-1, 1]."""
     return tuple(math.cos(math.pi * (2 * k + 1) / (2 * n)) for k in range(n))
-
-
-@functools.cache
-def _newton_tables(n: int):
-    """The ``n`` Chebyshev nodes as a column, and the index pairs ``(i, i - j)``
-    of every divided-difference denominator, ``j = 1 .. n-1`` in turn."""
-    pairs = [(i, i - j) for j in range(1, n) for i in range(j, n)]
-    return (np.array(chebyshev_nodes(n))[:, None],
-            np.array([i for i, _ in pairs], dtype=int), np.array([i for _, i in pairs], dtype=int))
-
-
-def interpolate_chebyshev(values, half):
-    """Interpolants through each row of ``values`` at ``u = half * chebyshev_nodes(n)``.
-
-    ``values`` is a (k, n) array and ``half`` a length-k array of half
-    widths; row i of the result holds the monomial coefficients, constant
-    first, of the degree n - 1 interpolant of row i in the local coordinate
-    u (an interval's midpoint is u = 0).  Newton divided differences, then
-    the nested Newton form expanded to monomials, each step one array
-    operation over all rows.  Local coordinates keep the coefficients
-    well-scaled on off-origin intervals.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.shape[1]
-    nodes, hi, lo = _newton_tables(n)
-    us = nodes * np.asarray(half, dtype=float)  # row i: node i of every interpolant
-    den = us[hi] - us[lo]
-    # rows 0 .. n-1 of buf: the divided differences, computed in place
-    buf = np.zeros((2 * n - 1, len(values)))
-    buf[:n] = values.T
-    at = 0
-    for j in range(1, n):
-        np.divide(buf[j:n] - buf[j - 1:n - 1], den[at:at + n - j], out=buf[j:n])
-        at += n - j
-    # rows i+1 .. i+n hold the expansion of the Newton form's tail from
-    # divided difference i+1 on; multiplying it by (u - us_i) and adding
-    # divided difference i, in row i, leaves the expansion in rows i .. i+n-1
-    for i in range(n - 2, -1, -1):
-        np.subtract(buf[i:i + n], buf[i + 1:i + 1 + n] * us[i], out=buf[i:i + n])
-    return buf[:n].T
 
 
 def _signer(coeffs):
@@ -286,3 +245,13 @@ def sign_spans(coeffs, lo: float, hi: float) -> tuple[tuple[float, float, int], 
     cuts = (lo,) + sign_changes(c, lo, hi) + (hi,)
     return tuple(span for span in zip(cuts, cuts[1:], _interval_signs(_signer(c), cuts))
                  if span[2])
+
+
+def sign_units(pieces) -> list:
+    """``(a, b, coeffs, sign)`` for each span of each piece ``(start, end,
+    coeffs)`` between its density's sign changes (:func:`sign_spans`), with
+    the piece's trimmed coefficients and the sign there, +1 or -1.  This is
+    the package's one sign split: quadrature integrates the units and the
+    Jordan decomposition reads them."""
+    return [(a, b, trim(coeffs), s) for start, end, coeffs in pieces
+            for a, b, s in sign_spans(coeffs, start, end)]

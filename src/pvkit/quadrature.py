@@ -13,7 +13,7 @@ interpolant of ``f``:
   ``m*rmin`` and ``m*rmax``.
 
 Signed densities are first cut at their sign changes into sign-definite
-units (:func:`sign_units`, the package's one sign split, which the Jordan
+units (``poly.sign_units``, the package's one sign split, which the Jordan
 decomposition also reads).  Subintervals are bisected worst-first, in
 rounds, until the total enclosure width drops below the requested
 tolerance.  For smooth ``f`` the residual shrinks spectrally, so
@@ -186,7 +186,7 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     coefficients of degree at most ``poly.MAX_DEGREE``.  The result's
     ``atom_part`` is 0 and its ``density_part`` is the estimate.
 
-    This is :func:`enclose` on the pieces' units (:func:`sign_units`) laid
+    This is :func:`enclose` on the pieces' units (``poly.sign_units``) laid
     out by :func:`prepare`, with no atoms.
 
     Every interval (item) gets a degree-6 model of ``fn`` through 7
@@ -221,15 +221,7 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    return enclose(fn, prepare(sign_units(pieces), breakpoints), tol)[0]
-
-
-def sign_units(pieces) -> list:
-    """``(a, b, coeffs, sign)`` for each span of each piece ``(start, end,
-    coeffs)`` between its density's sign changes (``poly.sign_spans``),
-    with the piece's trimmed coefficients and the sign there, +1 or -1."""
-    return [(a, b, poly.trim(coeffs), s) for start, end, coeffs in pieces
-            for a, b, s in poly.sign_spans(coeffs, start, end)]
+    return enclose(fn, prepare(poly.sign_units(pieces), breakpoints), tol)[0]
 
 
 def prepare(units, breakpoints=(), atoms=(), origin: float = 0.0) -> tuple:

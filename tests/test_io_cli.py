@@ -4,8 +4,10 @@ import json
 import pytest
 
 from pvkit import FlatCurve, SchemaError, density, dirac, forward_price, spot_rate, total_mass
+from pvkit import PRESETS, DomainError
 from pvkit import io as fio
 from pvkit.cli import fmt, main
+from pvkit.cli import MAX_CURVE_ROWS, PRESET_NAMES, _tabulation_times
 
 FLAT5 = {"type": "flat", "i": 0.05}
 ANNUITY = {
@@ -423,3 +425,70 @@ def test_cli_counterexample(tmp_path, capsys):
     assert run(capsys, "counterexample", "--cashflow", flow)[0] == 2
     assert run(capsys, "counterexample", "--preset", "double-density",
                "--cashflow", flow)[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("price", "--curve", "c.json", "--cashflow", "f.json"),
+    ("forward-price", "--curve", "c.json", "--cashflow", "f.json", "--t", "1"),
+    ("irr", "--cashflow", "f.json", "--target", "1"),
+    ("decompose", "--cashflow", "f.json"),
+    ("fx-price", "--market", "m.json", "--dual", "d.json"),
+    ("fx-convert", "--market", "m.json", "--cashflow", "f.json"),
+    ("arbitrage-check", "--quotes", "q.json"),
+    ("curve-eval", "--curve", "c.json", "--to", "1"),
+    ("counterexample", "--dual", "d.json", "--cashflow", "f.json"),
+])
+def test_cli_negative_precision_is_a_bad_flag(capsys, argv):
+    # refused by argparse (exit 2) before any file is read, where it used to
+    # reach the formatter and exit 1 with "Format specifier missing precision"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--precision", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --precision: must be >= 0, got -1\n")
+
+
+def test_cli_curve_eval_refuses_times_past_the_horizon(tmp_path, capsys):
+    # past the horizon a discount factor can underflow to 0 (a
+    # ZeroDivisionError in the rates) or overflow (inf rows, exit 0)
+    flat4 = _write(tmp_path, "flat4.json", {"type": "flat", "i": 0.04})
+    code, out, err = run(capsys, "curve-eval", "--curve", flat4, "--to", "100000",
+                         "--step", "50000")
+    assert (code, out) == (1, "")
+    assert err == "error: --to 100000.0 is beyond the curve horizon 100.0\n"
+    rising = _write(tmp_path, "rising.json", {"type": "flat", "i": -0.5})
+    code, out, err = run(capsys, "curve-eval", "--curve", rising, "--to", "2000",
+                         "--step", "1000")
+    assert (code, out) == (1, "")
+    assert err == "error: --to 2000.0 is beyond the curve horizon 100.0\n"
+    # the horizon itself is still tabulated
+    code, out, _ = run(capsys, "curve-eval", "--curve", rising, "--to", "100",
+                       "--step", "50", "--format", "structured")
+    assert code == 0
+    assert [r["P"] for r in json.loads(out)["rows"]] == [1.0, 2.0 ** 50, 2.0 ** 100]
+
+
+def test_cli_curve_eval_refuses_too_many_rows(tmp_path, capsys):
+    curve = _write(tmp_path, "curve.json", FLAT5)
+    for step in ("1e-9", "5e-324"):
+        code, out, err = run(capsys, "curve-eval", "--curve", curve, "--to", "100",
+                             "--step", step)
+        assert (code, out) == (1, "")
+        assert err == (f"error: --to 100.0 at --step {float(step)} needs more than "
+                       "100000 rows, the curve-eval limit\n")
+
+
+def test_curve_eval_row_limit_is_exact():
+    # k = 0 .. 99999 is 100,000 rows; one more step, or a last row at `to`
+    # itself, passes the limit
+    assert MAX_CURVE_ROWS == 100_000
+    assert len(_tabulation_times(99999.0, 1.0)) == MAX_CURVE_ROWS
+    assert _tabulation_times(2.5, 1.0) == [0.0, 1.0, 2.0, 2.5]
+    for to in (100000.0, 99999.5):
+        with pytest.raises(DomainError, match="needs more than 100000 rows"):
+            _tabulation_times(to, 1.0)
+
+
+def test_preset_choices_are_the_presets():
+    # --preset's choices are listed in cli so that parsing loads no numerics
+    assert PRESET_NAMES == tuple(sorted(PRESETS))

@@ -75,38 +75,3 @@ def test_sign_changes_skips_touch_roots():
 def test_sign_changes_boundary_root_not_interior():
     # root exactly at the left endpoint does not split the interior
     assert poly.sign_changes((0.0, 1.0), 0.0, 1.0) == ()
-
-
-def test_chebyshev_interpolation_reproduces_low_degree():
-    c = (0.3, -1.2, 0.8, 0.05, -0.4, 0.02, 0.6)  # degree 6 exactly fits 7 nodes
-    fn = lambda x: poly.evaluate(c, x)
-    values = [fn(0.5 + 2.0 * x) for x in poly.chebyshev_nodes(7)]
-    (model,) = poly.interpolate_chebyshev(np.array([values]), np.array([2.0]))
-    for x in np.linspace(-1.5, 2.5, 13):
-        assert poly.evaluate(model, x - 0.5) == pytest.approx(fn(x), rel=1e-9,
-                                                              abs=1e-9)
-
-
-def _newton_reference(values, half):
-    """Scalar Newton divided differences, expanded to local monomials."""
-    n = len(values)
-    us = [half * x for x in poly.chebyshev_nodes(n)]
-    c = [float(v) for v in values]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (us[i] - us[i - j])
-    out = [c[n - 1]] + [0.0] * (n - 1)
-    for i in range(n - 2, -1, -1):  # out * (u - us[i]) + c[i]
-        out = [c[i] - out[0] * us[i]] + [out[k - 1] - out[k] * us[i] for k in range(1, n)]
-    return out
-
-
-def test_chebyshev_interpolation_rows_match_scalar_newton():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 9):
-        values = rng.normal(size=(6, n)) * 10.0 ** rng.integers(-8, 8, size=(6, 1))
-        half = rng.uniform(1e-3, 15.0, size=6)
-        rows = poly.interpolate_chebyshev(values, half)
-        assert rows.shape == (6, n)
-        for row, v, h in zip(rows, values, half):
-            assert row.tolist() == _newton_reference(v.tolist(), float(h))
