@@ -10,9 +10,12 @@ with ``convert_measure_with_bound``, each on its own two-currency market
   monomials, where the fitter's roundoff floor binds.
 
 For each set it prints how many cases raise DomainError (and which), the
-total number of fitted pieces, the summed error bound, and a SHA-256 of
-the ``repr`` of every converted flow, in case order: two revisions whose
-digests agree converted every case bit for bit.
+total number of fitted pieces, the fit rounds (calls of
+``fx.interpolate_chebyshev``, which the fitter makes once per round, refused
+cases included) and their mean per case, the summed error bound, and a
+SHA-256 of the ``repr`` of every converted flow, in case order: two
+revisions whose digests agree converted every case bit for bit.  All but
+the time repeat exactly.
 
 Run:  PYTHONPATH=src python scripts/fx_sweep.py
 """
@@ -22,7 +25,7 @@ import time
 
 import numpy as np
 
-from pvkit import DomainError, DualCurrencyMarket, convert_measure_with_bound, density
+from pvkit import DomainError, DualCurrencyMarket, convert_measure_with_bound, density, fx
 from pvkit.sampling import random_cashflow, random_curve
 
 HORIZON = 60.0
@@ -56,22 +59,39 @@ def main():
                    for _ in range(RANDOM_CASES)],
         "late": [(_market(rng), _late_density(rng)) for _ in range(LATE_CASES)],
     }
-    for name, cases in sets.items():
-        start = time.perf_counter()
-        refused, segments, bounds = [], 0, []
-        digest = hashlib.sha256()
-        for i, (market, flow) in enumerate(cases):
-            try:
-                converted, bound = convert_measure_with_bound(market, flow)
-            except DomainError:
-                refused.append(i)
-                continue
-            segments += len(converted.pieces)
-            bounds.append(bound)
-            digest.update(repr(converted).encode())
-        print(f"{name}: {len(refused)} of {len(cases)} refused, {segments} segments, "
-              f"error bound sum {math.fsum(bounds):.6g}, {time.perf_counter() - start:.2f} s; "
-              f"refused {refused}; sha256 {digest.hexdigest()}")
+    counts = {"rounds": 0}
+    interpolate = fx.interpolate_chebyshev
+
+    def counted_interpolate(values, half):
+        counts["rounds"] += 1
+        return interpolate(values, half)
+
+    fx.interpolate_chebyshev = counted_interpolate
+    try:
+        for name, cases in sets.items():
+            report(name, cases, counts)
+    finally:
+        fx.interpolate_chebyshev = interpolate
+
+
+def report(name, cases, counts):
+    counts["rounds"] = 0
+    start = time.perf_counter()
+    refused, segments, bounds = [], 0, []
+    digest = hashlib.sha256()
+    for i, (market, flow) in enumerate(cases):
+        try:
+            converted, bound = convert_measure_with_bound(market, flow)
+        except DomainError:
+            refused.append(i)
+            continue
+        segments += len(converted.pieces)
+        bounds.append(bound)
+        digest.update(repr(converted).encode())
+    print(f"{name}: {len(refused)} of {len(cases)} refused, {segments} segments, "
+          f"{counts['rounds']} fit rounds ({counts['rounds'] / len(cases):.2f} per case), "
+          f"error bound sum {math.fsum(bounds):.6g}, {time.perf_counter() - start:.2f} s; "
+          f"refused {refused}; sha256 {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

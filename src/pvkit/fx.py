@@ -20,10 +20,11 @@ which leaves the polynomial representation, so each piece is replaced
 by a Chebyshev fit of the product with a certified relative sup-norm
 error of at most :data:`FIT_REL_TOL` (floored at the
 coefficient-evaluation roundoff of the stored representation),
-bisecting pieces as needed.  Each piece is first cut at the curves'
+splitting pieces as needed.  Each piece is first cut at the curves'
 knots; every such span of one conversion is fitted in the same rounds,
 where one round fits all pending segments as arrays (one ``fx``
-evaluation for all of their points) and bisects those that fail.
+evaluation for all of their points) and cuts each one that fails as many
+levels deep as the decay of its error predicts (see :func:`_fit_spans`).
 """
 from __future__ import annotations
 
@@ -38,11 +39,12 @@ from .curves import _at, check_positive
 from .errors import DomainError
 from .measures import Atom, CashFlow, DensityPiece, _units, _variation
 from .pricing import TOLERANCE_SCALE, _price, check_support
-from .quadrature import Bracket
+from .quadrature import _MAX_DEPTH, Bracket, _depth, _split
 
 FIT_REL_TOL = 1e-10
 FIT_MAX_SEGMENTS = 1024  # per span of a density piece between curve knots
 _FIT_NODES = 9  # degree-8 fit
+_FIT_DECAY = 9.0  # bits per level a degree-8 fit's error is assumed to lose
 _FIT_SAMPLES = 33
 _EPS = 2.0 ** -52
 CURRENCIES = ("domestic", "foreign")
@@ -217,7 +219,7 @@ def _shift(coeffs, m, waves):
 
 
 def _fit_spans(fn, spans):
-    """Certified degree-8 fits of fn*density on every span, bisecting as needed.
+    """Certified degree-8 fits of fn*density on every span, splitting as needed.
 
     ``spans`` lists ``(start, end, coeffs)`` with ``0 <= start < end``;
     ``fn`` is vectorised (an array of times to an array of values).  The fit
@@ -228,14 +230,24 @@ def _fit_spans(fn, spans):
     evaluation of every candidate at the samples.  Returns (pieces sorted
     by start, abs_error_integral_bound).
 
+    A segment that fails is cut by repeated midpoint halving, each segment
+    to its own depth: ``ceil(log2(excess) / decay)`` levels, at most 3,
+    where the excess is its sampled error over its acceptance threshold
+    and the decay is the bits of error a level removes, 9 in a span's first
+    split (the error of a degree-8 fit goes as the length to the 9th power)
+    and then what the segment's own split measured from its parent's error.
+    Below a decay of 5.5 bits a level a segment is bisected once
+    (``quadrature._depth``).
+
     The certificate samples the stored global-monomial polynomial, so
     representation roundoff is part of the measured error, never hidden by
     it.  Far from the origin the monomial basis cancels heavily, so the
     acceptance threshold is FIT_REL_TOL relative to the sampled product,
     floored at the roundoff of evaluating the stored and input coefficients
     there -- below that floor no stored polynomial could certify, and
-    bisection cannot help.  Raises DomainError naming the span when one
-    span would need more than FIT_MAX_SEGMENTS segments.
+    splitting cannot help.  Raises DomainError naming the span when
+    bisecting would leave one span with more than FIT_MAX_SEGMENTS
+    segments; deeper cuts are clipped to what a span's budget leaves.
     """
     cheb, steps, trunc, waves = _tables()
     size = max(len(c) for _, _, c in spans)
@@ -246,6 +258,8 @@ def _fit_spans(fn, spans):
     a = np.array([x for x, _, _ in spans], dtype=float)
     b = np.array([x for _, x, _ in spans], dtype=float)
     span = np.arange(len(spans))
+    decay = np.full(len(spans), _FIT_DECAY)  # bits per level, measured after the first split
+    parent_worst = None  # then each segment's parent's sampled error and its depth
     rounds = []
     leaves = len(spans)
     while True:
@@ -268,6 +282,9 @@ def _fit_spans(fn, spans):
         errors = np.abs(vs[:, None, :] - poly.evaluate(cands[..., None], ts[:, None, :])).max(axis=2)
         best = errors.argmin(axis=1)
         worst = errors.min(axis=1)
+        if parent_worst is not None:
+            with np.errstate(divide="ignore"):
+                decay = np.log2(parent_worst / worst) / depth
         # the sampled values themselves carry the roundoff of evaluating the
         # input coefficients; only that (never the candidate's own, which a
         # bad fit could inflate) may relax the acceptance threshold.  As
@@ -275,7 +292,8 @@ def _fit_spans(fn, spans):
         in_cond = np.cumsum(np.abs(seg_rows) * b[:, None] ** powers, axis=1)[:, -1]
         floor = 64.0 * _EPS * np.abs(fs).max(axis=1) * in_cond
         scale = np.abs(vs).max(axis=1)
-        accept = worst <= np.maximum(FIT_REL_TOL * np.maximum(scale, 1e-300), floor)
+        threshold = np.maximum(FIT_REL_TOL * np.maximum(scale, 1e-300), floor)
+        accept = worst <= threshold
         if not accept.all():
             accept |= ~((a < mid) & (mid < b))  # too narrow to split
         rounds.append((accept, a, b, worst * width, cands[:, np.arange(len(a)), best].T, span))
@@ -283,18 +301,25 @@ def _fit_spans(fn, spans):
         n_split = int(split.sum())
         if not n_split:
             break
-        leaves += n_split
-        a, mid, b, span = a[split], mid[split], b[split], span[split]
-        if leaves > FIT_MAX_SEGMENTS:
-            # some span may be over budget: count its accepted segments and
-            # two for each of its segments split now
-            kept = [sp[acc] for acc, *_, sp in rounds]
-            over = np.flatnonzero(np.bincount(np.concatenate(kept + [span, span]))
-                                  > FIT_MAX_SEGMENTS)
+        a, b, span, decay, worst = a[split], b[split], span[split], decay[split], worst[split]
+        cap = np.full(n_split, _MAX_DEPTH)
+        if leaves + (2 ** _MAX_DEPTH - 1) * n_split > FIT_MAX_SEGMENTS:
+            # some span may be over budget: count its accepted segments; two
+            # for each of its segments split now must fit, and the depth is
+            # clipped to what is left
+            kept = np.bincount(np.concatenate([sp[acc] for acc, *_, sp in rounds]),
+                               minlength=len(spans))
+            pending = np.bincount(span, minlength=len(spans))
+            over = np.flatnonzero(kept + 2 * pending > FIT_MAX_SEGMENTS)
             if len(over):
                 start, end, _ = spans[over[0]]
                 raise DomainError(f"FX conversion fit budget exceeded on [{start}, {end})")
-        a, b, span = np.concatenate((a, mid)), np.concatenate((mid, b)), np.concatenate((span, span))
+            cap = np.log2((FIT_MAX_SEGMENTS - kept[span]) // pending[span]).astype(int)
+        depth = np.array([_depth(*x) for x in zip((worst / threshold[split]).tolist(),
+                                                  decay.tolist(), cap.tolist())])
+        a, b, parent = _split(a, b, depth)
+        leaves += len(a) - n_split
+        span, parent_worst, depth = span[parent], worst[parent], depth[parent]
     accept, a, b, errs, coeffs, _ = (np.concatenate(x) for x in zip(*rounds))
     a, b, errs, coeffs = a[accept], b[accept], errs[accept], coeffs[accept]
     pieces = [DensityPiece(a[i], b[i], poly.trim(coeffs[i].tolist()))

@@ -14,12 +14,13 @@ interpolant of ``f``:
 
 Signed densities are first cut at their sign changes into sign-definite
 units (``poly.sign_units``, the package's one sign split, which the Jordan
-decomposition also reads).  Subintervals are bisected worst-first, in
+decomposition also reads).  Subintervals are refined worst-first, in
 rounds, until the total enclosure width drops below the requested
-tolerance.  For smooth ``f`` the residual shrinks spectrally, so
-tolerances near 1e-12 cost only a handful of rounds; supplying the
-integrand's kink points as ``breakpoints`` keeps each work item inside a
-smooth span.
+tolerance.  For smooth ``f`` the residual shrinks spectrally, so a round
+cuts its subintervals as many levels deep (up to 3) as the observed decay
+of the widths predicts the tolerance needs, and tolerances near 1e-12
+cost only a few rounds; supplying the integrand's kink points as
+``breakpoints`` keeps each work item inside a smooth span.
 
 The split, the layout (:func:`prepare`) and the refinement (:func:`enclose`)
 are separate steps: integrating against a sequence of integrands splits
@@ -62,6 +63,15 @@ _GL8 = (
 _MODEL_NODES = 7  # Chebyshev nodes -> degree-6 interpolant of f
 _RESIDUAL_SAMPLES = 33
 _MAX_INTERVALS = 20000
+# Refinement depth (see _depth).  An item's width goes as its length to
+# the 8th power, so a level of halving takes 7 bits off the total width;
+# the first split assumes that, later ones use the decay they measured.
+# Below _GATE_BITS a level, as near the integrand's noise floor, deeper
+# cuts only add items, and a split bisects once.  No cut goes deeper than
+# _MAX_DEPTH levels.
+_WIDTH_DECAY = 7.0
+_GATE_BITS = 5.5
+_MAX_DEPTH = 3
 
 # Positions on [-1, 1] (an item [a, b] maps them to mid + half * x) of the
 # 47 points where an item evaluates f: the model nodes, the residual
@@ -176,6 +186,45 @@ def _evaluate_items(fn, a, b, coeffs):
     return out
 
 
+def _depth(excess, decay, cap) -> int:
+    """Levels of halving that a split goes down at once.
+
+    For an error ``excess`` times what it may be, which loses ``decay``
+    bits per level of halving: ``ceil(log2(excess) / decay)``, at least 1
+    and at most ``cap`` and ``_MAX_DEPTH``; 1 where ``decay`` is below
+    ``_GATE_BITS`` (nan included).
+    """
+    if not decay >= _GATE_BITS:
+        return 1
+    return max(1, min(cap, math.ceil(min(_MAX_DEPTH, math.log2(max(excess, 1.0)) / decay))))
+
+
+def _split(a, b, depth):
+    """Children of the items ``[a[i], b[i])``, item ``i`` cut ``depth[i]``
+    levels deep by repeated midpoint halving (the partition successive
+    bisections would give).
+
+    ``depth`` is an int array; an item that has a float midpoint but would
+    leave an empty child deeper down is bisected once, and its entry set to
+    1.  Returns the children's ends and the index of each child's item.
+    """
+    while True:
+        depths = sorted(set(depth.tolist()))
+        parts = []
+        for d in depths:
+            item = np.flatnonzero(depth == d) if len(depths) > 1 else np.arange(len(a))
+            lo, hi, up = a[item], b[item], item
+            for _ in range(d):
+                mid = 0.5 * (lo + hi)
+                lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+                up = np.concatenate((up, up))
+            parts.append((lo, hi, up))
+        ca, cb, parent = parts[0] if len(parts) == 1 else (np.concatenate(x) for x in zip(*parts))
+        if depths[-1] == 1 or (ca < cb).all():
+            return ca, cb, parent
+        depth[parent[ca >= cb]] = 1
+
+
 def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     """Enclose ``sum_i integral_{a_i}^{b_i} rho_i(t) fn(t) dt`` within tol.
 
@@ -195,8 +244,14 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     one ``fn`` call evaluates every point of a batch; fixed matrices map
     node values to the model's values at the samples.  The first batch is
     every item of the starting partition.  Each later round takes the
-    widest items until their widths cover ``total - tol`` and bisects them
-    all as one batch.
+    widest items until their widths cover ``total - tol`` and cuts them all,
+    as one batch, to one depth by repeated midpoint halving.  The depth is
+    ``ceil(log2(excess) / decay)``, at most 3, where the excess is the
+    picked items' width over what the other items leave of ``tol``, and
+    the decay is the bits of width a level of halving removes: 7 in the
+    first split (an item's width goes as its length to the 8th power), then
+    what the previous round measured.  Below a decay of 5.5 bits a level,
+    as near the noise floor of ``fn``, a round bisects once.
 
     The residual at a sample ``s`` is computed centred on the item's
     midpoint value, ``(f_s - f(mid)) - L (f_c - f(mid))``, where ``f_c``
@@ -208,9 +263,10 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     ``1e-15 * max|f|`` (about 4.5 ulp of ``f``) added to each pad.
 
     Raises DomainError when the tolerance cannot be met: when a round's
-    children are together no narrower than their parents (the widths have
-    reached the noise floor of ``fn``) or when the 20,000-interval budget
-    would be exceeded, both naming the tolerance and the width attained;
+    children are together no narrower than their parents (refinement has
+    stalled at the noise floor of ``fn``) or when bisecting would exceed
+    the 20,000-interval budget (a deeper cut is clipped to the budget
+    left), both naming the tolerance and the width attained;
     also when ``fn`` is not finite or a density's degree exceeds the cap.
 
     Certification is relative to sampled values: features of ``fn`` that
@@ -257,8 +313,9 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
     The atom part is a correctly rounded sum.  For the density part, item
     ``k`` of the partition spans ``[a[k], b[k])`` and carries the density
     of row ``unit[k]``; every item is evaluated as one batch, then the
-    widest items are bisected worst-first (see :func:`bracketed_integral`)
-    until the enclosure's width is at most ``tol``.  Returns the bracket
+    widest items are cut worst-first, each round to the depth the observed
+    decay predicts (see :func:`bracketed_integral`), until the enclosure's
+    width is at most ``tol``.  Returns the bracket
     and the final partition, every item that ended the refinement, in the
     same ``(a, b, unit)`` form.
     """
@@ -268,8 +325,9 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
     if not len(a):
         return Bracket(atom, atom, atom, 0.0), partition
     items = _evaluate_items(fn, a, b, rows[unit])
-    done, done_unit = [], []  # rows and units of items too narrow to bisect
+    done, done_unit = [], []  # rows and units of items too narrow to halve
     built = len(items)
+    decay = _WIDTH_DECAY
     while True:
         lower = math.fsum(items[:, 3].tolist() + [r[3] for r in done])
         upper = math.fsum(items[:, 4].tolist() + [r[4] for r in done])
@@ -280,7 +338,9 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
             raise DomainError(f"tolerance {tol:.3g} not achievable: attained width {total:.3g}")
         width = items[:, 4] - items[:, 3]
         order = np.argsort(-width, kind="stable")
-        pick = order[:int(np.searchsorted(np.cumsum(width[order]), total - tol)) + 1]
+        covered = np.cumsum(width[order])
+        last = int(np.searchsorted(covered, total - tol))
+        pick = order[:last + 1]
         a, b = items[pick, 0], items[pick, 1]
         mid = 0.5 * (a + b)
         if not ((a < mid) & (mid < b)).all():
@@ -293,14 +353,24 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
             raise DomainError(
                 f"tolerance {tol:.3g} not achievable within the {_MAX_INTERVALS}-interval "
                 f"budget: attained width {total:.3g}")
-        built += 2 * len(pick)
-        cu = np.concatenate((unit[pick], unit[pick]))
-        children = _evaluate_items(fn, np.concatenate((a, mid)), np.concatenate((mid, b)),
-                                   rows[cu])
-        if not (children[:, 4] - children[:, 3]).sum() < width[pick].sum():
+        # the picked items must narrow to what the others leave of tol, or
+        # to tol where roundoff has the others' widths add up to more
+        picked = float(covered[len(pick) - 1])
+        others = float(covered[-1]) - picked
+        unspent = tol - others if others < tol else tol
+        # the deepest cut whose children all fit in the budget
+        cap = ((_MAX_INTERVALS - built) // len(pick)).bit_length() - 1
+        depth = _depth(picked / unspent, decay, cap)
+        a, b, parent = _split(a, b, np.full(len(pick), depth))
+        built += len(a)
+        cu = unit[pick][parent]
+        children = _evaluate_items(fn, a, b, rows[cu])
+        narrowed = float((children[:, 4] - children[:, 3]).sum())
+        if not narrowed < picked:
             raise DomainError(
-                f"tolerance {tol:.3g} not achievable: bisection stalled at "
+                f"tolerance {tol:.3g} not achievable: refinement stalled at "
                 f"attained width {total:.3g}")
+        decay = math.log2(picked / narrowed) / depth if narrowed > 0.0 else math.inf
         keep = np.ones(len(items), dtype=bool)
         keep[pick] = False
         items = np.concatenate((items[keep], children))

@@ -19,6 +19,7 @@ from pvkit import (
     DualCurrencyMarket,
     FlatCurve,
     SpotGridCurve,
+    SvenssonCurve,
     convert_measure_with_bound,
     density,
     dirac,
@@ -27,8 +28,9 @@ from pvkit import (
     price_dual,
     total_variation,
 )
-from pvkit import poly
-from pvkit.fx import _shift, _tables, default_dual_tolerance, interpolate_chebyshev
+from pvkit import fx, poly
+from pvkit.fx import (FIT_REL_TOL, _shift, _tables, default_dual_tolerance,
+                      interpolate_chebyshev)
 from pvkit.sampling import random_cashflow, random_curve
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -226,6 +228,51 @@ def test_batched_spans_fit_independently():
     alone = [convert_measure_with_bound(kinked, p) for p in parts]
     assert len(converted.pieces) == 12  # the last span is bisected
     assert converted.pieces == tuple(q for c, _ in alone for q in c.pieces)
+    assert bound == pytest.approx(sum(e for _, e in alone), rel=1e-14)
+
+
+def test_segments_split_to_mixed_depths(monkeypatch):
+    # a Svensson pair from perfbench's book (seed 1, position 395): the
+    # 25-year density is cut three levels deep at once, then a few of its
+    # segments are bisected, while the 60-year tail beside it is cut two
+    # levels deep in the same first round; no span's fit may depend on the
+    # others
+    market = DualCurrencyMarket(
+        SvenssonCurve(0.037892423204183304, -0.010318914331532451, 0.010171535122184723,
+                      -0.018254624286838043, 0.6912388874528301, 7.412591154286311),
+        SvenssonCurve(0.045338739283340555, -0.010521262078878855, -0.003873644167332914,
+                      0.009736948507434805, 1.0953654320297157, 5.778498008965069),
+        1.4494129616673783,
+    )
+    parts = [density(0.21768759238167124, 25.750463573098777,
+                     (1.558649483556027, -0.0038663300011317855, 9.097295876350759e-05,
+                      -3.2303813526561504e-06)),
+             density(30.0, 90.0, (1.0, 0.05))]
+    depths = []
+    split = fx._split
+
+    def recorded(a, b, depth):
+        depths.append(depth.tolist())
+        return split(a, b, depth)
+
+    monkeypatch.setattr(fx, "_split", recorded)
+    converted, bound = convert_measure_with_bound(market, parts[0] + parts[1])
+    assert any(len(set(d)) > 1 for d in depths)  # one round, two depths
+    assert max(max(d) for d in depths) == 3 and len(depths) > 1
+    pieces = converted.pieces
+    for p in parts:
+        (piece,) = p.pieces
+        mine = [q for q in pieces if piece.start <= q.start < piece.end]
+        assert mine[0].start == piece.start and mine[-1].end == piece.end
+        assert all(x.end == y.start for x, y in zip(mine, mine[1:]))
+        for q in mine:
+            # the fitter's own samples: 33 evenly spaced points of the piece
+            ts = q.start + (q.end - q.start) * (np.arange(33) / 32)
+            exact = poly.evaluate(piece.coeffs, ts) * fx._fx_forward_many(market, ts)
+            error = np.abs(poly.evaluate(q.coeffs, ts) - exact).max()
+            assert error <= FIT_REL_TOL * np.abs(exact).max()
+    alone = [convert_measure_with_bound(market, p) for p in parts]
+    assert pieces == tuple(q for c, _ in alone for q in c.pieces)
     assert bound == pytest.approx(sum(e for _, e in alone), rel=1e-14)
 
 

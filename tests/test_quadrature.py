@@ -5,9 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from pvkit import DomainError, FlatCurve, density, price
+from pvkit import DomainError, FlatCurve, SvenssonCurve, density, price
 from pvkit import poly, quadrature
 from pvkit.quadrature import bracketed_integral
+from pvkit.sampling import random_cashflow, random_curve
 
 
 def _exp_decay(t):
@@ -117,12 +118,87 @@ def test_deterministic_brackets():
 
 def test_stalled_bisection_fails_fast():
     # the width of this price sticks near 5.5e-12, above the requested
-    # 1e-12: bisection stops at the first round that does not narrow it
+    # 1e-12: refinement stops at the first round that does not narrow it
     flow = density(14.62, 15.77, (1.2, -1.4, 1.3, 1.1))
     start = time.perf_counter()
     with pytest.raises(DomainError, match=r"tolerance 1e-12 .*attained width \d"):
         price(FlatCurve(0.05), flow, tol=1e-12)
     assert time.perf_counter() - start < 0.5
+
+
+def _count_batches(monkeypatch):
+    """Counts of ``_evaluate_items`` calls (batches) and the items they build."""
+    counts = {"batches": 0, "items": 0}
+    evaluate_items = quadrature._evaluate_items
+
+    def counted(fn, a, b, coeffs):
+        counts["batches"] += 1
+        counts["items"] += len(a)
+        return evaluate_items(fn, a, b, coeffs)
+
+    monkeypatch.setattr(quadrature, "_evaluate_items", counted)
+    return counts
+
+
+def _svensson_oracle(b0, b1, b2, b3, tau1, tau2):
+    """mpmath P(t) of a Svensson curve, from its parameters."""
+    import mpmath as mp
+    b0, b1, b2, b3, tau1, tau2 = (mp.mpf(v) for v in (b0, b1, b2, b3, tau1, tau2))
+
+    def h1(x):
+        return -mp.expm1(-x) / x
+
+    def p(t):
+        x1, x2 = t / tau1, t / tau2
+        y = b0 + b1 * h1(x1) + b2 * (h1(x1) - mp.exp(-x1)) + b3 * (h1(x2) - mp.exp(-x2))
+        return mp.exp(-t * y)
+    return p
+
+
+@pytest.mark.parametrize("family, batches", [("svensson", 3), ("flat", 2)])
+def test_refinement_depth_follows_the_observed_decay(monkeypatch, family, batches):
+    # a 30-year density at 1e-10: bisecting one level a round took 7 batches
+    # on the Svensson curve and 4 on the flat one; splitting to the depth
+    # the decay predicts takes at most 3 and 2
+    mp = pytest.importorskip("mpmath")
+    params = (0.03, -0.01, 0.02, 0.01, 2.0, 8.0)
+    if family == "svensson":
+        curve, oracle = SvenssonCurve(*params), _svensson_oracle(*params)
+    else:
+        curve, oracle = FlatCurve(0.03), (lambda t: (1 + mp.mpf(0.03)) ** (-t))
+    counts = _count_batches(monkeypatch)
+    br = price(curve, density(0.0, 30.0, (1.0, 0.1)), tol=1e-10)
+    assert counts["batches"] <= batches
+    assert br.upper - br.lower <= 1e-10
+    with mp.workdps(30):
+        exact = mp.quad(lambda t: (1 + mp.mpf(0.1) * t) * oracle(t), [0, 10, 20, 30])
+    assert br.lower <= exact <= br.upper
+
+
+# the cases of scripts/quadrature_sweep.py that tol 1e-12 refuses: each
+# stalls at its noise floor, and bisecting one level a round built 639
+# items on them in all
+_NOISE_FLOOR_CASES = (0, 1, 10, 17, 25, 26, 30, 31, 37, 43, 55, 58, 62, 73, 85, 86, 87, 91,
+                      100, 110, 113, 131, 135, 143, 144)
+
+
+def test_noise_floor_refusals_stay_stalls(monkeypatch):
+    # near the noise floor the measured decay falls below the gate and the
+    # loop bisects: every refusal is still the stall, not the budget, and
+    # the refusals build no more items in all than bisection alone did
+    counts = _count_batches(monkeypatch)
+    stalled = r"tolerance 1e-12 not achievable: refinement stalled at attained width \d"
+    with pytest.raises(DomainError, match=stalled):
+        price(FlatCurve(0.05), density(14.62, 15.77, (1.2, -1.4, 1.3, 1.1)), tol=1e-12)
+    assert counts["items"] <= 3
+    rng = np.random.default_rng(7)
+    cases = [(random_curve(rng, horizon=30.0), random_cashflow(rng, horizon=30.0))
+             for _ in range(150)]
+    counts["items"] = 0
+    for i in _NOISE_FLOOR_CASES:
+        with pytest.raises(DomainError, match=stalled):
+            price(*cases[i], tol=1e-12)
+    assert counts["items"] <= 639
 
 
 def test_node_to_sample_rows_sum_to_one():
@@ -149,6 +225,26 @@ def test_interval_too_narrow_to_bisect_is_kept_as_is():
     assert br.lower <= math.exp(3.0) - math.exp(2.0) + math.e * 2.0 ** -52 <= br.upper
     with pytest.raises(DomainError, match="attained width"):
         bracketed_integral(np.exp, (narrow,), tol=1e-40)
+
+
+def test_split_depth_gate_cap_and_tiling():
+    # ceil(log2(excess) / decay) levels, capped; one level below the gate
+    # or where a deeper cut of a few-ulp item would leave an empty child
+    depths = [quadrature._depth(excess, decay, cap) for excess, decay, cap in (
+        (2.0 ** 13, 7.0, 3), (2.0 ** 15, 7.0, 3), (1e30, 7.0, 3), (1e30, 5.0, 3),
+        (1e30, math.nan, 3), (1e30, 7.0, 2), (3.0, math.inf, 3))]
+    assert depths == [2, 3, 3, 1, 1, 2, 1]
+    few_ulps = math.nextafter(math.nextafter(math.nextafter(1.0, 2.0), 2.0), 2.0)
+    a = np.array([0.0, 2.0, 4.0, 1.0])
+    b = np.array([1.0, 3.0, 5.0, few_ulps])
+    depth = np.array([2, 3, 1, 3])
+    ca, cb, parent = quadrature._split(a, b, depth)
+    assert depth.tolist() == [2, 3, 1, 1]
+    for i in range(len(a)):
+        order = np.argsort(ca[parent == i])
+        lo, hi = ca[parent == i][order], cb[parent == i][order]
+        assert len(lo) == 2 ** depth[i] and (lo < hi).all()
+        assert lo[0] == a[i] and hi[-1] == b[i] and (lo[1:] == hi[:-1]).all()
 
 
 def test_refine_continues_from_a_final_partition():
