@@ -31,6 +31,9 @@ from .measures import jordan, lebesgue, total_mass
 PRESET_NAMES = ("double-density",)
 # curve-eval refuses a table longer than this before building any row
 MAX_CURVE_ROWS = 100_000
+# every double's exact decimal expansion ends by this place (2**-1074 is the
+# smallest), so fmt prints the same bytes for any larger precision
+_MAX_PRECISION = 1074
 
 
 def fmt(x: float, precision: int) -> str:
@@ -49,15 +52,15 @@ def _price_text(res, p: int) -> str:
 
 
 def _precision(text: str) -> int:
-    """``--precision``: a nonnegative int.  Text that is no int is refused
-    with the message argparse gives for ``type=int``."""
+    """``--precision``: a nonnegative int, clamped to 1074.  Text that is no
+    int is refused with the message argparse gives for ``type=int``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return min(value, _MAX_PRECISION)
 
 
 def _common(sub, *, tol=True):

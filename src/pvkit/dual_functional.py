@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .curves import ScaledCurve, check_positive
 from .errors import DomainError
-from .measures import CashFlow, _units, lebesgue
-from .pricing import _default_tolerance, _price, default_tolerance, price
+from .measures import CashFlow, lebesgue
+from .pricing import _price, default_tolerance, price
 from .quadrature import Bracket
 
 
@@ -67,15 +67,15 @@ def dual_price(functional: DualFunctional, flow: CashFlow,
 
     The atomic layer is an exact sum against the atom curve; the density
     layer is bracketed quadrature against the density weight: ``atom_part``
-    is the atomic layer, ``density_part`` the stream layer.  The flow is
-    split once; the default tolerance and the stream layer read that split.
+    is the atomic layer, ``density_part`` the stream layer.  The default
+    tolerance reads the split the flow keeps (``CashFlow._units``), and the
+    stream layer, which holds the same pieces, is handed that split.
     """
-    units = _units(flow)
     if tol is None:
-        tol = _default_tolerance(flow, units)
+        tol = default_tolerance(flow)
     parts = lebesgue(flow)
     atoms = price(functional.atom_curve, parts.singular, tol)
-    dens = _price(functional.density_weight, parts.absolutely_continuous, tol, units=units)
+    dens = _price(functional.density_weight, parts.absolutely_continuous, tol)
     return Bracket(
         atoms.value + dens.lower,
         atoms.value + dens.upper,

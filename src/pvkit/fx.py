@@ -37,7 +37,7 @@ import numpy as np
 from . import poly
 from .curves import _at, check_positive
 from .errors import DomainError
-from .measures import Atom, CashFlow, DensityPiece, _units, _variation
+from .measures import Atom, CashFlow, DensityPiece, total_variation
 from .pricing import TOLERANCE_SCALE, _price, check_support
 from .quadrature import _MAX_DEPTH, Bracket, _depth, _split
 
@@ -98,14 +98,10 @@ def _fx_forward_many(market: DualCurrencyMarket, ts: np.ndarray) -> np.ndarray:
 
 
 def default_dual_tolerance(market: DualCurrencyMarket, flow: DualCashFlow) -> float:
-    return _dual_tolerance(market, flow, _units(flow.domestic), _units(flow.foreign))
-
-
-def _dual_tolerance(market, flow, dom_units, for_units) -> float:
     return TOLERANCE_SCALE * (
         1.0
-        + _variation(flow.domestic.atoms, dom_units)
-        + market.spot_fx * _variation(flow.foreign.atoms, for_units)
+        + total_variation(flow.domestic)
+        + market.spot_fx * total_variation(flow.foreign)
     )
 
 
@@ -113,13 +109,12 @@ def price_dual(market: DualCurrencyMarket, flow: DualCashFlow,
                currency: str = "domestic", tol: float | None = None) -> Bracket:
     """Combined value of both legs, quoted in the requested currency.
 
-    Each leg is split once (``measures._units``); the default tolerance and
-    the leg's price read that split."""
+    The default tolerance and each leg's price read the split the leg
+    keeps (``CashFlow._units``)."""
     if currency not in CURRENCIES:
         raise DomainError(f"currency must be one of {CURRENCIES}, got {currency!r}")
-    dom_units, for_units = _units(flow.domestic), _units(flow.foreign)
     if tol is None:
-        tol = _dual_tolerance(market, flow, dom_units, for_units)
+        tol = default_dual_tolerance(market, flow)
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
     check_support(flow.domestic, market.horizon, "domestic leg", "market")
@@ -127,8 +122,8 @@ def price_dual(market: DualCurrencyMarket, flow: DualCashFlow,
     unit = 1.0 if currency == "domestic" else 1.0 / market.spot_fx
     dom_tol = 0.5 * tol / unit
     for_tol = 0.5 * tol / (unit * market.spot_fx)
-    dom = _price(market.domestic_curve, flow.domestic, dom_tol, units=dom_units)
-    for_ = _price(market.foreign_curve, flow.foreign, for_tol, units=for_units)
+    dom = _price(market.domestic_curve, flow.domestic, dom_tol)
+    for_ = _price(market.foreign_curve, flow.foreign, for_tol)
     s = market.spot_fx
     return Bracket(
         unit * (dom.lower + s * for_.lower),

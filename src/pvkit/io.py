@@ -57,9 +57,9 @@ def read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read file: {exc}", path)
-    except ValueError as exc:
-        # JSONDecodeError, bad UTF-8, and integer literals past Python's
-        # digit limit for int conversion
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, bad UTF-8, integer literals past Python's digit
+        # limit for int conversion, and nesting deeper than the parser recurses
         raise SchemaError(f"invalid JSON: {exc}", path)
 
 

@@ -15,6 +15,7 @@ pieces with identical coefficients are fused.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -118,6 +119,16 @@ class CashFlow:
     def is_null(self) -> bool:
         return not self.atoms and not self.pieces
 
+    @functools.cached_property
+    def _units(self) -> tuple:
+        """The flow's one sign split (``poly.sign_units``), made on first use
+        and kept, as the flow is immutable; eq, hash, repr and pickle read
+        only the fields."""
+        return tuple(poly.sign_units([(p.start, p.end, p.coeffs) for p in self.pieces]))
+
+    def __getstate__(self):
+        return {"atoms": self.atoms, "pieces": self.pieces}
+
     def support_bounds(self) -> tuple[float, float] | None:
         """(inf, sup) of the support, or None for the null flow."""
         if self.is_null:
@@ -205,25 +216,8 @@ class JordanDecomposition:
     negative: CashFlow
 
 
-def _units(a: CashFlow) -> list:
-    return poly.sign_units([(p.start, p.end, p.coeffs) for p in a.pieces])
-
-
-def _variation(atoms, units) -> float:
-    """``a+(R+) + a-(R+)``, each part summed as ``total_mass`` sums jordan's."""
-    pos = [x.amount for x in atoms if x.amount > 0] + [
-        poly.definite_integral(c, lo, hi) for lo, hi, c, s in units if s > 0]
-    neg = [-x.amount for x in atoms if x.amount < 0] + [
-        -poly.definite_integral(c, lo, hi) for lo, hi, c, s in units if s < 0]
-    return math.fsum(pos) + math.fsum(neg)
-
-
-def _nonnegative(atoms, units) -> bool:
-    return all(x.amount > 0 for x in atoms) and all(s > 0 for *_, s in units)
-
-
 def jordan(a: CashFlow) -> JordanDecomposition:
-    units = _units(a)
+    units = a._units
     return JordanDecomposition(
         CashFlow(tuple(x for x in a.atoms if x.amount > 0),
                  tuple(DensityPiece(lo, hi, c) for lo, hi, c, s in units if s > 0)),
@@ -241,7 +235,10 @@ class LebesgueDecomposition:
 
 
 def lebesgue(a: CashFlow) -> LebesgueDecomposition:
-    return LebesgueDecomposition(CashFlow((), a.pieces), CashFlow(a.atoms, ()))
+    ac = CashFlow((), a.pieces)
+    if "_units" in vars(a):  # ac holds a's pieces: it shares a split made
+        vars(ac)["_units"] = a._units
+    return LebesgueDecomposition(ac, CashFlow(a.atoms, ()))
 
 
 def _check_interval(start: float, end: float, closure: str):
@@ -301,10 +298,16 @@ def distribution(a: CashFlow, t: float) -> float:
 
 
 def total_variation(a: CashFlow) -> float:
-    return _variation(a.atoms, _units(a))
+    """``a+(R+) + a-(R+)``, each part summed as ``total_mass`` sums jordan's."""
+    units = a._units
+    pos = [x.amount for x in a.atoms if x.amount > 0] + [
+        poly.definite_integral(c, lo, hi) for lo, hi, c, s in units if s > 0]
+    neg = [-x.amount for x in a.atoms if x.amount < 0] + [
+        -poly.definite_integral(c, lo, hi) for lo, hi, c, s in units if s < 0]
+    return math.fsum(pos) + math.fsum(neg)
 
 
 def is_nonnegative(a: CashFlow) -> bool:
     """True when the flow is a nonnegative measure."""
-    return _nonnegative(a.atoms, _units(a))
+    return all(x.amount > 0 for x in a.atoms) and all(s > 0 for *_, s in a._units)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import poly
 from .errors import DomainError
-from .measures import CashFlow, _nonnegative, _units, _variation, total_mass
+from .measures import CashFlow, is_nonnegative, total_mass, total_variation
 from .quadrature import Bracket, enclose, estimate, prepare
 
 TOLERANCE_SCALE = 1e-10
@@ -26,12 +26,7 @@ _IRR_STEPS = 200
 
 
 def default_tolerance(flow: CashFlow) -> float:
-    return _default_tolerance(flow, _units(flow))
-
-
-def _default_tolerance(flow: CashFlow, units: list) -> float:
-    """:func:`default_tolerance` from the flow's split (``measures._units``)."""
-    return TOLERANCE_SCALE * (1.0 + _variation(flow.atoms, units))
+    return TOLERANCE_SCALE * (1.0 + total_variation(flow))
 
 
 def check_support(flow: CashFlow, horizon: float, what: str = "flow",
@@ -59,20 +54,17 @@ def forward_price(curve, flow: CashFlow, at: float, tol: float | None = None) ->
                    inner.density_part / p_at)
 
 
-def _price(curve, flow: CashFlow, tol: float | None, scale: float = 1.0,
-           units: list | None = None) -> Bracket:
+def _price(curve, flow: CashFlow, tol: float | None, scale: float = 1.0) -> Bracket:
     """The price to width ``tol * scale``; the default ``tol`` and the
-    quadrature read one split of the flow, ``units`` when the caller has
-    split it already (``measures._units``)."""
-    if units is None:
-        units = _units(flow)
+    quadrature read the split the flow keeps (``CashFlow._units``)."""
     if tol is None:
-        tol = _default_tolerance(flow, units)
+        tol = default_tolerance(flow)
     tol *= scale
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
     check_support(flow, curve.horizon)
-    return enclose(curve.discount_many, prepare(units, curve.knot_times(), flow.atoms), tol)[0]
+    return enclose(curve.discount_many, prepare(flow._units, curve.knot_times(), flow.atoms),
+                   tol)[0]
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,7 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     the target matches and an error is raised otherwise).  The search is
     confined to rates in (-0.999, 10].
 
-    The flow is split once, which decides its nonnegativity, and prepared
+    The flow's split decides its nonnegativity, and the flow is prepared
     once with time measured from the purchase time: atoms as arrays, the
     split's units shifted, and a partition that each rate step starts
     from and refines only as far as that step's tolerance needs.  The
@@ -119,8 +111,7 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     when a step's bracket cannot be made narrow enough (a ``tol`` below the
     flow's noise floor).
     """
-    units = _units(flow)
-    if flow.is_null or not _nonnegative(flow.atoms, units):
+    if flow.is_null or not is_nonnegative(flow):
         raise DomainError("internal rate needs a nonnegative, nonzero flow")
     if not (math.isfinite(target_price) and target_price > 0.0):
         raise DomainError(f"target price must be positive, got {target_price!r}")
@@ -138,7 +129,8 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
         if abs(mass - target_price) <= eff_tol:
             return YieldResult(0.0, mass - target_price, 0)
         raise DomainError("present value does not depend on the rate; no root")
-    times, amounts, rows, partition = prepare(units, atoms=flow.atoms, origin=purchase_time)
+    times, amounts, rows, partition = prepare(flow._units, atoms=flow.atoms,
+                                              origin=purchase_time)
 
     def value(rate: float, cap: float = math.inf) -> tuple[Bracket, float]:
         """The price bracket at a flat ``rate``, from the partition the last

@@ -13,8 +13,9 @@ interpolant of ``f``:
   ``m*rmin`` and ``m*rmax``.
 
 Signed densities are first cut at their sign changes into sign-definite
-units (``poly.sign_units``, the package's one sign split, which the Jordan
-decomposition also reads).  Subintervals are refined worst-first, in
+units (``poly.sign_units``, the package's one sign split, which a
+``CashFlow`` makes once and keeps, and which the Jordan decomposition
+also reads).  Subintervals are refined worst-first, in
 rounds, until the total enclosure width drops below the requested
 tolerance.  For smooth ``f`` the residual shrinks spectrally, so a round
 cuts its subintervals as many levels deep (up to 3) as the observed decay
@@ -23,8 +24,9 @@ cost only a few rounds; supplying the integrand's kink points as
 ``breakpoints`` keeps each work item inside a smooth span.
 
 The split, the layout (:func:`prepare`) and the refinement (:func:`enclose`)
-are separate steps: integrating against a sequence of integrands splits
-once and refines each from the partition the last one ended with.
+are separate steps: pricing lays out the split the flow keeps, and
+integrating against a sequence of integrands lays out once and refines
+each from the partition the last one ended with.
 """
 from __future__ import annotations
 

@@ -448,6 +448,31 @@ def test_cli_negative_precision_is_a_bad_flag(capsys, argv):
     assert err.endswith("error: argument --precision: must be >= 0, got -1\n")
 
 
+def test_cli_huge_precision_is_clamped(tmp_path, capsys):
+    # 5e-324 (2**-1074) has the longest exact decimal expansion of any
+    # double, so every precision from 1074 up prints the same bytes; a
+    # precision of 2**31 used to exit 1 with "precision too big"
+    flow = _write(tmp_path, "flow.json", {"atoms": [{"t": 1.0, "amount": 0.1},
+                                                   {"t": 2.0, "amount": -5e-324}]})
+    outs = {}
+    for p in ("1073", "1074", "2147483648", str(10 ** 30)):
+        code, outs[p], _ = run(capsys, "decompose", "--cashflow", flow, "--precision", p)
+        assert code == 0
+    assert outs["1074"] == outs["2147483648"] == outs[str(10 ** 30)] != outs["1073"]
+    assert "jordan.negative,0." + "0" * 323 + "494" in outs["1074"]
+
+
+def test_cli_deeply_nested_json_exits_2(tmp_path, capsys):
+    # the parser's RecursionError used to escape as a traceback, exit 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        fio.read_json(str(deep))
+    code, out, err = run(capsys, "decompose", "--cashflow", str(deep))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {deep}: invalid JSON: ")
+
+
 def test_cli_curve_eval_refuses_times_past_the_horizon(tmp_path, capsys):
     # past the horizon a discount factor can underflow to 0 (a
     # ZeroDivisionError in the rates) or overflow (inf rows, exit 0)

@@ -5,6 +5,7 @@ rate i is worth (1 - (1+i)^-n)/i, and a unit-density payment stream over
 [0, T) is worth (1 - (1+i)^-T)/ln(1+i).
 """
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -296,13 +297,17 @@ def test_yield_bound_holds_for_flows_worth_less_than_the_default_width():
         assert report.holds, (k, report.rate, report.forward_max)
 
 
-def test_each_call_splits_each_density_piece_once(monkeypatch):
-    # the default tolerance, the nonnegativity test and the quadrature read
-    # one sign split of the flow; yield_bound_check prices, then solves
-    flow = (dirac(1.0, 0.5) + density(0.0, 5.0, (1.0, 0.1))
-            + density(6.0, 9.0, (2.0, -0.1, 0.01)))
+def test_each_flow_is_split_once(monkeypatch):
+    # the flow keeps its sign split: the first call on a fresh flow splits
+    # each piece once, where yield_bound_check and price_dual on one flow
+    # in both legs used to split it twice, and a second call splits nothing
+    def make():
+        return (dirac(1.0, 0.5) + density(0.0, 5.0, (1.0, 0.1))
+                + density(6.0, 9.0, (2.0, -0.1, 0.01)))
+
     curve = FlatCurve(0.04)
-    target = price(curve, flow).value
+    target = price(curve, make()).value
+    market = DualCurrencyMarket(curve, FlatCurve(0.02), 1.3)
     calls = []
     sign_spans = poly.sign_spans
 
@@ -311,24 +316,35 @@ def test_each_call_splits_each_density_piece_once(monkeypatch):
         return sign_spans(*args)
 
     monkeypatch.setattr(poly, "sign_spans", counted)
-    market = DualCurrencyMarket(curve, FlatCurve(0.02), 1.3)
-    both = DualCashFlow(flow, flow)
-    pieces = len(flow.pieces)
-    for run, splits in ((lambda: price(curve, flow), 1),
-                        (lambda: forward_price(curve, flow, 2.0), 1),
-                        (lambda: irr(flow, target), 1),
-                        (lambda: yield_bound_check(curve, flow), 2),
-                        (lambda: price_dual(market, both), 2),
-                        (lambda: dual_price(double_density(curve), flow), 1)):
+    runs = (lambda f: price(curve, f),
+            lambda f: forward_price(curve, f, 2.0),
+            lambda f: irr(f, target),
+            lambda f: yield_bound_check(curve, f),
+            lambda f: price_dual(market, DualCashFlow(f, f)),
+            lambda f: dual_price(double_density(curve), f),
+            jordan, total_variation, is_nonnegative)
+    for run in runs:
+        flow = make()
         calls.clear()
-        run()
-        assert len(calls) == splits * pieces
+        run(flow)
+        assert len(calls) == len(flow.pieces)
+        calls.clear()
+        run(flow)
+        assert calls == []
     # the default tolerance read from that split is the one an explicit
     # call passes, so the results are those of the separate calls
+    flow = make()
+    both = DualCashFlow(flow, flow)
     assert price_dual(market, both) == price_dual(
         market, both, tol=default_dual_tolerance(market, both))
     assert dual_price(double_density(curve), flow) == dual_price(
         double_density(curve), flow, default_tolerance(flow))
+    # the kept split is no part of the flow's value
+    fresh = make()
+    assert flow == fresh and hash(flow) == hash(fresh) and repr(flow) == repr(fresh)
+    assert pickle.dumps(flow) == pickle.dumps(fresh)
+    restored = pickle.loads(pickle.dumps(flow))
+    assert restored == fresh and price(curve, restored) == price(curve, fresh)
 
 
 def test_results_hold_builtin_numbers():
