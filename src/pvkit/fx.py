@@ -17,14 +17,15 @@ divided by spot.
 equivalent domestic flow: atoms are multiplied by the forward rate at
 their payment time; densities are multiplied pointwise by ``fx(t)``,
 which leaves the polynomial representation, so each piece is replaced
-by a Chebyshev fit of the product with a certified relative sup-norm
-error of at most :data:`FIT_REL_TOL` (floored at the
-coefficient-evaluation roundoff of the stored representation),
-splitting pieces as needed.  Each piece is first cut at the curves'
-knots; every such span of one conversion is fitted in the same rounds,
-where one round fits all pending segments as arrays (one ``fx``
-evaluation for all of their points) and cuts each one that fails as many
-levels deep as the decay of its error predicts (see :func:`_fit_spans`).
+by Chebyshev fits of the product, each stored about its own segment's
+midpoint (``DensityPiece.origin``), with a certified relative sup-norm
+error of at most :data:`FIT_REL_TOL` (floored at the roundoff of
+evaluating the input density there), splitting pieces as needed.  Each
+piece is first cut at the curves' knots; every such span of one
+conversion is fitted in the same rounds, where one round fits all
+pending segments as arrays (one ``fx`` evaluation for all of their
+points) and cuts each one that fails as many levels deep as the decay of
+its error predicts (see :func:`_fit_spans`).
 """
 from __future__ import annotations
 
@@ -135,27 +136,10 @@ def price_dual(market: DualCurrencyMarket, flow: DualCashFlow,
 
 @functools.cache
 def _tables():
-    """Fit tables as arrays, built on first use.
-
-    Returns the 9 Chebyshev nodes on [-1, 1], the sample fractions j/32,
-    the (9, 1, 9) mask whose entry (i, 0, n) keeps local power i in
-    candidate n (the truncation to powers 0..n), and the slices of the
-    Taylor shift's wavefronts (see :func:`_shift`).
-    """
-    n = _FIT_NODES
-    waves = []
-    for w in range(2 * n - 3):
-        # pass j updates power i = n - 2 + 2j - w; one wavefront's powers
-        # are two apart, and each reads a power that no other one writes
-        lo = n - 2 + 2 * max(0, w - (n - 2)) - w
-        hi = n - 2 + 2 * (w // 2) - w
-        waves.append((slice(lo, hi + 1, 2), slice(lo + 1, hi + 2, 2)))
-    return (
-        np.array(poly.chebyshev_nodes(n)),
-        np.arange(float(_FIT_SAMPLES)) / (_FIT_SAMPLES - 1),
-        np.tri(n).T[:, None, :],
-        tuple(waves),
-    )
+    """The 9 Chebyshev nodes on [-1, 1] and the sample fractions j/32, as
+    arrays built on first use."""
+    return (np.array(poly.chebyshev_nodes(_FIT_NODES)),
+            np.arange(float(_FIT_SAMPLES)) / (_FIT_SAMPLES - 1))
 
 
 @functools.cache
@@ -199,31 +183,19 @@ def interpolate_chebyshev(values, half):
     return buf[:n].T
 
 
-def _shift(coeffs, m, waves):
-    """Taylor-shift ``coeffs`` in place to ``u -> p(u + m)``.
-
-    ``coeffs`` has the powers on its first axis, and ``m`` broadcasts
-    against one power's block.  The updates are those of
-    ``poly.taylor_shift`` (pass j adds m times power i + 1 to power i, for
-    i from the top down to j), each with the same operands; they run in
-    wavefronts, where the updates of one wavefront do not depend on each
-    other.
-    """
-    for dst, src in waves:
-        coeffs[dst] += m * coeffs[src]
-
-
 def _fit_spans(fn, spans):
     """Certified degree-8 fits of fn*density on every span, splitting as needed.
 
-    ``spans`` lists ``(start, end, coeffs)`` with ``0 <= start < end``;
-    ``fn`` is vectorised (an array of times to an array of values).  The fit
-    runs in rounds over every pending segment of every span at once: one
-    ``fn`` call for each segment's 9 Chebyshev nodes and 33 samples, Newton
-    interpolation (:func:`interpolate_chebyshev`), the Taylor shift of the
-    9 truncations of each local fit to global powers, and one Horner
-    evaluation of every candidate at the samples.  Returns (pieces sorted
-    by start, abs_error_integral_bound).
+    ``spans`` lists ``(start, end, coeffs, origin)`` with ``0 <= start <
+    end`` and the density in powers of ``t - origin``; ``fn`` is vectorised
+    (an array of times to an array of values).  The fit runs in rounds over
+    every pending segment of every span at once: one ``fn`` call for each
+    segment's 9 Chebyshev nodes and 33 samples, Newton interpolation
+    (:func:`interpolate_chebyshev`) in powers of ``t - mid`` for the
+    segment's midpoint ``mid``, and one Horner evaluation of every fit at
+    its samples.  Each accepted fit is stored as it is, a piece with
+    origin ``mid``.  Returns (pieces sorted by start,
+    abs_error_integral_bound).
 
     A segment that fails is cut by repeated midpoint halving, each segment
     to its own depth: ``ceil(log2(excess) / decay)`` levels, at most 3,
@@ -234,24 +206,26 @@ def _fit_spans(fn, spans):
     Below a decay of 5.5 bits a level a segment is bisected once
     (``quadrature._depth``).
 
-    The certificate samples the stored global-monomial polynomial, so
-    representation roundoff is part of the measured error, never hidden by
-    it.  Far from the origin the monomial basis cancels heavily, so the
-    acceptance threshold is FIT_REL_TOL relative to the sampled product,
-    floored at the roundoff of evaluating the stored and input coefficients
-    there -- below that floor no stored polynomial could certify, and
-    splitting cannot help.  Raises DomainError naming the span when
-    bisecting would leave one span with more than FIT_MAX_SEGMENTS
-    segments; deeper cuts are clipped to what a span's budget leaves.
+    The certificate samples the stored polynomial as a reader evaluates
+    it, at ``t - mid`` for each sample time ``t``, so its roundoff is part
+    of the measured error, never hidden by it.  The acceptance threshold is
+    FIT_REL_TOL relative to the sampled product, floored at the roundoff of
+    evaluating the input density there (one stored in powers of ``t`` far
+    from ``t = 0`` cancels heavily): below that floor no stored polynomial
+    could certify, and splitting cannot help.  Raises DomainError naming
+    the span when bisecting would leave one span with more than
+    FIT_MAX_SEGMENTS segments; deeper cuts are clipped to what a span's
+    budget leaves.
     """
-    cheb, steps, trunc, waves = _tables()
-    size = max(len(c) for _, _, c in spans)
+    cheb, steps = _tables()
+    size = max(len(c) for _, _, c, _ in spans)
     rows = np.zeros((len(spans), size))
-    for s, (_, _, c) in enumerate(spans):
+    for s, (_, _, c, _) in enumerate(spans):
         rows[s, :len(c)] = c
     powers = np.arange(size)
-    a = np.array([x for x, _, _ in spans], dtype=float)
-    b = np.array([x for _, x, _ in spans], dtype=float)
+    a = np.array([x for x, *_ in spans], dtype=float)
+    b = np.array([x for _, x, *_ in spans], dtype=float)
+    origins = np.array([x for *_, x in spans], dtype=float)
     span = np.arange(len(spans))
     decay = np.full(len(spans), _FIT_DECAY)  # bits per level, measured after the first split
     parent_worst = None  # then each segment's parent's sampled error and its depth
@@ -264,34 +238,28 @@ def _fit_spans(fn, spans):
         ts = np.concatenate((mid[:, None] + half[:, None] * cheb,
                              a[:, None] + width[:, None] * steps), axis=1)
         fs = fn(ts.ravel()).reshape(ts.shape)
-        seg_rows = rows[span]
-        vs = poly.evaluate(seg_rows.T[:, :, None], ts) * fs
+        seg_rows, seg_origins = rows[span], origins[span]
+        vs = poly.evaluate(seg_rows.T[:, :, None], ts - seg_origins[:, None]) * fs
         local = interpolate_chebyshev(vs[:, :_FIT_NODES], half)
-        ts, fs, vs = ts[:, _FIT_NODES:], fs[:, _FIT_NODES:], vs[:, _FIT_NODES:]
-        # recentring at 0 amplifies the i-th local coefficient by mid**i,
-        # which turns noise-level tail coefficients into cancellation the
-        # samples can never certify; store whichever tail truncation of the
-        # fit actually evaluates best (shortest wins ties)
-        cands = local.T[:, :, None] * trunc
-        _shift(cands, -mid[:, None], waves)
-        errors = np.abs(vs[:, None, :] - poly.evaluate(cands[..., None], ts[:, None, :])).max(axis=2)
-        best = errors.argmin(axis=1)
-        worst = errors.min(axis=1)
+        us = ts[:, _FIT_NODES:] - mid[:, None]
+        fs, vs = fs[:, _FIT_NODES:], vs[:, _FIT_NODES:]
+        worst = np.abs(vs - poly.evaluate(local.T[:, :, None], us)).max(axis=1)
         if parent_worst is not None:
             with np.errstate(divide="ignore"):
                 decay = np.log2(parent_worst / worst) / depth
         # the sampled values themselves carry the roundoff of evaluating the
-        # input coefficients; only that (never the candidate's own, which a
-        # bad fit could inflate) may relax the acceptance threshold.  As
-        # 0 <= a < b, max(|a|, |b|) is b.
-        in_cond = np.cumsum(np.abs(seg_rows) * b[:, None] ** powers, axis=1)[:, -1]
+        # input density at t - origin, where |t - origin| <= r; only that
+        # (never the fit's own, which a bad fit could inflate) may relax the
+        # acceptance threshold
+        r = np.maximum(np.abs(a - seg_origins), np.abs(b - seg_origins))
+        in_cond = np.cumsum(np.abs(seg_rows) * r[:, None] ** powers, axis=1)[:, -1]
         floor = 64.0 * _EPS * np.abs(fs).max(axis=1) * in_cond
         scale = np.abs(vs).max(axis=1)
         threshold = np.maximum(FIT_REL_TOL * np.maximum(scale, 1e-300), floor)
         accept = worst <= threshold
         if not accept.all():
             accept |= ~((a < mid) & (mid < b))  # too narrow to split
-        rounds.append((accept, a, b, worst * width, cands[:, np.arange(len(a)), best].T, span))
+        rounds.append((accept, a, b, mid, worst * width, local, span))
         split = ~accept
         n_split = int(split.sum())
         if not n_split:
@@ -307,7 +275,7 @@ def _fit_spans(fn, spans):
             pending = np.bincount(span, minlength=len(spans))
             over = np.flatnonzero(kept + 2 * pending > FIT_MAX_SEGMENTS)
             if len(over):
-                start, end, _ = spans[over[0]]
+                start, end, *_ = spans[over[0]]
                 raise DomainError(f"FX conversion fit budget exceeded on [{start}, {end})")
             cap = np.log2((FIT_MAX_SEGMENTS - kept[span]) // pending[span]).astype(int)
         depth = np.array([_depth(*x) for x in zip((worst / threshold[split]).tolist(),
@@ -315,9 +283,9 @@ def _fit_spans(fn, spans):
         a, b, parent = _split(a, b, depth)
         leaves += len(a) - n_split
         span, parent_worst, depth = span[parent], worst[parent], depth[parent]
-    accept, a, b, errs, coeffs, _ = (np.concatenate(x) for x in zip(*rounds))
-    a, b, errs, coeffs = a[accept], b[accept], errs[accept], coeffs[accept]
-    pieces = [DensityPiece(a[i], b[i], poly.trim(coeffs[i].tolist()))
+    accept, a, b, mid, errs, coeffs, _ = (np.concatenate(x) for x in zip(*rounds))
+    a, b, mid, errs, coeffs = a[accept], b[accept], mid[accept], errs[accept], coeffs[accept]
+    pieces = [DensityPiece(a[i], b[i], poly.trim(coeffs[i].tolist()), mid[i])
               for i in np.argsort(a, kind="stable").tolist()]
     return pieces, math.fsum(errs.tolist())
 
@@ -343,7 +311,7 @@ def convert_measure_with_bound(market: DualCurrencyMarket,
     for p in foreign_flow.pieces:
         # fit only within smooth spans of the forward rate
         cuts = [p.start] + [k for k in kinks if p.start < k < p.end] + [p.end]
-        spans += [(a, b, p.coeffs) for a, b in zip(cuts, cuts[1:])]
+        spans += [(a, b, p.coeffs, p.origin) for a, b in zip(cuts, cuts[1:])]
     if not spans:
         return CashFlow(atoms, ()), 0.0
     pieces, err = _fit_spans(lambda ts: _fx_forward_many(market, ts), spans)

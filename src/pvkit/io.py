@@ -14,6 +14,10 @@ Formats (all JSON objects):
     {"atoms": [{"t": 1.0, "amount": 100.0}],
      "density": [{"from": 0.0, "to": 10.0, "coeffs": [1.0]}]}
 
+  A density entry may carry an ``"origin"`` (default 0): its ``coeffs``
+  are then in powers of ``t - origin``.  Writers emit the key only when
+  it is nonzero.
+
 * curve: ``{"type": "flat", "i": 0.05}`` |
   ``{"type": "spot_grid", "knots": [[0, 1.0], [2, 0.9]]}`` |
   ``{"type": "svensson", "beta0": ..., "beta1": ..., "beta2": ...,
@@ -121,12 +125,13 @@ def parse_cashflow(value, path: str = "cashflow") -> CashFlow:
     for k, entry in enumerate(_list(obj.get("density", []), f"{path}.density")):
         p = f"{path}.density[{k}]"
         e = _obj(entry, p)
-        _reject_unknown(e, ("from", "to", "coeffs"), p)
+        _reject_unknown(e, ("from", "to", "coeffs", "origin"), p)
         lo = _number(_field(e, "from", p), f"{p}.from")
         hi = _number(_field(e, "to", p), f"{p}.to")
         raw = _list(_field(e, "coeffs", p), f"{p}.coeffs")
         coeffs = tuple(_number(c, f"{p}.coeffs[{i}]") for i, c in enumerate(raw))
-        pieces.append(_wrap_domain(lambda: DensityPiece(lo, hi, coeffs), p))
+        origin = _number(e.get("origin", 0.0), f"{p}.origin")
+        pieces.append(_wrap_domain(lambda: DensityPiece(lo, hi, coeffs, origin), p))
     return _wrap_domain(lambda: CashFlow(tuple(atoms), tuple(pieces)), path)
 
 
@@ -234,6 +239,7 @@ def cashflow_json(flow: CashFlow) -> dict:
         "atoms": [{"t": a.time, "amount": a.amount} for a in flow.atoms],
         "density": [
             {"from": p.start, "to": p.end, "coeffs": list(p.coeffs)}
+            | ({"origin": p.origin} if p.origin else {})
             for p in flow.pieces
         ],
     }

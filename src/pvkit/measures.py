@@ -4,14 +4,15 @@ A :class:`CashFlow` is a finite signed Borel measure with two layers:
 
 * point payments (atoms): a signed mass at a time ``t >= 0``;
 * payment streams: piecewise-polynomial densities on half-open
-  intervals ``[start, end)``, polynomial degree <= 8.
+  intervals ``[start, end)``, polynomial degree <= 8, each in powers of
+  ``t - origin`` for its own ``origin`` (0 unless given).
 
 Interval endpoints of density pieces carry no mass, so the half-open
 convention is a pure bookkeeping choice; only atoms can sit on a boundary
 in a way that matters.  All values are plain floats and every operation
 returns a new, normalized object: zero atoms and zero pieces are dropped,
 atoms at bitwise-equal times are merged, pieces are sorted and adjacent
-pieces with identical coefficients are fused.
+pieces with identical coefficients and origins are fused.
 """
 from __future__ import annotations
 
@@ -50,11 +51,13 @@ class Atom:
 
 @dataclass(frozen=True, slots=True)
 class DensityPiece:
-    """A polynomial payment rate on [start, end), constant-first coefficients."""
+    """A polynomial payment rate on [start, end): ``coeffs``, constant
+    first, in powers of ``t - origin``."""
 
     start: float
     end: float
     coeffs: tuple[float, ...]
+    origin: float = 0.0
 
     def __post_init__(self):
         a = _check_finite(self.start, "piece start")
@@ -69,9 +72,11 @@ class DensityPiece:
         object.__setattr__(self, "start", a)
         object.__setattr__(self, "end", b)
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "origin", _check_finite(self.origin, "piece origin"))
 
     def mass(self) -> float:
-        return poly.definite_integral(self.coeffs, self.start, self.end)
+        o = self.origin
+        return poly.definite_integral(self.coeffs, self.start - o, self.end - o)
 
 
 def _normalize_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -99,10 +104,11 @@ def _normalize_pieces(pieces: Iterable[DensityPiece]) -> tuple[DensityPiece, ...
     out: list[DensityPiece] = []
     for p in kept:
         c = poly.trim(p.coeffs)
-        if out and out[-1].end == p.start and out[-1].coeffs == c:
-            out[-1] = DensityPiece(out[-1].start, p.end, c)
+        if (out and out[-1].end == p.start and out[-1].coeffs == c
+                and out[-1].origin == p.origin):
+            out[-1] = DensityPiece(out[-1].start, p.end, c, p.origin)
         else:
-            out.append(p if c == p.coeffs else DensityPiece(p.start, p.end, c))
+            out.append(p if c == p.coeffs else DensityPiece(p.start, p.end, c, p.origin))
     return tuple(out)
 
 
@@ -124,7 +130,8 @@ class CashFlow:
         """The flow's one sign split (``poly.sign_units``), made on first use
         and kept, as the flow is immutable; eq, hash, repr and pickle read
         only the fields."""
-        return tuple(poly.sign_units([(p.start, p.end, p.coeffs) for p in self.pieces]))
+        return tuple(poly.sign_units([(p.start, p.end, p.coeffs, p.origin)
+                                      for p in self.pieces]))
 
     def __getstate__(self):
         return {"atoms": self.atoms, "pieces": self.pieces}
@@ -169,18 +176,23 @@ def add(a: CashFlow, b: CashFlow) -> CashFlow:
     if not a.pieces or not b.pieces:
         return CashFlow(atoms, a.pieces + b.pieces)
     # split both density layers on the union of their breakpoints, then
-    # sum coefficients segment by segment
+    # sum coefficients segment by segment, about the first covering piece's
+    # origin (a piece about another origin is Taylor-shifted to it)
     cuts = sorted(
         {p.start for p in a.pieces + b.pieces} | {p.end for p in a.pieces + b.pieces}
     )
     out: list[DensityPiece] = []
     for lo, hi in zip(cuts, cuts[1:]):
         c: tuple[float, ...] = ()
+        o = None
         for p in a.pieces + b.pieces:
             if p.start <= lo and hi <= p.end:
-                c = poly.add(c, p.coeffs)
+                if o is None:
+                    o = p.origin
+                c = poly.add(c, p.coeffs if p.origin == o
+                             else poly.taylor_shift(p.coeffs, o - p.origin))
         if not poly.is_zero(c):
-            out.append(DensityPiece(lo, hi, c))
+            out.append(DensityPiece(lo, hi, c, o))
     return CashFlow(atoms, tuple(out))
 
 
@@ -190,22 +202,28 @@ def scale(a: CashFlow, k: float) -> CashFlow:
         return NULL
     return CashFlow(
         tuple(Atom(x.time, k * x.amount) for x in a.atoms),
-        tuple(DensityPiece(p.start, p.end, poly.scale(p.coeffs, k)) for p in a.pieces),
+        tuple(DensityPiece(p.start, p.end, poly.scale(p.coeffs, k), p.origin)
+              for p in a.pieces),
     )
 
 
 def translate(a: CashFlow, offset: float) -> CashFlow:
-    """Shift the whole flow in time; the result must stay on t >= 0."""
+    """Shift the whole flow in time; the result must stay on t >= 0.
+
+    Each piece keeps its coefficients and moves its origin with its ends,
+    so nothing is rounded but the shifted times: where those sums are
+    exact (as on a binary grid), translating back gives the flow itself.
+    Raises DomainError when a piece would collapse to an empty interval.
+    """
     offset = _check_finite(offset, "offset")
-    return CashFlow(
-        tuple(Atom(x.time + offset, x.amount) for x in a.atoms),
-        tuple(
-            DensityPiece(
-                p.start + offset, p.end + offset, poly.taylor_shift(p.coeffs, -offset)
-            )
-            for p in a.pieces
-        ),
-    )
+    pieces = []
+    for p in a.pieces:
+        start, end = p.start + offset, p.end + offset
+        if not start < end:
+            raise DomainError(
+                f"translating by {offset!r} collapses the piece [{p.start!r}, {p.end!r})")
+        pieces.append(DensityPiece(start, end, p.coeffs, p.origin + offset))
+    return CashFlow(tuple(Atom(x.time + offset, x.amount) for x in a.atoms), tuple(pieces))
 
 
 @dataclass(frozen=True)
@@ -220,9 +238,10 @@ def jordan(a: CashFlow) -> JordanDecomposition:
     units = a._units
     return JordanDecomposition(
         CashFlow(tuple(x for x in a.atoms if x.amount > 0),
-                 tuple(DensityPiece(lo, hi, c) for lo, hi, c, s in units if s > 0)),
+                 tuple(DensityPiece(lo, hi, c, o) for lo, hi, c, s, o in units if s > 0)),
         CashFlow(tuple(Atom(x.time, -x.amount) for x in a.atoms if x.amount < 0),
-                 tuple(DensityPiece(lo, hi, poly.negate(c)) for lo, hi, c, s in units if s < 0)),
+                 tuple(DensityPiece(lo, hi, poly.negate(c), o)
+                       for lo, hi, c, s, o in units if s < 0)),
     )
 
 
@@ -274,7 +293,7 @@ def trace(a: CashFlow, start: float, end: float, closure: str = "[]") -> CashFlo
         lo = max(p.start, start)
         hi = min(p.end, end)
         if lo < hi:
-            pieces.append(DensityPiece(lo, hi, p.coeffs))
+            pieces.append(DensityPiece(lo, hi, p.coeffs, p.origin))
     return CashFlow(atoms, tuple(pieces))
 
 
@@ -301,13 +320,13 @@ def total_variation(a: CashFlow) -> float:
     """``a+(R+) + a-(R+)``, each part summed as ``total_mass`` sums jordan's."""
     units = a._units
     pos = [x.amount for x in a.atoms if x.amount > 0] + [
-        poly.definite_integral(c, lo, hi) for lo, hi, c, s in units if s > 0]
+        poly.definite_integral(c, lo - o, hi - o) for lo, hi, c, s, o in units if s > 0]
     neg = [-x.amount for x in a.atoms if x.amount < 0] + [
-        -poly.definite_integral(c, lo, hi) for lo, hi, c, s in units if s < 0]
+        -poly.definite_integral(c, lo - o, hi - o) for lo, hi, c, s, o in units if s < 0]
     return math.fsum(pos) + math.fsum(neg)
 
 
 def is_nonnegative(a: CashFlow) -> bool:
     """True when the flow is a nonnegative measure."""
-    return all(x.amount > 0 for x in a.atoms) and all(s > 0 for *_, s in a._units)
+    return all(x.amount > 0 for x in a.atoms) and all(u[3] > 0 for u in a._units)
 

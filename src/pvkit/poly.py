@@ -248,10 +248,21 @@ def sign_spans(coeffs, lo: float, hi: float) -> tuple[tuple[float, float, int], 
 
 
 def sign_units(pieces) -> list:
-    """``(a, b, coeffs, sign)`` for each span of each piece ``(start, end,
-    coeffs)`` between its density's sign changes (:func:`sign_spans`), with
-    the piece's trimmed coefficients and the sign there, +1 or -1.  This is
-    the package's one sign split: quadrature integrates the units and the
+    """``(a, b, coeffs, sign, origin)`` for each span of each piece
+    ``(start, end, coeffs, origin)`` between its density's sign changes
+    (:func:`sign_spans`), with the piece's trimmed coefficients, the sign
+    there, +1 or -1, and the piece's origin.  The density is split in its
+    own coordinates, on ``[start - origin, end - origin)``; the spans' ends
+    are times, with ``start`` and ``end`` kept exactly.  This is the
+    package's one sign split: quadrature integrates the units and the
     Jordan decomposition reads them."""
-    return [(a, b, trim(coeffs), s) for start, end, coeffs in pieces
-            for a, b, s in sign_spans(coeffs, start, end)]
+    units = []
+    for start, end, coeffs, origin in pieces:
+        c = trim(coeffs)
+        lo, hi = start - origin, end - origin
+        for a, b, s in sign_spans(c, lo, hi):
+            a = start if a == lo else a + origin
+            b = end if b == hi else b + origin
+            if a < b:  # a span narrower than the times' spacing there is dropped
+                units.append((a, b, c, s, origin))
+    return units

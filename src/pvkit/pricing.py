@@ -88,7 +88,8 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
 
     The flow's split decides its nonnegativity, and the flow is prepared
     once with time measured from the purchase time: atoms as arrays, the
-    split's units shifted, and a partition that each rate step starts
+    split's units each about its own origin on that scale (no
+    coefficients are shifted), and a partition that each rate step starts
     from and refines only as far as that step's tolerance needs.  The
     steps are Newton steps on ``ln PV`` against ``ln(1 + rate)``, with the
     slope ``-(sum a_k t_k P(t_k) + integral t rho P dt) / PV`` estimated on
@@ -165,9 +166,12 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     lo, hi = lo_end, hi_end  # bounds on the root, proved once lo_ok / hi_ok
     lo_ok = hi_ok = False
     close = []  # (|residual|, rate, residual) of the steps within eff_tol
+    # t - purchase_time is (t - origin) + (origin - purchase_time) about a
+    # piece's own origin
     first = math.fsum([x.amount * (x.time - purchase_time) for x in flow.atoms]
-                      + [poly.definite_integral(poly.multiply(p.coeffs, (-purchase_time, 1.0)),
-                                                p.start, p.end) for p in flow.pieces])
+                      + [poly.definite_integral(
+                          poly.multiply(p.coeffs, (p.origin - purchase_time, 1.0)),
+                          p.start - p.origin, p.end - p.origin) for p in flow.pieces])
     # the first step is where the mass, discounted at the flow's mean
     # payment time first / mass, meets the target
     x = _newton_rate(0.0, mass, first, target_price)

@@ -145,13 +145,13 @@ class Bracket:
         return self.upper - self.lower
 
 
-def _evaluate_items(fn, a, b, coeffs):
+def _evaluate_items(fn, a, b, rows):
     """Enclosures of ``integral_a^b rho f`` for a batch of items.
 
-    ``a``, ``b`` are arrays of item ends and row ``i`` of ``coeffs`` holds
-    item ``i``'s sign-definite density, padded with zeros.  Returns an
-    array with one row ``(a, b, value, lower, upper)`` per item.  One
-    ``fn`` call covers every point of every item.
+    ``a``, ``b`` are arrays of item ends and row ``i`` of ``rows`` holds
+    item ``i``'s sign-definite density as :func:`prepare` lays it out.
+    Returns an array with one row ``(a, b, value, lower, upper)`` per item.
+    One ``fn`` call covers every point of every item.
     """
     points, lagrange, w8, w7 = _tables()
     mid = 0.5 * (a + b)
@@ -168,8 +168,8 @@ def _evaluate_items(fn, a, b, coeffs):
     rmin = sampled.min(axis=1)
     rmax = sampled.max(axis=1)
     pad = 0.5 * (rmax - rmin) + 1e-15 * np.abs(f[:, _N_CHEB:_N_SAMPLED]).max(axis=1)
-    # the density at the GL8 then GL7 nodes, by Horner in global time
-    rho = poly.evaluate(coeffs.T[:, :, None], ts[:, n_f:])
+    # the density at the GL8 then GL7 nodes, by Horner at t - origin
+    rho = poly.evaluate(rows[:, :-1].T[:, :, None], ts[:, n_f:] - rows[:, -1:])
     rho8, rho7 = rho[:, :8], rho[:, 8:]
     mass = half * (rho8 @ w8)
     exact = half * ((rho8 * (model[:, n_f - _N_CHEB:] + f_mid)) @ w8)
@@ -279,26 +279,30 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    return enclose(fn, prepare(poly.sign_units(pieces), breakpoints), tol)[0]
+    units = poly.sign_units((start, end, c, 0.0) for start, end, c in pieces)
+    return enclose(fn, prepare(units, breakpoints), tol)[0]
 
 
 def prepare(units, breakpoints=(), atoms=(), origin: float = 0.0) -> tuple:
     """``(times, amounts, rows, partition)``, a measure laid out for
-    :func:`enclose` with time measured from ``origin``: arrays of the
-    ``atoms``' ``time`` and ``amount``, row ``u`` holding unit ``u``'s
-    density Taylor-shifted and padded with zeros, and as partition
-    ``(a, b, unit)`` the units cut at the ``breakpoints`` inside them (item
-    ``k`` spans ``[a[k], b[k])`` with the density of row ``unit[k]``).
-    Raises DomainError when a density's degree exceeds the cap.
+    :func:`enclose` with time ``s`` measured from ``origin``: arrays of the
+    ``atoms``' ``time`` and ``amount``; row ``u`` holding unit ``u``'s
+    coefficients as stored, padded with zeros, then as its last entry the
+    unit's own origin on that scale, so that the row's density is in
+    powers of ``s`` minus that entry; and as partition ``(a, b, unit)`` the
+    units cut at the ``breakpoints`` inside them (item ``k`` spans ``[a[k],
+    b[k])`` with the density of row ``unit[k]``).  Raises DomainError when
+    a density's degree exceeds the cap.
     """
-    size = max((len(c) for _, _, c, _ in units), default=0)
+    size = max((len(c) for _, _, c, _, _ in units), default=0)
     if size > poly.MAX_DEGREE + 1:
         raise DomainError(f"density degree is capped at {poly.MAX_DEGREE}")
-    rows = np.zeros((len(units), size))
+    rows = np.zeros((len(units), size + 1))
     marks = sorted(set(breakpoints))
     a, b, unit = [], [], []
-    for u, (start, end, c, _) in enumerate(units):
-        rows[u, :len(c)] = poly.taylor_shift(c, origin)
+    for u, (start, end, c, _, o) in enumerate(units):
+        rows[u, :len(c)] = c
+        rows[u, -1] = o - origin
         start, end = start - origin, end - origin
         cuts = [start] + [m for m in marks if start < m < end] + [end]
         a += cuts[:-1]
@@ -391,7 +395,8 @@ def estimate(fn, rows, partition) -> float:
     """Gauss-Legendre estimate of ``integral rho f`` over a partition.
 
     The 8-point rule on every item of ``partition`` (as :func:`enclose`
-    returns it), with one ``fn`` call for all items.  No enclosure: for
+    returns it, with ``rows`` as :func:`prepare` lays them out), with one
+    ``fn`` call for all items.  No enclosure: for
     quantities that steer a search but certify nothing, such as ``irr``'s
     Newton slope.
     """
@@ -402,6 +407,7 @@ def estimate(fn, rows, partition) -> float:
     n_f = len(_F_POINTS)
     half = 0.5 * (b - a)
     ts = 0.5 * (a + b)[:, None] + half[:, None] * points[n_f:n_f + len(w8)]
-    rho = poly.evaluate(rows[unit].T[:, :, None], ts)
+    rows = rows[unit]
+    rho = poly.evaluate(rows[:, :-1].T[:, :, None], ts - rows[:, -1:])
     f = fn(ts.ravel()).reshape(ts.shape)
     return math.fsum((half * ((rho * f) @ w8)).tolist())

@@ -29,8 +29,7 @@ from pvkit import (
     total_variation,
 )
 from pvkit import fx, poly
-from pvkit.fx import (FIT_REL_TOL, _shift, _tables, default_dual_tolerance,
-                      interpolate_chebyshev)
+from pvkit.fx import FIT_REL_TOL, default_dual_tolerance, interpolate_chebyshev
 from pvkit.sampling import random_cashflow, random_curve
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -170,22 +169,6 @@ def test_dual_linearity(seed):
     assert lhs == pytest.approx(rhs, abs=1e-9 * scale)
 
 
-def test_wavefront_shift_matches_taylor_shift():
-    # the fitter shifts all 9 truncations of every local fit at once, with
-    # the same updates as poly.taylor_shift on each truncation
-    rng = np.random.default_rng(5)
-    *_, trunc, waves = _tables()
-    local = rng.normal(size=(4, 9)) * 10.0 ** -np.arange(9.0)
-    mid = rng.uniform(0.5, 60.0, size=4)
-    cands = local.T[:, :, None] * trunc
-    _shift(cands, -mid[:, None], waves)
-    for s in range(4):
-        for n in range(1, 10):
-            assert cands[:n, s, n - 1].tolist() == list(
-                poly.taylor_shift(tuple(local[s, :n].tolist()), -mid[s]))
-            assert not cands[n:, s, n - 1].any()
-
-
 class _RingingCurve:
     # smooth and positive, but oscillating far too fast for any degree-8
     # fit over a knot-free span
@@ -269,7 +252,7 @@ def test_segments_split_to_mixed_depths(monkeypatch):
             # the fitter's own samples: 33 evenly spaced points of the piece
             ts = q.start + (q.end - q.start) * (np.arange(33) / 32)
             exact = poly.evaluate(piece.coeffs, ts) * fx._fx_forward_many(market, ts)
-            error = np.abs(poly.evaluate(q.coeffs, ts) - exact).max()
+            error = np.abs(poly.evaluate(q.coeffs, ts - q.origin) - exact).max()
             assert error <= FIT_REL_TOL * np.abs(exact).max()
     alone = [convert_measure_with_bound(market, p) for p in parts]
     assert pieces == tuple(q for c, _ in alone for q in c.pieces)

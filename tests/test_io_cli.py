@@ -1,9 +1,11 @@
 """File formats and the command-line front end."""
 import json
+import math
 
 import pytest
 
-from pvkit import FlatCurve, SchemaError, density, dirac, forward_price, spot_rate, total_mass
+from pvkit import (CashFlow, DensityPiece, FlatCurve, SchemaError, convert_measure_with_bound,
+                   density, dirac, forward_price, price, spot_rate, total_mass)
 from pvkit import PRESETS, DomainError
 from pvkit import io as fio
 from pvkit.cli import fmt, main
@@ -39,6 +41,13 @@ def run(capsys, *argv):
 def test_cashflow_round_trip():
     flow = dirac(1.0, 2.0) + dirac(0.0, -0.5) + density(0.0, 3.0, (1.0, -0.25))
     assert fio.parse_cashflow(fio.cashflow_json(flow)) == flow
+    # origin 0 is the default, and is not written
+    assert "origin" not in fio.cashflow_json(flow)["density"][0]
+    about = CashFlow((), (DensityPiece(3.0, 4.0, (1.0, -0.25), 3.5),))
+    written = fio.cashflow_json(about)
+    assert written["density"] == [{"from": 3.0, "to": 4.0, "coeffs": [1.0, -0.25],
+                                   "origin": 3.5}]
+    assert fio.parse_cashflow(json.loads(json.dumps(written))) == about
 
 
 @pytest.mark.parametrize(
@@ -52,6 +61,14 @@ def test_cashflow_round_trip():
         ({"density": [{"from": 0.0, "to": 0.0, "coeffs": [1.0]}]}, "density[0]"),
         ({"density": [{"from": 0.0, "to": 1.0, "coeffs": [1.0, "x"]}]}, "coeffs[1]"),
         (["not", "an", "object"], "expected an object"),
+        ({"density": [{"from": 0.0, "to": 1.0, "coeffs": [1.0], "origin": "x"}]},
+         "cashflow.density[0].origin: expected a number"),
+        ({"density": [{"from": 0.0, "to": 1.0, "coeffs": [1.0], "origin": True}]},
+         "cashflow.density[0].origin: expected a number"),
+        ({"density": [{"from": 0.0, "to": 1.0, "coeffs": [1.0], "origin": math.inf}]},
+         "cashflow.density[0].origin: number must be finite"),
+        ({"density": [{"from": 0.0, "to": 1.0, "coeffs": [1.0], "origin": 0.5, "at": 1}]},
+         "unknown fields ['at']"),
     ],
 )
 def test_cashflow_rejections(payload, needle):
@@ -391,6 +408,43 @@ def test_cli_fx_price_and_convert_round_trip(tmp_path, capsys):
                        "--format", "structured")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(0.9 / 1.03, rel=1e-12)
+
+
+def test_cli_fx_convert_writes_each_piece_about_its_midpoint(tmp_path, capsys):
+    # a knot at t = 2 cuts the density; each fitted piece is written with
+    # its origin at its midpoint, and the pieces tile [0.5, 3)
+    spec = {"domestic_curve": {"type": "flat", "i": 0.01},
+            "foreign_curve": {"type": "spot_grid", "knots": [[0.0, 1.0], [2.0, 0.94]]},
+            "spot_fx": 0.9}
+    foreign = {"atoms": [], "density": [{"from": 0.5, "to": 3.0, "coeffs": [1.0, -0.125]}]}
+    market, flow = _write(tmp_path, "market.json", spec), _write(tmp_path, "flow.json", foreign)
+    conv = tmp_path / "converted.json"
+    code, out, _ = run(capsys, "fx-convert", "--market", market, "--cashflow", flow,
+                       "--format", "structured")
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert payload["atoms"] == []
+    assert [sorted(p) for p in payload["density"]] == [["coeffs", "from", "origin", "to"]] * 2
+    assert [(p["from"], p["to"], p["origin"]) for p in payload["density"]] == [
+        (0.5, 2.0, 1.25), (2.0, 3.0, 2.5)]
+    for p in payload["density"]:
+        # the constant coefficient is the converted density at the origin
+        t = p["origin"]
+        fx_t = 0.9 * 0.94 ** (t / 2.0) * 1.01 ** t
+        assert len(p["coeffs"]) == 9
+        assert p["coeffs"][0] == pytest.approx(fx_t * (1.0 - 0.125 * t), rel=1e-10)
+    run(capsys, "fx-convert", "--market", market, "--cashflow", flow,
+        "--out", str(conv), "--format", "structured")
+    assert conv.read_text() == out
+    # pricing the written file gives the bits of pricing the converted flow
+    dom = _write(tmp_path, "dom.json", spec["domestic_curve"])
+    code, out, _ = run(capsys, "price", "--curve", dom, "--cashflow", str(conv),
+                       "--format", "structured")
+    converted, _ = convert_measure_with_bound(fio.parse_market(spec),
+                                              fio.parse_cashflow(foreign))
+    assert code == 0
+    assert json.loads(out) == fio.price_json(price(FlatCurve(0.01), converted))
 
 
 def test_cli_counterexample(tmp_path, capsys):

@@ -118,6 +118,72 @@ def test_translate_shifts_support():
         translate(a, -1.0)  # would cross zero
 
 
+def test_translate_moves_origins_and_keeps_coefficients():
+    a = (dirac(1.5, 3.0) + density(0.25, 2.0, (0.5, -1.0, 0.75))
+         + CashFlow((), (DensityPiece(3.0, 4.5, (1.0, 2.0), 3.75),)))
+    b = translate(a, 26.125)
+    assert [p.coeffs for p in b.pieces] == [p.coeffs for p in a.pieces]
+    assert [p.origin for p in b.pieces] == [26.125, 29.875]
+    # every time above is on a binary grid where the sums are exact
+    assert translate(b, -26.125) == a
+    assert total_mass(b) == total_mass(a)
+
+
+@given(seeds)
+def test_translate_round_trip_is_exact_on_a_binary_grid(seed):
+    # times and offsets that are multiples of 2^-10 below 2^20 add exactly
+    rng = np.random.default_rng(seed)
+    grid = lambda x: math.ldexp(round(math.ldexp(float(x), 10)), -10)
+    flow = CashFlow(
+        tuple(Atom(grid(rng.uniform(0.0, 30.0)), float(rng.normal())) for _ in range(2)),
+        (DensityPiece(grid(rng.uniform(0.0, 10.0)), grid(rng.uniform(11.0, 30.0)),
+                      tuple(rng.normal(size=4)), grid(rng.uniform(-5.0, 5.0))),))
+    offset = grid(rng.uniform(0.0, 50.0))
+    assert translate(translate(flow, offset), -offset) == flow
+
+
+def test_translate_that_collapses_a_piece_names_it():
+    with pytest.raises(DomainError, match=r"translating by 1\.0 collapses the piece "
+                                          r"\[1e-300, 2e-300\)"):
+        translate(density(1e-300, 2e-300), 1.0)
+
+
+def test_pieces_fuse_only_with_equal_origins():
+    same = CashFlow((), (DensityPiece(0.0, 1.0, (1.0, 2.0), 0.5),
+                         DensityPiece(1.0, 2.0, (1.0, 2.0), 0.5)))
+    assert same.pieces == (DensityPiece(0.0, 2.0, (1.0, 2.0), 0.5),)
+    apart = CashFlow((), (DensityPiece(0.0, 1.0, (1.0, 2.0), 0.5),
+                          DensityPiece(1.0, 2.0, (1.0, 2.0), 1.5)))
+    assert len(apart.pieces) == 2
+
+
+def test_add_shifts_a_piece_about_another_origin():
+    # 1 + 2 (t - 4) and 3 - (t - 2) on [4, 5): their sum about origin 4 is
+    # 1 + 2u + 3 - (u + 2) = 2 + u
+    a = CashFlow((), (DensityPiece(4.0, 5.0, (1.0, 2.0), 4.0),))
+    b = CashFlow((), (DensityPiece(3.0, 5.0, (3.0, -1.0), 2.0),))
+    s = a + b
+    assert s.pieces == (DensityPiece(3.0, 4.0, (3.0, -1.0), 2.0),
+                        DensityPiece(4.0, 5.0, (2.0, 1.0), 4.0))
+    assert total_mass(s) == total_mass(a) + total_mass(b)
+
+
+def test_sign_span_narrower_than_the_time_spacing_is_dropped():
+    # about origin 64.5 the density u + 0.5 - 3e-15 changes sign 3e-15
+    # after the piece's start, less than an ulp of 64: the negative sliver
+    # has no time of its own, and the split keeps only the positive span
+    flow = CashFlow((), (DensityPiece(64.0, 65.0, (0.5 - 3e-15, 1.0), 64.5),))
+    assert poly.sign_spans(flow.pieces[0].coeffs, -0.5, 0.5)[0][2] == -1
+    j = jordan(flow)
+    assert j.negative.is_null and j.positive == flow
+    assert total_variation(flow) == total_mass(flow)
+
+
+def test_piece_origin_must_be_finite():
+    with pytest.raises(DomainError, match="piece origin"):
+        DensityPiece(0.0, 1.0, (1.0,), math.inf)
+
+
 # --- masses, traces, distribution -----------------------------------------
 
 

@@ -59,8 +59,9 @@ def _oracle_price(curve, flow):
     """The flow's price, and a bound on the roundoff of computing it in floats.
 
     Atoms and density values are summed and evaluated in floating point
-    (Horner on global-time coefficients), so a price is exact only to
-    about ``16 eps`` times the integral of ``sum_k |c_k| t^k P(t)`` plus
+    (Horner on each piece's coefficients, in powers of ``t - origin``), so
+    a price is exact only to about ``16 eps`` times the integral of
+    ``sum_k |c_k| |t - origin|^k P(t)`` plus
     the sum of ``|amount P(t)|``; the brackets do not yet cover that
     roundoff.
     """
@@ -73,8 +74,9 @@ def _oracle_price(curve, flow):
                 [p.start] + [k for k in kinks if p.start < k < p.end] + [p.end]]
         coeffs = [mp.mpf(c) for c in reversed(p.coeffs)]
         sizes = [abs(c) for c in coeffs]
-        total += mp.quad(lambda t: mp.polyval(coeffs, t) * disc(t), cuts)
-        size += mp.quad(lambda t: mp.polyval(sizes, t) * disc(t), cuts)
+        o = mp.mpf(p.origin)
+        total += mp.quad(lambda t: mp.polyval(coeffs, t - o) * disc(t), cuts)
+        size += mp.quad(lambda t: mp.polyval(sizes, abs(t - o)) * disc(t), cuts)
     return total, 16 * 2.0 ** -52 * float(size)
 
 

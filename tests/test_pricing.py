@@ -29,6 +29,7 @@ from pvkit import (
     price,
     price_dual,
     total_variation,
+    translate,
     yield_bound_check,
 )
 from pvkit import poly, pricing
@@ -178,6 +179,21 @@ def test_irr_with_purchase_time_shift():
     target = forward_price(FlatCurve(0.07), tail, 2.0).value
     res = irr(tail, target, purchase_time=2.0)
     assert res.rate == pytest.approx(0.07, abs=1e-9)
+
+
+def test_irr_of_a_density_about_another_origin():
+    # the same density stored about t = 0 and, moved there by translate,
+    # about t = 20: the same rate, reached by the same rate steps, whether
+    # bought at 0 or at 15
+    about_zero = density(20.0, 30.0, poly.taylor_shift((1.0, 0.25, -0.02), -20.0))
+    about_twenty = translate(density(0.0, 10.0, (1.0, 0.25, -0.02)), 20.0)
+    assert about_twenty.pieces[0].origin == 20.0
+    for purchase in (0.0, 15.0):
+        target = forward_price(FlatCurve(0.04), about_zero, purchase).value
+        mine, theirs = (irr(f, target, purchase) for f in (about_twenty, about_zero))
+        assert mine.rate == pytest.approx(0.04, abs=1e-9)
+        assert mine.rate == pytest.approx(theirs.rate, abs=1e-10)
+        assert mine.iterations == theirs.iterations
 
 
 def test_irr_rejects_bad_inputs():

@@ -251,7 +251,8 @@ def test_refine_continues_from_a_final_partition():
     # one split, then a sequence of integrands: each enclose starts from the
     # partition the previous one ended with and still meets its tolerance
     pieces = ((0.0, 10.0, (1.0, 0.1)), (12.0, 20.0, (2.0, -0.3, 0.01)))
-    times, amounts, rows, part = quadrature.prepare(poly.sign_units(pieces))
+    times, amounts, rows, part = quadrature.prepare(
+        poly.sign_units((a, b, c, 0.0) for a, b, c in pieces))
     first, part = quadrature.enclose(_exp_decay, (times, amounts, rows, part), 1e-10)
     assert first == bracketed_integral(_exp_decay, pieces, tol=1e-10)
     for lam in (0.03, 0.08, 0.2):
