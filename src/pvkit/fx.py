@@ -40,7 +40,7 @@ from .curves import _at, check_positive
 from .errors import DomainError
 from .measures import Atom, CashFlow, DensityPiece, total_variation
 from .pricing import TOLERANCE_SCALE, _price, check_support
-from .quadrature import _MAX_DEPTH, Bracket, _depth, _split
+from .quadrature import Bracket, _depth, _split, density_at, prepare
 
 FIT_REL_TOL = 1e-10
 FIT_MAX_SEGMENTS = 1024  # per span of a density piece between curve knots
@@ -183,14 +183,16 @@ def interpolate_chebyshev(values, half):
     return buf[:n].T
 
 
-def _fit_spans(fn, spans):
+def _fit_spans(fn, rows, partition):
     """Certified degree-8 fits of fn*density on every span, splitting as needed.
 
-    ``spans`` lists ``(start, end, coeffs, origin)`` with ``0 <= start <
-    end`` and the density in powers of ``t - origin``; ``fn`` is vectorised
+    ``rows`` and ``partition`` are a flow's pieces laid out by
+    ``quadrature.prepare`` and cut at the curves' knots: item ``k`` of
+    ``partition = (a, b, unit)`` is a span ``[a[k], b[k])`` with ``0 <=
+    a[k] < b[k]`` and the density of row ``unit[k]``.  ``fn`` is vectorised
     (an array of times to an array of values).  The fit runs in rounds over
     every pending segment of every span at once: one ``fn`` call for each
-    segment's 9 Chebyshev nodes and 33 samples, Newton interpolation
+    segment's 9 Chebyshev nodes and 33 samples, the interpolation matrix
     (:func:`interpolate_chebyshev`) in powers of ``t - mid`` for the
     segment's midpoint ``mid``, and one Horner evaluation of every fit at
     its samples.  Each accepted fit is stored as it is, a piece with
@@ -212,25 +214,20 @@ def _fit_spans(fn, spans):
     FIT_REL_TOL relative to the sampled product, floored at the roundoff of
     evaluating the input density there (one stored in powers of ``t`` far
     from ``t = 0`` cancels heavily): below that floor no stored polynomial
-    could certify, and splitting cannot help.  Raises DomainError naming
-    the span when bisecting would leave one span with more than
-    FIT_MAX_SEGMENTS segments; deeper cuts are clipped to what a span's
-    budget leaves.
+    could certify, and splitting cannot help.  The budget is per span: each
+    round counts every span's accepted segments, raises DomainError naming
+    the span when bisecting would leave it with more than FIT_MAX_SEGMENTS
+    segments, and clips deeper cuts to what its budget leaves.
     """
     cheb, steps = _tables()
-    size = max(len(c) for _, _, c, _ in spans)
-    rows = np.zeros((len(spans), size))
-    for s, (_, _, c, _) in enumerate(spans):
-        rows[s, :len(c)] = c
-    powers = np.arange(size)
-    a = np.array([x for x, *_ in spans], dtype=float)
-    b = np.array([x for _, x, *_ in spans], dtype=float)
-    origins = np.array([x for *_, x in spans], dtype=float)
-    span = np.arange(len(spans))
-    decay = np.full(len(spans), _FIT_DECAY)  # bits per level, measured after the first split
+    a, b, unit = partition
+    ends = a.tolist(), b.tolist()
+    powers = np.arange(rows.shape[1] - 1)
+    span = np.arange(len(a))
+    kept = np.zeros(len(a), dtype=int)  # accepted segments per span
+    decay = np.full(len(a), _FIT_DECAY)  # bits per level, measured after the first split
     parent_worst = None  # then each segment's parent's sampled error and its depth
     rounds = []
-    leaves = len(spans)
     while True:
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
@@ -238,8 +235,8 @@ def _fit_spans(fn, spans):
         ts = np.concatenate((mid[:, None] + half[:, None] * cheb,
                              a[:, None] + width[:, None] * steps), axis=1)
         fs = fn(ts.ravel()).reshape(ts.shape)
-        seg_rows, seg_origins = rows[span], origins[span]
-        vs = poly.evaluate(seg_rows.T[:, :, None], ts - seg_origins[:, None]) * fs
+        seg_rows = rows[unit[span]]
+        vs = density_at(seg_rows, ts) * fs
         local = interpolate_chebyshev(vs[:, :_FIT_NODES], half)
         us = ts[:, _FIT_NODES:] - mid[:, None]
         fs, vs = fs[:, _FIT_NODES:], vs[:, _FIT_NODES:]
@@ -251,39 +248,34 @@ def _fit_spans(fn, spans):
         # input density at t - origin, where |t - origin| <= r; only that
         # (never the fit's own, which a bad fit could inflate) may relax the
         # acceptance threshold
-        r = np.maximum(np.abs(a - seg_origins), np.abs(b - seg_origins))
-        in_cond = np.cumsum(np.abs(seg_rows) * r[:, None] ** powers, axis=1)[:, -1]
+        origin = seg_rows[:, -1]
+        r = np.maximum(np.abs(a - origin), np.abs(b - origin))
+        in_cond = np.cumsum(np.abs(seg_rows[:, :-1]) * r[:, None] ** powers, axis=1)[:, -1]
         floor = 64.0 * _EPS * np.abs(fs).max(axis=1) * in_cond
         scale = np.abs(vs).max(axis=1)
         threshold = np.maximum(FIT_REL_TOL * np.maximum(scale, 1e-300), floor)
         accept = worst <= threshold
         if not accept.all():
             accept |= ~((a < mid) & (mid < b))  # too narrow to split
-        rounds.append((accept, a, b, mid, worst * width, local, span))
+        rounds.append((accept, a, b, mid, worst * width, local))
+        kept += np.bincount(span[accept], minlength=len(kept))
         split = ~accept
-        n_split = int(split.sum())
-        if not n_split:
+        if not split.any():
             break
         a, b, span, decay, worst = a[split], b[split], span[split], decay[split], worst[split]
-        cap = np.full(n_split, _MAX_DEPTH)
-        if leaves + (2 ** _MAX_DEPTH - 1) * n_split > FIT_MAX_SEGMENTS:
-            # some span may be over budget: count its accepted segments; two
-            # for each of its segments split now must fit, and the depth is
-            # clipped to what is left
-            kept = np.bincount(np.concatenate([sp[acc] for acc, *_, sp in rounds]),
-                               minlength=len(spans))
-            pending = np.bincount(span, minlength=len(spans))
-            over = np.flatnonzero(kept + 2 * pending > FIT_MAX_SEGMENTS)
-            if len(over):
-                start, end, *_ = spans[over[0]]
-                raise DomainError(f"FX conversion fit budget exceeded on [{start}, {end})")
-            cap = np.log2((FIT_MAX_SEGMENTS - kept[span]) // pending[span]).astype(int)
+        # two for each segment of a span split now must fit in its budget,
+        # and the depth is clipped to what is left
+        pending = np.bincount(span, minlength=len(kept))
+        over = np.flatnonzero(kept + 2 * pending > FIT_MAX_SEGMENTS)
+        if len(over):
+            k = over[0]
+            raise DomainError(f"FX conversion fit budget exceeded on [{ends[0][k]}, {ends[1][k]})")
+        cap = np.log2((FIT_MAX_SEGMENTS - kept[span]) // pending[span]).astype(int)
         depth = np.array([_depth(*x) for x in zip((worst / threshold[split]).tolist(),
                                                   decay.tolist(), cap.tolist())])
         a, b, parent = _split(a, b, depth)
-        leaves += len(a) - n_split
         span, parent_worst, depth = span[parent], worst[parent], depth[parent]
-    accept, a, b, mid, errs, coeffs, _ = (np.concatenate(x) for x in zip(*rounds))
+    accept, a, b, mid, errs, coeffs = (np.concatenate(x) for x in zip(*rounds))
     a, b, mid, errs, coeffs = a[accept], b[accept], mid[accept], errs[accept], coeffs[accept]
     pieces = [DensityPiece(a[i], b[i], poly.trim(coeffs[i].tolist()), mid[i])
               for i in np.argsort(a, kind="stable").tolist()]
@@ -304,16 +296,11 @@ def convert_measure_with_bound(market: DualCurrencyMarket,
     rates = _fx_forward_many(market, np.array([a.time for a in foreign_flow.atoms]))
     atoms = tuple(Atom(a.time, a.amount * r)
                   for a, r in zip(foreign_flow.atoms, rates.tolist()))
-    kinks = sorted(
-        set(market.domestic_curve.knot_times()) | set(market.foreign_curve.knot_times())
-    )
-    spans = []
-    for p in foreign_flow.pieces:
-        # fit only within smooth spans of the forward rate
-        cuts = [p.start] + [k for k in kinks if p.start < k < p.end] + [p.end]
-        spans += [(a, b, p.coeffs, p.origin) for a, b in zip(cuts, cuts[1:])]
-    if not spans:
+    if not foreign_flow.pieces:
         return CashFlow(atoms, ()), 0.0
-    pieces, err = _fit_spans(lambda ts: _fx_forward_many(market, ts), spans)
+    # fit only within smooth spans of the forward rate
+    _, _, rows, partition = prepare(
+        [(p.start, p.end, p.coeffs, p.origin) for p in foreign_flow.pieces],
+        market.domestic_curve.knot_times() + market.foreign_curve.knot_times())
+    pieces, err = _fit_spans(lambda ts: _fx_forward_many(market, ts), rows, partition)
     return CashFlow(atoms, tuple(pieces)), err
-

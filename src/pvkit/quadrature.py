@@ -145,6 +145,12 @@ class Bracket:
         return self.upper - self.lower
 
 
+def density_at(rows, ts):
+    """Row ``i``'s density at the times ``ts[i]``, by Horner at ``t`` minus
+    the row's origin, for ``rows`` as :func:`prepare` lays them out."""
+    return poly.evaluate(rows[:, :-1].T[:, :, None], ts - rows[:, -1:])
+
+
 def _evaluate_items(fn, a, b, rows):
     """Enclosures of ``integral_a^b rho f`` for a batch of items.
 
@@ -168,8 +174,7 @@ def _evaluate_items(fn, a, b, rows):
     rmin = sampled.min(axis=1)
     rmax = sampled.max(axis=1)
     pad = 0.5 * (rmax - rmin) + 1e-15 * np.abs(f[:, _N_CHEB:_N_SAMPLED]).max(axis=1)
-    # the density at the GL8 then GL7 nodes, by Horner at t - origin
-    rho = poly.evaluate(rows[:, :-1].T[:, :, None], ts[:, n_f:] - rows[:, -1:])
+    rho = density_at(rows, ts[:, n_f:])  # at the GL8 then GL7 nodes
     rho8, rho7 = rho[:, :8], rho[:, 8:]
     mass = half * (rho8 @ w8)
     exact = half * ((rho8 * (model[:, n_f - _N_CHEB:] + f_mid)) @ w8)
@@ -285,7 +290,12 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
 
 def prepare(units, breakpoints=(), atoms=(), origin: float = 0.0) -> tuple:
     """``(times, amounts, rows, partition)``, a measure laid out for
-    :func:`enclose` with time ``s`` measured from ``origin``: arrays of the
+    :func:`enclose` with time ``s`` measured from ``origin``.
+
+    Each entry of ``units`` is read for its ends, coefficients and origin
+    alone, ``(start, end, coeffs, *_, origin)``: sign units
+    (``poly.sign_units``) for pricing, or ``(start, end, coeffs, origin)``
+    pieces, as the FX fit lays them out.  The result holds arrays of the
     ``atoms``' ``time`` and ``amount``; row ``u`` holding unit ``u``'s
     coefficients as stored, padded with zeros, then as its last entry the
     unit's own origin on that scale, so that the row's density is in
@@ -294,13 +304,13 @@ def prepare(units, breakpoints=(), atoms=(), origin: float = 0.0) -> tuple:
     b[k])`` with the density of row ``unit[k]``).  Raises DomainError when
     a density's degree exceeds the cap.
     """
-    size = max((len(c) for _, _, c, _, _ in units), default=0)
+    size = max((len(c) for _, _, c, *_ in units), default=0)
     if size > poly.MAX_DEGREE + 1:
         raise DomainError(f"density degree is capped at {poly.MAX_DEGREE}")
     rows = np.zeros((len(units), size + 1))
     marks = sorted(set(breakpoints))
     a, b, unit = [], [], []
-    for u, (start, end, c, _, o) in enumerate(units):
+    for u, (start, end, c, *_, o) in enumerate(units):
         rows[u, :len(c)] = c
         rows[u, -1] = o - origin
         start, end = start - origin, end - origin
@@ -407,7 +417,6 @@ def estimate(fn, rows, partition) -> float:
     n_f = len(_F_POINTS)
     half = 0.5 * (b - a)
     ts = 0.5 * (a + b)[:, None] + half[:, None] * points[n_f:n_f + len(w8)]
-    rows = rows[unit]
-    rho = poly.evaluate(rows[:, :-1].T[:, :, None], ts - rows[:, -1:])
+    rho = density_at(rows[unit], ts)
     f = fn(ts.ravel()).reshape(ts.shape)
     return math.fsum((half * ((rho * f) @ w8)).tolist())
