@@ -20,12 +20,12 @@ which leaves the polynomial representation, so each piece is replaced
 by Chebyshev fits of the product, each stored about its own segment's
 midpoint (``DensityPiece.origin``), with a certified relative sup-norm
 error of at most :data:`FIT_REL_TOL` (floored at the roundoff of
-evaluating the input density there), splitting pieces as needed.  Each
-piece is first cut at the curves' knots; every such span of one
-conversion is fitted in the same rounds, where one round fits all
-pending segments as arrays (one ``fx`` evaluation for all of their
-points) and cuts each one that fails as many levels deep as the decay of
-its error predicts (see :func:`_fit_spans`).
+evaluating the input density there), splitting pieces as needed.  The
+pieces are laid out by ``quadrature.prepare``, cut at the curves' knots;
+every such span of one conversion is fitted in the same rounds, where one
+round fits all pending segments as arrays (one ``fx`` evaluation and one
+interpolation matrix for all) and cuts each one that fails as many levels
+deep as the decay of its error predicts (see :func:`_fit_spans`).
 """
 from __future__ import annotations
 
@@ -143,12 +143,24 @@ def _tables():
 
 
 @functools.cache
-def _newton_tables(n: int):
-    """The ``n`` Chebyshev nodes as a column, and the index pairs ``(i, i - j)``
-    of every divided-difference denominator, ``j = 1 .. n-1`` in turn."""
-    pairs = [(i, i - j) for j in range(1, n) for i in range(j, n)]
-    return (np.array(poly.chebyshev_nodes(n))[:, None],
-            np.array([i for i, _ in pairs], dtype=int), np.array([i for _, i in pairs], dtype=int))
+def _lagrange_monomials(n: int) -> np.ndarray:
+    """Row ``k``: the coefficients, constant first, of the Lagrange basis
+    polynomial of node ``k`` of the ``n`` Chebyshev nodes on [-1, 1], each
+    rounded once from its exact value: with ``N_j = d * x_j`` integers for
+    the nodes' power-of-two denominator ``d``, ``c_i * d**i / prod_{j != k}
+    (N_k - N_j)`` for the integer coefficients of ``prod_{j != k} (X - N_j)``."""
+    ratios = [x.as_integer_ratio() for x in poly.chebyshev_nodes(n)]
+    d = max(q for _, q in ratios)
+    nodes = [p * (d // q) for p, q in ratios]
+    matrix = []
+    for k, nk in enumerate(nodes):
+        c, den = [1], 1
+        for j, nj in enumerate(nodes):
+            if j != k:
+                c = [x - nj * y for x, y in zip([0] + c, c + [0])]
+                den *= nk - nj
+        matrix.append([ci * d ** i / den for i, ci in enumerate(c)])
+    return np.array(matrix)
 
 
 def interpolate_chebyshev(values, half):
@@ -158,38 +170,29 @@ def interpolate_chebyshev(values, half):
     widths; row i holds values at ``u = half[i] * poly.chebyshev_nodes(n)``.
     Row i of the result holds the monomial coefficients, constant first, of
     the degree n - 1 interpolant of row i in the local coordinate u (an
-    interval's midpoint is u = 0).  Newton divided differences, then
-    the nested Newton form expanded to monomials, each step one array
-    operation over all rows.  Local coordinates keep the coefficients
-    well-scaled on off-origin intervals.
+    interval's midpoint is u = 0): one product with the exact matrix
+    :func:`_lagrange_monomials`, centred on the middle node's value (so its
+    rounding multiplies only the values' variation), then the column scale
+    ``half**-i``.  Local coordinates keep the coefficients well-scaled on
+    off-origin intervals.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[1]
-    nodes, hi, lo = _newton_tables(n)
-    us = nodes * np.asarray(half, dtype=float)  # row i: node i of every interpolant
-    den = us[hi] - us[lo]
-    # rows 0 .. n-1 of buf: the divided differences, computed in place
-    buf = np.zeros((2 * n - 1, len(values)))
-    buf[:n] = values.T
-    at = 0
-    for j in range(1, n):
-        np.divide(buf[j:n] - buf[j - 1:n - 1], den[at:at + n - j], out=buf[j:n])
-        at += n - j
-    # rows i+1 .. i+n hold the expansion of the Newton form's tail from
-    # divided difference i+1 on; multiplying it by (u - us_i) and adding
-    # divided difference i, in row i, leaves the expansion in rows i .. i+n-1
-    for i in range(n - 2, -1, -1):
-        np.subtract(buf[i:i + n], buf[i + 1:i + 1 + n] * us[i], out=buf[i:i + n])
-    return buf[:n].T
+    centre = values[:, n // 2]
+    # einsum sums each row in node order; a BLAS matmul's order depends on
+    # the number of rows, which would tie each fit to the others in its round
+    out = np.einsum("ij,jk->ik", values - centre[:, None], _lagrange_monomials(n))
+    out *= np.asarray(half, dtype=float)[:, None] ** -np.arange(n)
+    out[:, 0] += centre
+    return out
 
 
 def _fit_spans(fn, rows, partition):
     """Certified degree-8 fits of fn*density on every span, splitting as needed.
 
-    ``rows`` and ``partition`` are a flow's pieces laid out by
-    ``quadrature.prepare`` and cut at the curves' knots: item ``k`` of
-    ``partition = (a, b, unit)`` is a span ``[a[k], b[k])`` with ``0 <=
-    a[k] < b[k]`` and the density of row ``unit[k]``.  ``fn`` is vectorised
+    ``rows`` and ``partition = (a, b, unit)`` lay the pieces out as
+    ``quadrature.prepare`` does: span ``k`` is ``[a[k], b[k])``, ``0 <=
+    a[k] < b[k]``, with the density of row ``unit[k]``.  ``fn`` is vectorised
     (an array of times to an array of values).  The fit runs in rounds over
     every pending segment of every span at once: one ``fn`` call for each
     segment's 9 Chebyshev nodes and 33 samples, the interpolation matrix
@@ -221,7 +224,6 @@ def _fit_spans(fn, rows, partition):
     """
     cheb, steps = _tables()
     a, b, unit = partition
-    ends = a.tolist(), b.tolist()
     powers = np.arange(rows.shape[1] - 1)
     span = np.arange(len(a))
     kept = np.zeros(len(a), dtype=int)  # accepted segments per span
@@ -263,13 +265,11 @@ def _fit_spans(fn, rows, partition):
         if not split.any():
             break
         a, b, span, decay, worst = a[split], b[split], span[split], decay[split], worst[split]
-        # two for each segment of a span split now must fit in its budget,
-        # and the depth is clipped to what is left
         pending = np.bincount(span, minlength=len(kept))
         over = np.flatnonzero(kept + 2 * pending > FIT_MAX_SEGMENTS)
         if len(over):
-            k = over[0]
-            raise DomainError(f"FX conversion fit budget exceeded on [{ends[0][k]}, {ends[1][k]})")
+            start, end = (float(x[over[0]]) for x in partition[:2])
+            raise DomainError(f"FX conversion fit budget exceeded on [{start}, {end})")
         cap = np.log2((FIT_MAX_SEGMENTS - kept[span]) // pending[span]).astype(int)
         depth = np.array([_depth(*x) for x in zip((worst / threshold[split]).tolist(),
                                                   decay.tolist(), cap.tolist())])

@@ -146,8 +146,7 @@ class Bracket:
 
 
 def density_at(rows, ts):
-    """Row ``i``'s density at the times ``ts[i]``, by Horner at ``t`` minus
-    the row's origin, for ``rows`` as :func:`prepare` lays them out."""
+    """Row ``i``'s density at the times ``ts[i]``, rows as :func:`prepare` lays them out."""
     return poly.evaluate(rows[:, :-1].T[:, :, None], ts - rows[:, -1:])
 
 
@@ -274,7 +273,8 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     stalled at the noise floor of ``fn``) or when bisecting would exceed
     the 20,000-interval budget (a deeper cut is clipped to the budget
     left), both naming the tolerance and the width attained;
-    also when ``fn`` is not finite or a density's degree exceeds the cap.
+    also when ``fn`` is not finite, a density's degree exceeds the cap, or
+    a piece (named) has a non-finite entry or starts after it ends.
 
     Certification is relative to sampled values: features of ``fn`` that
     vanish at every node of a subinterval's 33-point sample are invisible
@@ -284,18 +284,20 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    units = poly.sign_units((start, end, c, 0.0) for start, end, c in pieces)
+    pieces = [(start, end, tuple(c), 0.0) for start, end, c in pieces]
+    for start, end, c, _ in pieces:
+        if not (all(map(math.isfinite, (start, end, *c))) and start <= end):
+            raise DomainError(f"piece ({start}, {end}, {c}) needs finite entries and start <= end")
+    units = poly.sign_units(pieces)
     return enclose(fn, prepare(units, breakpoints), tol)[0]
 
 
 def prepare(units, breakpoints=(), atoms=(), origin: float = 0.0) -> tuple:
     """``(times, amounts, rows, partition)``, a measure laid out for
-    :func:`enclose` with time ``s`` measured from ``origin``.
-
-    Each entry of ``units`` is read for its ends, coefficients and origin
-    alone, ``(start, end, coeffs, *_, origin)``: sign units
-    (``poly.sign_units``) for pricing, or ``(start, end, coeffs, origin)``
-    pieces, as the FX fit lays them out.  The result holds arrays of the
+    :func:`enclose` with time ``s`` measured from ``origin``.  Only the
+    ends, coefficients and origin of each of the ``units`` are read,
+    ``(start, end, coeffs, *_, origin)``, so sign units and the FX fit's
+    ``(start, end, coeffs, origin)`` pieces both lay out.  Arrays of the
     ``atoms``' ``time`` and ``amount``; row ``u`` holding unit ``u``'s
     coefficients as stored, padded with zeros, then as its last entry the
     unit's own origin on that scale, so that the row's density is in

@@ -7,6 +7,7 @@ flow with the same combined value, atom by atom exactly and density by
 certified polynomial refit.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,26 +294,47 @@ def test_chebyshev_interpolation_reproduces_low_degree():
                                                               abs=1e-9)
 
 
-def _newton_reference(values, half):
-    """Scalar Newton divided differences, expanded to local monomials."""
-    n = len(values)
-    us = [half * x for x in poly.chebyshev_nodes(n)]
-    c = [float(v) for v in values]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (us[i] - us[i - j])
-    out = [c[n - 1]] + [0.0] * (n - 1)
-    for i in range(n - 2, -1, -1):  # out * (u - us[i]) + c[i]
-        out = [c[i] - out[0] * us[i]] + [out[k - 1] - out[k] * us[i] for k in range(1, n)]
-    return out
-
-
-def test_chebyshev_interpolation_rows_match_scalar_newton():
+def test_chebyshev_interpolation_meets_exact_oracle():
+    # each interpolant, evaluated exactly at its own nodes u = half * x_k,
+    # returns the node values to within half an ulp of the middle node's
+    # value plus 256 ulp of the values' variation about it.  Rows near 1e8
+    # that vary far less than that fail the bound for a product that is not
+    # centred on the middle value, and the n = 9 rows fail it for a matrix
+    # built in floats instead of exactly.
+    eps = 2.0 ** -52
     rng = np.random.default_rng(11)
     for n in (1, 2, 9):
-        values = rng.normal(size=(6, n)) * 10.0 ** rng.integers(-8, 8, size=(6, 1))
-        half = rng.uniform(1e-3, 15.0, size=6)
+        scaled = rng.normal(size=(24, n)) * 10.0 ** rng.integers(-8, 9, size=(24, 1))
+        offset = 1e8 + rng.normal(size=(8, n)) * 10.0 ** rng.integers(-6, 3, size=(8, 1))
+        values = np.concatenate((scaled, offset))
+        half = rng.uniform(1e-3, 15.0, size=len(values))
         rows = interpolate_chebyshev(values, half)
-        assert rows.shape == (6, n)
-        for row, v, h in zip(rows, values, half):
-            assert row.tolist() == _newton_reference(v.tolist(), float(h))
+        assert rows.shape == values.shape
+        nodes = [Fraction(x) for x in poly.chebyshev_nodes(n)]
+        for row, v, h in zip(rows.tolist(), values.tolist(), half.tolist()):
+            centre = v[n // 2]
+            bound = eps * (0.5 * abs(centre) + 256.0 * max(abs(x - centre) for x in v))
+            for x, value in zip(nodes, v):
+                u = Fraction(h) * x
+                exact = sum(Fraction(c) * u ** i for i, c in enumerate(row))
+                assert abs(exact - Fraction(value)) <= bound
+
+
+def test_knot_shared_by_both_curves_on_a_piece_boundary():
+    # both curves have a knot at 2.0, where one piece ends and the next
+    # starts: the cut there is made once, and no empty piece appears
+    market = DualCurrencyMarket(
+        domestic_curve=SpotGridCurve(((0.0, 1.0), (2.0, 0.95), (6.0, 0.8))),
+        foreign_curve=SpotGridCurve(((0.0, 1.0), (2.0, 0.9), (6.0, 0.75))),
+        spot_fx=1.25,
+    )
+    parts = [density(0.0, 2.0, (1.0, 0.3)), density(2.0, 5.0, (0.8, -0.05))]
+    converted, bound = convert_measure_with_bound(market, parts[0] + parts[1])
+    pieces = converted.pieces
+    assert pieces[0].start == 0.0 and pieces[-1].end == 5.0
+    assert all(x.end == y.start for x, y in zip(pieces, pieces[1:]))
+    assert [p.start for p in pieces].count(2.0) == 1
+    assert all(p.start < p.end for p in pieces)
+    alone = [convert_measure_with_bound(market, p) for p in parts]
+    assert pieces == tuple(q for c, _ in alone for q in c.pieces)
+    assert bound == pytest.approx(sum(e for _, e in alone), rel=1e-14)

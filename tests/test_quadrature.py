@@ -1,5 +1,6 @@
 """Certified integration of smooth integrands against polynomial densities."""
 import math
+import re
 import time
 
 import numpy as np
@@ -102,6 +103,28 @@ def test_sub_resolution_features_need_breakpoints():
 def test_empty_pieces_is_zero():
     br = bracketed_integral(_exp_decay, (), tol=1e-10)
     assert br.value == br.lower == br.upper == 0.0
+
+
+def _refused(piece):
+    match = rf"piece {re.escape(str(piece))} needs finite entries and start <= end"
+    with pytest.raises(DomainError, match=match):
+        bracketed_integral(_exp_decay, (piece,), tol=1e-10)
+
+
+def test_reversed_piece_raises():
+    _refused((5.0, 1.0, (1.0,)))
+
+
+def test_nan_end_raises():
+    _refused((math.nan, 1.0, (1.0,)))
+
+
+def test_infinite_end_raises():
+    _refused((0.0, math.inf, (1.0,)))
+
+
+def test_non_finite_coefficient_raises():
+    _refused((0.0, 1.0, (1.0, math.nan)))
 
 
 def test_deterministic_brackets():
