@@ -6,13 +6,13 @@ principal at k, and is quoted at its curve value.  Each ladder is checked
 as it is, and with one zero-coupon quote priced 2% to 8% off the curve,
 which breaks the law of one price.  Two more consistent ladders leave some
 maturities unquoted, so that the null space has two or more dimensions and
-the exact LP runs: 12 points with 1 unquoted and 20 with 3.  Next to the
-best time of ``check`` it prints the work behind it: the verdict, the
-dimension of the null space of the difference matrix D (1 on a consistent
-ladder, 0 with the off-curve quote, 1 plus the number unquoted), how many
-times the LP fallback ran, the largest integer bit length of the
-fraction-free echelon form of D, and that of the certificate's exact
-weights.  The inputs are seeded, so every column but the time repeats
+the exact phase-1 simplex runs: 12 points with 1 unquoted and 20 with 3.
+Next to the best time of ``check`` it prints the work behind it: the
+verdict, the dimension of the null space of the difference matrix D (1 on
+a consistent ladder, 0 with the off-curve quote, 1 plus the number
+unquoted), how many times ``simplex.phase_one`` ran (the LP runs), the
+largest integer bit length of the fraction-free echelon form of D, and that
+of the certificate's exact weights.  The inputs are seeded, so every column but the time repeats
 exactly::
 
     PYTHONPATH=src python scripts/ladder_scaling.py
@@ -68,12 +68,12 @@ def best_time(quote_set: QuoteSet) -> float:
 def main() -> None:
     rng = random.Random(SEED)
     lp_calls = 0
-    solve_lp = arbitrage.solve_lp
+    phase_one = arbitrage.phase_one
 
     def counted(*args):
         nonlocal lp_calls
         lp_calls += 1
-        return solve_lp(*args)
+        return phase_one(*args)
 
     def row(n: int, kind: str, qs: QuoteSet) -> None:
         nonlocal lp_calls
@@ -93,7 +93,7 @@ def main() -> None:
 
     print(f"{'n':>3} {'ladder':>10} {'verdict':>14} {'null dim':>8} {'LP runs':>7} "
           f"{'echelon bits':>12} {'cert bits':>9} {'check ms':>10}")
-    arbitrage.solve_lp = counted
+    arbitrage.phase_one = counted
     try:
         for n in SIZES:
             rate = rng.uniform(0.005, 0.08)
@@ -104,7 +104,7 @@ def main() -> None:
             unquoted = rng.sample(range(1, n), count)
             row(n, f"{count} unquoted", ladder(rng, n, rate, 0, unquoted))
     finally:
-        arbitrage.solve_lp = solve_lp
+        arbitrage.phase_one = phase_one
 
 
 if __name__ == "__main__":

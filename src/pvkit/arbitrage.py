@@ -30,15 +30,18 @@ of the null space of ``D`` then decides :func:`check`:
   for the first ``v_i > 0`` and the first ``v_j < 0``;
 * ``k = 0``: only ``p = 0`` reprices, and ``w = e_0`` is a free payment
   at time 0;
-* ``k >= 2``: an exact rational LP (:mod:`pvkit.simplex`) maximizes the
-  minimum price component subject to repricing and a scale cap.
+* ``k >= 2``, spanned by ``N_1..N_k``: an exact phase-1 simplex
+  (:mod:`pvkit.simplex`) looks for ``w >= 0`` with ``sum(w) = 1`` and
+  ``N_i . w = 0``, a system of ``k + 1`` rows.  Such a ``w`` lies in the
+  row space.  If there is none, the phase-1 duals ``y`` satisfy
+  ``sum_i y_i N_i + y_{k+1} <= 0 < y_{k+1}`` entrywise, so
+  ``p = -sum_i y_i N_i`` is a strictly positive price vector.
 
-With ``k <= 1`` an arbitrage certificate solves ``y^T D = w`` by the same
-elimination of ``D^T``; with ``k >= 2`` it is the LP's dual.  Every price
-vector and certificate is replayed in exact arithmetic before it is
-returned.  :func:`implied_curve` additionally demands that the repricing
-vector is unique up to scale (``k = 1``) and returns it as a discount
-curve.
+At every ``k`` an arbitrage certificate solves ``y^T D = w`` by the same
+elimination of ``D^T``.  Every price vector and certificate is replayed
+in exact arithmetic before it is returned.  :func:`implied_curve`
+additionally demands that the repricing vector is unique up to scale
+(``k = 1``) and returns it as a discount curve.
 """
 from __future__ import annotations
 
@@ -49,7 +52,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
 from .measures import Atom, CashFlow
-from .simplex import solve_lp
+from .simplex import phase_one
 
 if TYPE_CHECKING:
     from .curves import SpotGridCurve
@@ -286,11 +289,11 @@ def check(quote_set: QuoteSet) -> ArbitrageFree | Arbitrage:
     returned by convention.  Otherwise the null space of ``D`` decides
     (see the module docstring).  When it has one dimension the verdict
     follows from the signs of its basis vector, and when it has none the
-    certificate pays at time 0.  When it has two or more, an exact LP
-    maximizes ``s`` subject to ``D (s*1 + q) = 0``, ``s + q_j + r_j = 1``,
-    ``q, r >= 0``: its optimum is the best minimum component among
-    repricing vectors capped at 1, so ``s > 0`` yields the positive vector
-    and ``s = 0`` makes the quote-row duals an exact arbitrage certificate.
+    certificate pays at time 0.  When it has two or more, an exact
+    phase-1 simplex in null-space coordinates either finds a nonnegative,
+    nonzero flow in the row space of ``D``, which the certificate then
+    reaches, or proves that none exists, and its duals give the positive
+    vector.
     """
     return _decide(reduce_quotes(quote_set))
 
@@ -300,12 +303,10 @@ def _decide(red: Reduction) -> ArbitrageFree | Arbitrage:
     if not red.rows:
         return ArbitrageFree(red.grid, tuple(1.0 for _ in range(g)))
     free = red.free
-    if len(free) >= 2:
-        return _lp_check(red)
     w = [0] * g
     if not free:
         w[0] = 1
-    else:
+    elif len(free) == 1:
         v = red.null_vector(free[0])
         if all(x > 0 for x in v) or all(x < 0 for x in v):
             return _repricing(red, v)
@@ -316,43 +317,21 @@ def _decide(red: Reduction) -> ArbitrageFree | Arbitrage:
             i = next(k for k, x in enumerate(v) if x > 0)
             j = next(k for k, x in enumerate(v) if x < 0)
             w[i], w[j] = -v[j], v[i]
+    else:
+        # w >= 0, sum(w) = 1, orthogonal to the null space: w is in D's row space
+        null = [red.null_vector(c) for c in free]
+        lp = phase_one(null + [[1] * g], [0] * len(null) + [1])
+        if not lp.feasible:
+            # with y_k the dual of the sum row, y_k + sum_i y_i N_i <= 0 < y_k
+            return _repricing(red, _integers(
+                [-sum(yi * v[j] for yi, v in zip(lp.y, null)) for j in range(g)])[0])
+        w = _integers(lp.x)[0]
     # y^T D = w: reduce D^T with w as its last column
     m = len(red.rows)
     echelon, pivots = _echelon(
         [[row[j] for row in red.rows] + [w[j]] for j in range(g)], m)
     return _certificate(red, _back_substitute(
         echelon, pivots, [0] * m, [row[m] for row in echelon]))
-
-
-def _lp_check(red: Reduction) -> ArbitrageFree | Arbitrage:
-    """The exact LP of :func:`check`, for a null space of two or more
-    dimensions."""
-    g = len(red.grid)
-    D = [[Fraction(a, s) for a in row] for row, s in zip(red.rows, red.scales)]
-    m = len(D)
-    # variables: s+, s-, q_0..q_{g-1}, r_0..r_{g-1}
-    A = []
-    b = []
-    for i in range(m):
-        s_i = sum(D[i], _ZERO)
-        A.append([s_i, -s_i] + list(D[i]) + [_ZERO] * g)
-        b.append(_ZERO)
-    for j in range(g):
-        row = [Fraction(1), Fraction(-1)] + [_ZERO] * (2 * g)
-        row[2 + j] = Fraction(1)
-        row[2 + g + j] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(1))
-    c = [Fraction(-1), Fraction(1)] + [_ZERO] * (2 * g)
-    res = solve_lp(A, b, c)
-    if res.status != "optimal":
-        raise RuntimeError(f"repricing LP unexpectedly {res.status}")
-    s_star = res.x[0] - res.x[1]
-    if s_star > 0:
-        return _repricing(red, _integers([s_star + res.x[2 + j] for j in range(g)])[0])
-    # the dual of row i weighs D's row i; red.rows[i] is that row times scales[i]
-    return _certificate(red, _integers(
-        [-y / s for y, s in zip(res.duals[:m], red.scales)])[0])
 
 
 def _repricing(red: Reduction, x: list[int]) -> ArbitrageFree:

@@ -271,7 +271,8 @@ def yield_bound_check(curve, flow: CashFlow, purchase_time: float = 0.0,
     rate = irr(flow, target, purchase_time, tol=min(1e-10, tol)).rate
     lo, hi = flow.support_bounds()
     n = int(math.floor((hi - lo) / 1e-3))
-    grid = np.unique(np.concatenate([lo + 1e-3 * np.arange(n + 1), [hi]]))
+    # the maximum needs neither order nor distinct points, so no sort
+    grid = np.concatenate([lo + 1e-3 * np.arange(n + 1), [hi]])
     grid = grid[grid > purchase_time]
     if grid.size == 0:
         forward_max = 0.0

@@ -1,131 +1,76 @@
-"""Dense two-phase simplex over exact rationals.
+"""Exact phase-1 simplex: a feasible point or a Farkas certificate.
 
-Solves ``min c.x  s.t.  A x = b, x >= 0`` with every pivot carried out in
-``fractions.Fraction`` arithmetic, so optimality, feasibility and the
-reported duals are exact -- there is no feasibility tolerance to tune.
-Bland's rule (lowest eligible index for both the entering column and the
-leaving basic variable) makes the run deterministic and cycle-free.
-Problem sizes here are a few hundred variables at most, where exact
-rationals are entirely affordable.
+:func:`phase_one` decides whether ``A x = b, x >= 0`` has a solution, for
+``b >= 0``, by minimizing the sum of one artificial variable per row.
+Every pivot is carried out in ``fractions.Fraction`` arithmetic, so the
+verdict is exact -- there is no feasibility tolerance to tune.  Bland's
+rule (lowest eligible index for both the entering column and the leaving
+basic variable) makes the run deterministic and cycle-free.
 
-Artificial columns are kept in the tableau after phase 1 (banned from
-re-entering), which leaves the basis inverse sitting in the artificial
-block: the dual vector ``y = c_B B^-1`` is read off directly.  Redundant
-rows (an artificial stuck basic with an all-zero row) are deleted; their
-duals are reported as 0.
+The reduced costs are a row of the tableau, kept current by every pivot.
+At the optimum they are ``c - y [A | I]`` for the phase-1 costs ``c``, so
+the artificial block gives the duals: ``y_i = 1 - z_{n+i}``.  When the
+optimum is positive those duals satisfy ``y A <= 0 < y b`` (reduced costs
+nonnegative, objective ``y b`` positive), which proves that no solution
+exists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _PIVOT_CAP = 20000
 
 
-@dataclass
-class LPResult:
-    status: str  # 'optimal' | 'infeasible' | 'unbounded'
+class PhaseOne(NamedTuple):
+    """``x`` solves ``A x = b, x >= 0`` when ``feasible``; otherwise ``y``
+    satisfies ``y A <= 0 < y b``."""
+
+    feasible: bool
     x: list[Fraction]
-    duals: list[Fraction]
-    objective: Fraction | None
+    y: list[Fraction]
 
 
-def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    T[row] = [v / piv for v in T[row]]
-    for r in range(len(T)):
-        if r != row and T[r][col] != 0:
-            factor = T[r][col]
-            T[r] = [a - factor * b for a, b in zip(T[r], T[row])]
-    basis[row] = col
-
-
-def _optimize(T, basis, costs, banned) -> str:
-    n_cols = len(T[0]) - 1
-    for _ in range(_PIVOT_CAP):
-        # reduced costs from scratch: sizes are tiny, simplicity wins
-        y = [costs[basis[r]] for r in range(len(T))]
-        entering = -1
-        for j in range(n_cols):
-            if j in banned or j in basis:
-                continue
-            rc = costs[j] - sum(y[r] * T[r][j] for r in range(len(T)))
-            if rc < 0:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
-        leave = -1
-        best = None
-        for r in range(len(T)):
-            a = T[r][entering]
-            if a > 0:
-                ratio = T[r][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]
-                ):
-                    best = ratio
-                    leave = r
-        if leave < 0:
-            return "unbounded"
-        _pivot(T, basis, leave, entering)
-    raise RuntimeError("simplex did not terminate within the pivot cap")
-
-
-def solve_lp(A, b, c) -> LPResult:
-    """Exact ``min c.x  s.t.  A x = b, x >= 0``; requires b >= 0 rowwise."""
-    m = len(A)
-    n = len(c)
-    costs = [Fraction(v) for v in c]
-    for bi in b:
-        if Fraction(bi) < 0:
-            raise ValueError("solve_lp expects b >= 0 (flip rows beforehand)")
+def phase_one(A, b) -> PhaseOne:
+    """Exact feasibility of ``A x = b, x >= 0``; requires b >= 0 rowwise."""
+    m, n = len(A), len(A[0])
+    if any(bi < 0 for bi in b):
+        raise ValueError("phase_one expects b >= 0 (flip rows beforehand)")
     T = [
         [Fraction(v) for v in A[i]]
         + [_ONE if k == i else _ZERO for k in range(m)]
         + [Fraction(b[i])]
         for i in range(m)
     ]
+    # reduced costs of min sum(artificials) in the artificial basis, and
+    # minus the objective in the last column
+    z = [-sum(col) for col in zip(*T)]
+    z[n:n + m] = [_ZERO] * m
+    T.append(z)
     basis = [n + i for i in range(m)]
-
-    phase1 = [_ZERO] * n + [_ONE] * m
-    _optimize(T, basis, phase1, banned=frozenset())
-    infeasibility = sum(
-        T[r][-1] for r in range(len(T)) if basis[r] >= n
-    )
-    if infeasibility > 0:
-        return LPResult("infeasible", [], [], None)
-
-    # drive leftover zero-level artificials out; delete truly redundant rows
-    r = 0
-    while r < len(T):
-        if basis[r] >= n:
-            col = next((j for j in range(n) if T[r][j] != 0), -1)
-            if col >= 0:
-                _pivot(T, basis, r, col)
-            else:
-                del T[r], basis[r]
-                continue
-        r += 1
-
-    full_costs = costs + [_ZERO] * m
-    banned = frozenset(range(n, n + m))
-    status = _optimize(T, basis, full_costs, banned)
-    if status != "optimal":
-        return LPResult(status, [], [], None)
-
+    for _ in range(_PIVOT_CAP):
+        col = next((j for j, r in enumerate(z[:-1]) if r < 0), None)
+        if col is None:
+            break
+        # the phase-1 objective is bounded below by 0, so some entry is positive
+        _, _, row = min((T[r][-1] / T[r][col], basis[r], r)
+                        for r in range(m) if T[r][col] > 0)
+        piv = T[row][col]
+        T[row] = [v / piv for v in T[row]]
+        for r in range(m + 1):
+            factor = T[r][col]
+            if r != row and factor != 0:
+                T[r] = [a - factor * p for a, p in zip(T[r], T[row])]
+        z = T[m]
+        basis[row] = col
+    else:
+        raise RuntimeError("simplex did not terminate within the pivot cap")
+    if z[-1] < 0:
+        return PhaseOne(False, [], [_ONE - zi for zi in z[n:n + m]])
     x = [_ZERO] * n
     for r, bv in enumerate(basis):
         if bv < n:
             x[bv] = T[r][-1]
-    # the artificial block holds the row-transform matrix M with
-    # tableau = M * [A | I | b], so y = c_B * M is a dual for the full
-    # original row set, deleted redundant rows included
-    duals = [
-        sum(full_costs[basis[r]] * T[r][n + i0] for r in range(len(T)))
-        for i0 in range(m)
-    ]
-    objective = sum(full_costs[basis[r]] * T[r][-1] for r in range(len(T)))
-    return LPResult("optimal", x, duals, objective)
+    return PhaseOne(True, x, [])

@@ -6,13 +6,17 @@ scaling; :func:`verify_na_positivity` checks that a two-weight pricing
 rule is positive, linear and prices the unit payment at time 0 to 1.
 Both are seeded, so a failure reproduces.  :func:`eager_echelon` is the
 fraction-free elimination that rescales every row at every step, the
-oracle for the checker's lazily scaled one.  The module is not collected
-(its name does not start with ``test_``); the tests and
-``scripts/counterexample_demo.py`` import it.
+oracle for the checker's lazily scaled one.  :func:`solve_lp` is the
+dense two-phase simplex over exact rationals that the checker once ran on
+every quote set with a null space of two or more dimensions; it is the
+independent oracle for the checker's verdicts and for its phase-1 solver.
+The module is not collected (its name does not start with ``test_``); the
+tests and ``scripts/counterexample_demo.py`` import it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -165,3 +169,127 @@ def eager_echelon(rows, width):
         prev = p
         pivots.append(c)
     return rows[:len(pivots)], pivots
+
+
+# --- the general exact simplex, an oracle for pvkit.arbitrage ---------------
+#
+# Solves ``min c.x  s.t.  A x = b, x >= 0`` with every pivot carried out in
+# ``fractions.Fraction`` arithmetic, so optimality, feasibility and the
+# reported duals are exact.  Bland's rule (lowest eligible index for both
+# the entering column and the leaving basic variable) makes the run
+# deterministic and cycle-free.  Artificial columns are kept in the tableau
+# after phase 1 (banned from re-entering), which leaves the basis inverse
+# sitting in the artificial block: the dual vector ``y = c_B B^-1`` is read
+# off directly.  Redundant rows (an artificial stuck basic with an all-zero
+# row) are deleted; their duals are reported as 0.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_PIVOT_CAP = 20000
+
+
+@dataclass
+class LPResult:
+    status: str  # 'optimal' | 'infeasible' | 'unbounded'
+    x: list[Fraction]
+    duals: list[Fraction]
+    objective: Fraction | None
+
+
+def _pivot(T, basis, row, col):
+    piv = T[row][col]
+    T[row] = [v / piv for v in T[row]]
+    for r in range(len(T)):
+        if r != row and T[r][col] != 0:
+            factor = T[r][col]
+            T[r] = [a - factor * b for a, b in zip(T[r], T[row])]
+    basis[row] = col
+
+
+def _optimize(T, basis, costs, banned) -> str:
+    n_cols = len(T[0]) - 1
+    for _ in range(_PIVOT_CAP):
+        # reduced costs from scratch: sizes are tiny, simplicity wins
+        y = [costs[basis[r]] for r in range(len(T))]
+        entering = -1
+        for j in range(n_cols):
+            if j in banned or j in basis:
+                continue
+            rc = costs[j] - sum(y[r] * T[r][j] for r in range(len(T)))
+            if rc < 0:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal"
+        leave = -1
+        best = None
+        for r in range(len(T)):
+            a = T[r][entering]
+            if a > 0:
+                ratio = T[r][-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[r] < basis[leave]
+                ):
+                    best = ratio
+                    leave = r
+        if leave < 0:
+            return "unbounded"
+        _pivot(T, basis, leave, entering)
+    raise RuntimeError("simplex did not terminate within the pivot cap")
+
+
+def solve_lp(A, b, c) -> LPResult:
+    """Exact ``min c.x  s.t.  A x = b, x >= 0``; requires b >= 0 rowwise."""
+    m = len(A)
+    n = len(c)
+    costs = [Fraction(v) for v in c]
+    for bi in b:
+        if Fraction(bi) < 0:
+            raise ValueError("solve_lp expects b >= 0 (flip rows beforehand)")
+    T = [
+        [Fraction(v) for v in A[i]]
+        + [_ONE if k == i else _ZERO for k in range(m)]
+        + [Fraction(b[i])]
+        for i in range(m)
+    ]
+    basis = [n + i for i in range(m)]
+
+    phase1 = [_ZERO] * n + [_ONE] * m
+    _optimize(T, basis, phase1, banned=frozenset())
+    infeasibility = sum(
+        T[r][-1] for r in range(len(T)) if basis[r] >= n
+    )
+    if infeasibility > 0:
+        return LPResult("infeasible", [], [], None)
+
+    # drive leftover zero-level artificials out; delete truly redundant rows
+    r = 0
+    while r < len(T):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if T[r][j] != 0), -1)
+            if col >= 0:
+                _pivot(T, basis, r, col)
+            else:
+                del T[r], basis[r]
+                continue
+        r += 1
+
+    full_costs = costs + [_ZERO] * m
+    banned = frozenset(range(n, n + m))
+    status = _optimize(T, basis, full_costs, banned)
+    if status != "optimal":
+        return LPResult(status, [], [], None)
+
+    x = [_ZERO] * n
+    for r, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = T[r][-1]
+    # the artificial block holds the row-transform matrix M with
+    # tableau = M * [A | I | b], so y = c_B * M is a dual for the full
+    # original row set, deleted redundant rows included
+    duals = [
+        sum(full_costs[basis[r]] * T[r][n + i0] for r in range(len(T)))
+        for i0 in range(m)
+    ]
+    objective = sum(full_costs[basis[r]] * T[r][-1] for r in range(len(T)))
+    return LPResult("optimal", x, duals, objective)

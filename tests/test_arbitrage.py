@@ -6,8 +6,10 @@ whose quote combination is a nonnegative, nonzero flow.  Certificates are
 replayed here in floating point and, for the random sample, compared to
 a brute-force integer-coefficient search.  Long ladders and one pinned
 case per branch of the null-space decision replay their certificates in
-exact arithmetic, and a copy of the general LP the checker once ran on
-every quote set serves as an oracle for verdicts and prices.
+exact arithmetic.  The general LP the checker once ran on every quote set
+serves as an oracle: for verdicts and prices at every null-space
+dimension, and for the phase-1 simplex that decides a null space of two
+or more dimensions.
 """
 import itertools
 import math
@@ -34,8 +36,8 @@ from pvkit import (
 from pvkit import arbitrage
 from pvkit.arbitrage import _echelon, reduce_quotes
 from pvkit.measures import Atom
-from pvkit.simplex import solve_lp
-from selfchecks import closure_probe, eager_echelon
+from pvkit.simplex import phase_one
+from selfchecks import closure_probe, eager_echelon, solve_lp
 
 
 def _quote(left, right):
@@ -301,13 +303,13 @@ def exact_replay(quote_set, verdict):
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Counts the checker's calls of the general LP."""
+    """Counts the checker's calls of the phase-1 simplex."""
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return solve_lp(*args)
-    monkeypatch.setattr(arbitrage, "solve_lp", counted)
+        return phase_one(*args)
+    monkeypatch.setattr(arbitrage, "phase_one", counted)
     return calls
 
 
@@ -350,6 +352,12 @@ def test_long_ladders(points, off_curve, lp_calls):
             want = (1.0 + rate) ** -t
             assert abs(p - want) <= 1e-12 * want
     replay(qs, verdict)
+
+
+@pytest.mark.parametrize("grid", [(0.0, 2.0, 1.0), (0.0, 1.0, 1.0)])
+def test_grid_must_increase(grid):
+    with pytest.raises(DomainError, match=r"^grid times must be strictly increasing$"):
+        QuoteSet(grid=grid, quotes=())
 
 
 def test_lazy_echelon_matches_the_eager_one():
@@ -457,6 +465,9 @@ def test_branch_null_vector_of_mixed_signs():
 
 
 def test_branch_wide_null_space_runs_the_lp(lp_calls):
+    # free: no w >= 0 with sum 1 is orthogonal to the null space, and the
+    # phase-1 duals price t=2 like t=1; arb: the first quote alone is a
+    # free lunch, and the phase-1 point is that flow
     free = QuoteSet(grid=(0.0, 1.0, 2.0), quotes=(
         _quote([(0.0, 0.95)], [(1.0, 1.0)]),
     ))
@@ -468,11 +479,13 @@ def test_branch_wide_null_space_runs_the_lp(lp_calls):
         assert reduce_quotes(qs).null_dim >= 2
     verdict = check(free)
     assert isinstance(verdict, ArbitrageFree)
-    assert verdict.implied == lp_oracle(free)[1]
+    assert lp_oracle(free)[0] == "free"
+    assert verdict.implied == (1.0, 0.95, 0.95)
     verdict = check(arb)
     assert isinstance(verdict, Arbitrage)
-    assert lp_oracle(arb) == ("arbitrage", verdict.coefficients,
-                              verdict.portfolio.atoms)
+    assert lp_oracle(arb)[0] == "arbitrage"
+    assert verdict.coefficients == (1.0, 0.0)
+    assert verdict.portfolio.atoms == (Atom(0.0, 1.0), Atom(1.0, 1.0))
     exact_replay(arb, verdict)
     assert len(lp_calls) == 2
 
@@ -552,14 +565,75 @@ def test_verdicts_match_the_lp_oracle():
         oracle = lp_oracle(qs)
         k = reduce_quotes(qs).null_dim if qs.quotes else None
         if isinstance(verdict, ArbitrageFree):
-            assert oracle == ("free", verdict.implied)
+            assert oracle[0] == "free"
+            if k is None or k <= 1:
+                assert oracle == ("free", verdict.implied)
+            else:
+                # a different vertex than the oracle's: check that it is a
+                # price vector.  Each entry is p_j / p_0 rounded once, so
+                # D's row i times it is at most 2^-52 sum_j |D_ij| implied_j
+                assert verdict.implied[0] == 1.0
+                assert all(p > 0 for p in verdict.implied)
+                implied = [Fraction(p) for p in verdict.implied]
+                for row in qs.difference_matrix():
+                    residual = sum(d * p for d, p in zip(row, implied))
+                    scale = sum(abs(d) * p for d, p in zip(row, implied))
+                    assert abs(residual) <= Fraction(1, 2**52) * scale
         else:
             assert oracle[0] == "arbitrage"
             exact_replay(qs, verdict)
-            if k >= 2:
-                assert oracle == ("arbitrage", verdict.coefficients,
-                                  verdict.portfolio.atoms)
         seen.add((min(k, 2) if k is not None else None,
                   isinstance(verdict, Arbitrage)))
     # every branch of the decision was exercised
     assert {(0, True), (1, True), (1, False), (2, True), (2, False)} <= seen
+
+
+# --- the phase-1 simplex against the general LP ------------------------------
+
+
+def random_system(rng):
+    """A small integer system ``A x = b`` with ``b >= 0``: random, or
+    feasible by construction (``b = A x0`` for some ``x0 >= 0``, rows
+    negated where needed), sometimes with a zero row or a repeated row."""
+    m, n = rng.randint(1, 4), rng.randint(1, 6)
+    A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and rng.random() < 0.2:
+        A[-1] = list(A[0]) if rng.random() < 0.5 else [0] * n
+    if rng.random() < 0.5:
+        x0 = [rng.choice((0, 0, rng.randint(1, 4))) for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+        A = [row if bi >= 0 else [-a for a in row] for row, bi in zip(A, b)]
+        b = [abs(bi) for bi in b]
+    else:
+        b = [rng.choice((0, rng.randint(0, 4))) for _ in range(m)]
+    return A, b
+
+
+def test_phase_one_matches_the_general_lp():
+    rng = random.Random(707)
+    seen = set()
+    for _ in range(400):
+        A, b = random_system(rng)
+        lp = phase_one(A, b)
+        if any(any(row) for row in A):
+            oracle = solve_lp(A, b, [0] * len(A[0]))
+            assert oracle.status in ("optimal", "infeasible")
+            assert lp.feasible == (oracle.status == "optimal")
+        else:
+            # the oracle deletes every row of a zero A and then fails on
+            # its empty tableau; x = 0 decides such a system
+            assert lp.feasible == (not any(b))
+        if lp.feasible:
+            assert all(x >= 0 for x in lp.x)
+            assert [sum(a * x for a, x in zip(row, lp.x)) for row in A] == b
+        else:
+            assert all(sum(y * row[j] for y, row in zip(lp.y, A)) <= 0
+                       for j in range(len(A[0])))
+            assert sum(y * bi for y, bi in zip(lp.y, b)) > 0
+        seen.add(lp.feasible)
+    assert seen == {True, False}
+
+
+def test_phase_one_needs_b_nonnegative():
+    with pytest.raises(ValueError, match=r"b >= 0"):
+        phase_one([[1, 1]], [-1])

@@ -147,6 +147,17 @@ def test_forward_discount_ratio():
         c.discount(5.0) / c.discount(2.0), rel=1e-15)
 
 
+def test_forward_rate_needs_s_at_most_t():
+    with pytest.raises(DomainError, match=r"^forward rate needs 0 <= s <= t, got s=2.0, t=1.0$"):
+        forward_rate(FlatCurve(0.05), 2.0, 1.0)
+
+
+@pytest.mark.parametrize("r, s, t", [(-1.0, 1.0, 1.0), (0.0, -0.5, 1.0), (0.0, 1.0, -0.5)])
+def test_composition_check_needs_nonnegative_arguments(r, s, t):
+    with pytest.raises(DomainError, match=r"^composition check needs r, s, t >= 0$"):
+        forward_rate_composition_check(FlatCurve(0.05), r, s, t)
+
+
 def test_spot_rate_needs_positive_time():
     with pytest.raises(DomainError):
         spot_rate(FlatCurve(0.02), 0.0)

@@ -125,6 +125,13 @@ def test_dual_functional_scaled_weight_and_unit_check():
         fio.parse_dual_functional({**payload, "g_unit_check": True})
 
 
+@pytest.mark.parametrize("flag", [1, "true", None])
+def test_dual_functional_unit_check_must_be_boolean(flag):
+    payload = {"f": FLAT5, "g": FLAT5, "g_unit_check": flag}
+    with pytest.raises(SchemaError, match=r"^dual-functional\.g_unit_check: expected a boolean$"):
+        fio.parse_dual_functional(payload)
+
+
 def test_quotes_parse_and_reject_density_sides():
     left = {"atoms": [{"t": 1.0, "amount": 1.0}]}
     ok = {"grid": [0.0, 1.0],
@@ -500,6 +507,20 @@ def test_cli_negative_precision_is_a_bad_flag(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith("error: argument --precision: must be >= 0, got -1\n")
+
+
+def test_cli_precision_that_is_no_int_is_a_bad_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["curve-eval", "--curve", "c.json", "--to", "1", "--precision", "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --precision: invalid int value: 'abc'\n")
+
+
+def test_cli_curve_eval_refuses_a_negative_end(tmp_path, capsys):
+    curve = _write(tmp_path, "curve.json", FLAT5)
+    code, out, err = run(capsys, "curve-eval", "--curve", curve, "--to", "-1")
+    assert (code, out, err) == (1, "", "error: --to must be >= 0\n")
 
 
 def test_cli_huge_precision_is_clamped(tmp_path, capsys):

@@ -227,6 +227,19 @@ def test_trace_clips_density():
     assert mass(a, 1.0, 3.0) == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("start, end, closure, message", [
+    (1.0, 2.0, "[x", r"closure must be one of \('\[\]', '\[\)', '\(\]', '\(\)'\), got '\[x'"),
+    (math.nan, 2.0, "[]", r"interval ends must not be NaN"),
+    (1.0, math.nan, "()", r"interval ends must not be NaN"),
+    (3.0, 2.0, "[)", r"interval needs start <= end, got \[3.0, 2.0\]"),
+])
+def test_trace_and_mass_refuse_bad_intervals(start, end, closure, message):
+    a = dirac(1.0, 5.0) + density(0.0, 4.0)
+    for restrict in (trace, mass):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            restrict(a, start, end, closure)
+
+
 def test_distribution_is_right_continuous_jump():
     a = dirac(1.0, 2.0)
     assert distribution(a, 1.0) == pytest.approx(2.0)  # includes the atom at t

@@ -87,6 +87,37 @@ def test_impossible_budget_raises():
         bracketed_integral(_exp_decay, pieces, tol=1e-30)
 
 
+def test_interval_budget_raises():
+    # 19,999 breakpoints lay out 20,000 items, so no item can be bisected
+    # and a tolerance the kink at 1/3 cannot meet exhausts the budget
+    marks = tuple(np.linspace(0.0, 1.0, 20001)[1:-1])
+    with pytest.raises(DomainError, match=r"tolerance 1e-15 not achievable within "
+                       r"the 20000-interval budget: attained width \d"):
+        bracketed_integral(lambda t: np.sqrt(np.abs(t - 1.0 / 3.0)),
+                           ((0.0, 1.0, (1.0,)),), tol=1e-15, breakpoints=marks)
+
+
+def test_non_finite_integrand_raises():
+    fn = lambda t: np.where(t > 0.5, np.inf, 1.0)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            DomainError, match="integrand is not finite on the density's support"):
+        bracketed_integral(fn, ((0.0, 1.0, (1.0,)),), tol=1e-10)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_non_positive_tolerance_raises(tol):
+    with pytest.raises(DomainError, match="tolerance must be positive"):
+        bracketed_integral(_exp_decay, ((0.0, 1.0, (1.0,)),), tol=tol)
+
+
+def test_density_degree_cap_raises():
+    coeffs = (1.0,) * (poly.MAX_DEGREE + 2)
+    with pytest.raises(DomainError, match=f"density degree is capped at {poly.MAX_DEGREE}"):
+        bracketed_integral(_exp_decay, ((0.0, 1.0, coeffs),), tol=1e-10)
+    with pytest.raises(DomainError, match="density degree is capped"):
+        quadrature.prepare([(0.0, 1.0, coeffs, 0.0)])
+
+
 def test_sub_resolution_features_need_breakpoints():
     # a needle far narrower than the sampling grid is invisible without a
     # marker; with markers at its feet the enclosure finds the mass
