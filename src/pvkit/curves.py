@@ -21,6 +21,11 @@ rejects parameters that produce non-finite or non-positive values there.
 Each family has one formula, the array form ``discount_many(ts)``;
 ``discount(t)`` is ``discount_many`` at one time, so callers that need
 several times make one ``discount_many`` call.
+
+Each family also has ``forward_max(s, a, b)``, the largest forward rate
+``f(s, t)`` over the times ``t`` in ``[a, b]`` after ``s``, found from
+the family's own form and not from samples (:mod:`pvkit.forward_max`).
+
 Rates use annual effective compounding throughout: the spot rate is
 ``y_t = P_t**(-1/t) - 1`` and the forward rate over ``[s, t]`` is
 ``f = (P_s/P_t)**(1/(t-s)) - 1`` with ``f = 0`` when ``s == t``.  Negative
@@ -103,6 +108,11 @@ class FlatCurve:
         _check_times(ts)
         return np.power(1.0 + self.rate, -ts)
 
+    def forward_max(self, s: float, a: float, b: float) -> float:
+        """Every forward rate is the rate; 0 when no time of [a, b] is after s."""
+        from .forward_max import window
+        return 0.0 if window(s, a, b) is None else self.rate
+
     def knot_times(self) -> tuple[float, ...]:
         return ()
 
@@ -157,6 +167,12 @@ class SpotGridCurve:
             p0, p1 = self._knot_p[k], self._knot_p[k + 1]
             out[inside] = p0 * (p1 / p0) ** ((t - t0) / (t1 - t0))
         return out
+
+    def forward_max(self, s: float, a: float, b: float) -> float:
+        """The largest forward rate f(s, t) over t in [a, b] with t > s;
+        0 when there is no such t (:func:`pvkit.forward_max.spot_grid`)."""
+        from .forward_max import spot_grid
+        return spot_grid(self, s, a, b)
 
     def knot_times(self) -> tuple[float, ...]:
         # interpolation is non-smooth at every interior knot and at the
@@ -218,6 +234,12 @@ class SvenssonCurve:
     def discount_many(self, ts: np.ndarray) -> np.ndarray:
         return np.exp(-ts * self._yields(ts))
 
+    def forward_max(self, s: float, a: float, b: float) -> float:
+        """The largest forward rate f(s, t) over t in [a, b] with t > s;
+        0 when there is no such t (:func:`pvkit.forward_max.svensson`)."""
+        from .forward_max import svensson
+        return svensson(self, s, a, b)
+
     def knot_times(self) -> tuple[float, ...]:
         return ()
 
@@ -244,6 +266,10 @@ class ScaledCurve:
 
     def discount_many(self, ts: np.ndarray) -> np.ndarray:
         return self.factor * self.base.discount_many(ts)
+
+    def forward_max(self, s: float, a: float, b: float) -> float:
+        """The base's: the factor cancels in P(s)/P(t)."""
+        return self.base.forward_max(s, a, b)
 
     def knot_times(self) -> tuple[float, ...]:
         return self.base.knot_times()

@@ -259,27 +259,23 @@ def yield_bound_check(curve, flow: CashFlow, purchase_time: float = 0.0,
     Buying the flow at its arbitrage-consistent forward price cannot yield
     more than the largest forward rate from the purchase time into the
     support: the internal rate is a discount-weighted mix of those
-    forwards.  The maximum is scanned on a 1e-3-spaced grid over the
-    support span (endpoints included); ``holds`` compares with slack
-    ``tol``.
+    forwards.  That maximum is ``curve.forward_max(purchase_time, lo,
+    hi)`` over the support ``[lo, hi]``, which each curve family finds
+    from its own form (see :mod:`pvkit.curves`); ``holds`` compares with
+    slack ``tol``.  A curve without ``forward_max`` is refused with a
+    DomainError before any pricing.
 
     The target's default tolerance is absolute, too wide for a flow worth
     less than it, so before answering ``holds=False`` the target is priced
     again to ``1e-10`` of its value and the rate solved again.
     """
+    best_forward = getattr(curve, "forward_max", None)
+    if best_forward is None:
+        raise DomainError(f"yield bound needs the curve's forward_max(s, a, b); "
+                          f"{type(curve).__name__} has none")
     target = forward_price(curve, flow, purchase_time).value
     rate = irr(flow, target, purchase_time, tol=min(1e-10, tol)).rate
-    lo, hi = flow.support_bounds()
-    n = int(math.floor((hi - lo) / 1e-3))
-    # the maximum needs neither order nor distinct points, so no sort
-    grid = np.concatenate([lo + 1e-3 * np.arange(n + 1), [hi]])
-    grid = grid[grid > purchase_time]
-    if grid.size == 0:
-        forward_max = 0.0
-    else:
-        p = curve.discount_many(np.concatenate([[purchase_time], grid]))
-        f = (p[0] / p[1:]) ** (1.0 / (grid - purchase_time)) - 1.0
-        forward_max = float(np.max(f))
+    forward_max = best_forward(purchase_time, *flow.support_bounds())
     if not rate <= forward_max + tol:
         target = forward_price(curve, flow, purchase_time, 1e-10 * target).value
         rate = irr(flow, target, purchase_time, tol=min(1e-10, tol)).rate
