@@ -1,17 +1,25 @@
 """Work counts and wall time of ``irr`` solves on seeded flows.
 
 Each flow is priced on a flat curve at a seeded rate and ``irr`` solves
-for that price.  For every solve the script prints the rate steps
-(``iterations``), the certified present-value brackets computed (calls
-of ``quadrature.enclose``, the atoms-plus-density valuation each rate step
-runs), the sign splits of a density piece (``poly.sign_spans`` calls), the
-quadrature batches and items built (``quadrature._evaluate_items`` calls
-and the intervals they evaluate) and the best wall time of a solve.  The first
-three flows are fixed: the 10-year annual annuity, a unit density on
-[0, 10) and a narrow degree-4 bump worth 3.4e-13; the rest come from
-``random_cashflow`` (nonnegative, horizon 30) with rates drawn from
-[0.005, 0.08).  A flow keeps its sign split once made, and pricing the
-target splits it, so every solve, counted or timed, runs on a fresh
+for that price.  A solve steers by Newton steps on fixed-node estimates
+until an update is within ``tol``, then certifies; an atoms-only flow has
+exact sums and certifies from its first step.  For every solve the
+script prints the rate steps (``iterations``), the steering steps among
+them, the certified present-value brackets computed (calls of
+``quadrature.enclose``, the atoms-plus-density enclosure a certified step
+of a flow with densities runs, or for an atoms-only flow one exact atom
+sum per step), the sign splits of a density piece (``poly.sign_spans``
+calls), the quadrature batches and items built
+(``quadrature._evaluate_items`` calls and the intervals they evaluate)
+and the best wall time of a solve.  A certified step whose bracket does
+not tell the side of the target calls ``enclose`` again at the same rate,
+so the certified steps of a flow with densities are the distinct rates
+``enclose`` is called at (its integrand at ``t = -1`` is ``1 + rate``).
+The first three flows are fixed: the 10-year annual annuity, a unit
+density on [0, 10) and a narrow degree-4 bump worth 3.4e-13; the rest
+come from ``random_cashflow`` (nonnegative, horizon 30) with rates drawn
+from [0.005, 0.08).  A flow keeps its sign split once made, and pricing
+the target splits it, so every solve, counted or timed, runs on a fresh
 equal flow (``CashFlow(flow.atoms, flow.pieces)``, made outside the
 timer) that has not been split.  Every column but the time repeats
 exactly::
@@ -70,11 +78,13 @@ def best_time(flow, target) -> float:
 
 def main() -> None:
     counts = {"pv": 0, "splits": 0, "batches": 0, "items": 0}
+    rates = set()  # 1 + rate of each enclose call
     enclose, sign_spans, evaluate_items = pricing.enclose, poly.sign_spans, quadrature._evaluate_items
 
-    def counted_enclose(*args):
+    def counted_enclose(fn, *args):
         counts["pv"] += 1
-        return enclose(*args)
+        rates.add(float(fn(np.array([-1.0]))[0]))
+        return enclose(fn, *args)
 
     def counted_spans(*args):
         counts["splits"] += 1
@@ -85,13 +95,14 @@ def main() -> None:
         counts["items"] += len(a)
         return evaluate_items(fn, a, b, coeffs)
 
-    print(f"{'flow':>15} {'rate':>7} {'steps':>5} {'PV evals':>8} {'splits':>6} {'batches':>7} "
-          f"{'items':>6} {'solve ms':>9}")
+    print(f"{'flow':>15} {'rate':>7} {'steps':>5} {'steer':>5} {'certified':>9} {'splits':>6} "
+          f"{'batches':>7} {'items':>6} {'solve ms':>9}")
     rows = []
     for name, flow, rate in cases():
         target = price(FlatCurve(rate), flow).value
         for key in counts:
             counts[key] = 0
+        rates.clear()
         patched = counted_enclose, counted_spans, counted_items
         pricing.enclose, poly.sign_spans, quadrature._evaluate_items = patched
         try:
@@ -99,14 +110,15 @@ def main() -> None:
         finally:
             pricing.enclose, poly.sign_spans, quadrature._evaluate_items = (
                 enclose, sign_spans, evaluate_items)
+        certified, steer = (counts["pv"], steps - len(rates)) if flow.pieces else (steps, 0)
         ms = 1e3 * best_time(flow, target)
-        rows.append((steps, counts["pv"], counts["splits"], counts["batches"], counts["items"],
-                     ms))
-        print(f"{name:>15} {rate:>7.4f} {steps:>5} {counts['pv']:>8} {counts['splits']:>6} "
-              f"{counts['batches']:>7} {counts['items']:>6} {ms:>9.3f}")
+        rows.append((steps, steer, certified, counts["splits"], counts["batches"],
+                     counts["items"], ms))
+        print(f"{name:>15} {rate:>7.4f} {steps:>5} {steer:>5} {certified:>9} "
+              f"{counts['splits']:>6} {counts['batches']:>7} {counts['items']:>6} {ms:>9.3f}")
     mean = np.mean(rows, axis=0)
-    print(f"{'mean':>15} {'':>7} {mean[0]:>5.1f} {mean[1]:>8.1f} {mean[2]:>6.1f} "
-          f"{mean[3]:>7.1f} {mean[4]:>6.1f} {mean[5]:>9.3f}")
+    print(f"{'mean':>15} {'':>7} {mean[0]:>5.1f} {mean[1]:>5.1f} {mean[2]:>9.1f} {mean[3]:>6.1f} "
+          f"{mean[4]:>7.1f} {mean[5]:>6.1f} {mean[6]:>9.3f}")
 
 
 if __name__ == "__main__":

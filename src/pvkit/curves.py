@@ -180,9 +180,11 @@ class SpotGridCurve:
         return tuple(t for t, _ in self.knots[1:])
 
 
-def _hump1_many(x: np.ndarray) -> np.ndarray:
-    # (1 - exp(-x)) / x, continuous limit 1 at x = 0
-    return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0.0)
+def _hump1_many(n: np.ndarray) -> np.ndarray:
+    # (1 - exp(-x)) / x at n = -x <= 0, which is expm1(n) / n; at n = 0 the
+    # least subnormal stands in, whose expm1 is itself: the limit 1
+    m = np.minimum(n, -5e-324)
+    return np.expm1(m) / m
 
 
 @dataclass(frozen=True)
@@ -221,14 +223,14 @@ class SvenssonCurve:
 
     def _yields(self, ts: np.ndarray) -> np.ndarray:
         _check_times(ts)
-        x1 = ts / self.tau1
-        x2 = ts / self.tau2
-        h1 = _hump1_many(x1)
+        n1 = ts / -self.tau1
+        n2 = ts / -self.tau2
+        h1 = _hump1_many(n1)
         return (
             self.beta0
             + self.beta1 * h1
-            + self.beta2 * (h1 - np.exp(-x1))
-            + self.beta3 * (_hump1_many(x2) - np.exp(-x2))
+            + self.beta2 * (h1 - np.exp(n1))
+            + self.beta3 * (_hump1_many(n2) - np.exp(n2))
         )
 
     def discount_many(self, ts: np.ndarray) -> np.ndarray:

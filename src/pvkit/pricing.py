@@ -5,7 +5,8 @@ measure.  Atoms contribute an exact finite sum; densities are enclosed by
 the bracketed quadrature engine, so every result carries a certified
 interval ``[lower, upper]`` of width at most the requested tolerance.
 The default tolerance scales with the flow: ``1e-10 * (1 + total
-variation)``.
+variation)``.  ``irr`` steers on uncertified fixed-node estimates and
+certifies only the rates that straddle the root.
 """
 from __future__ import annotations
 
@@ -14,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import poly
 from .errors import DomainError
-from .measures import CashFlow, is_nonnegative, total_mass, total_variation
-from .quadrature import Bracket, enclose, estimate, prepare
+from .measures import CashFlow, is_nonnegative, total_variation
+from .quadrature import Bracket, enclose, fixed_nodes, prepare
 
 TOLERANCE_SCALE = 1e-10
 _IRR_LO = -0.999
@@ -87,30 +87,33 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     confined to rates in (-0.999, 10].
 
     The flow's split decides its nonnegativity, and the flow is prepared
-    once with time measured from the purchase time: atoms as arrays, the
-    split's units each about its own origin on that scale (no
-    coefficients are shifted), and a partition that each rate step starts
-    from and refines only as far as that step's tolerance needs.  The
-    steps are Newton steps on ``ln PV`` against ``ln(1 + rate)``, with the
-    slope ``-(sum a_k t_k P(t_k) + integral t rho P dt) / PV`` estimated on
-    the same partition.  ``PV`` is log-convex in ``ln(1 + rate)``, so from
-    below the root the steps rise monotonically towards it; the first
-    step, where the flow's mass discounted at its mean payment time meets
-    the target, is below it by Jensen's inequality.  A step that leaves
-    the certified bracket of the root bisects it instead, and the
-    window's ends are evaluated only when a step reaches them.
+    once with time measured from the purchase time, as a partition each
+    certified step starts from and refines only as far as it needs.  The
+    steps are Newton steps on ``ln PV`` against ``ln(1 + rate)``, with
+    ``PV`` and its slope ``-(sum a_k t_k P(t_k) + integral t rho P dt) /
+    PV`` summed on the atom times and the partition's Gauss-Legendre nodes
+    (:func:`~pvkit.quadrature.fixed_nodes`), one ``np.power`` call a step.
+    ``PV`` is log-convex in ``ln(1 + rate)``, so from below the root the
+    steps rise monotonically towards it, and the first, where the mass
+    discounted at the mean payment time meets the target, is below it by
+    Jensen's inequality.  These sums steer until an update is within
+    ``tol``; every later step is certified by
+    :func:`~pvkit.quadrature.enclose` (atoms alone have exact sums and
+    certify from the first step).  A certified step that leaves the
+    certified bracket of the root bisects it instead, and the window's
+    ends are evaluated only when a step reaches them.
 
     The stop is on the rate: the result is returned once the certified
-    price brackets at two rates at most ``tol`` apart straddle the target,
-    at a rate between them with ``|PV - target| <= tol * (1 + |target|)``
-    (relative to the target scale, since an absolute residual finer than
-    double precision allows is not certifiable for large flows).  Near the
-    root each step aims just past the predicted rate, on the side still
-    lacking a certified bracket, and a bracket that contains the target is
-    tightened to half the residual.  ``iterations`` counts the rate steps.
-    Raises DomainError when no rate in the window reaches the target, and
-    when a step's bracket cannot be made narrow enough (a ``tol`` below the
-    flow's noise floor).
+    brackets at two rates at most ``tol`` apart straddle the target, at a
+    rate between them with ``|PV - target| <= tol * (1 + |target|)`` (an
+    absolute residual finer than double precision allows is not
+    certifiable for large flows).  Near the root each certified step aims
+    just past the predicted rate, on the side still lacking a certified
+    bracket, and a bracket that contains the target is tightened to half
+    the residual.  ``iterations`` counts the rate steps, steering and
+    certified.  Raises DomainError when no rate in the window reaches the
+    target, and when a step's bracket cannot be made narrow enough (a
+    ``tol`` below the flow's noise floor).
     """
     if flow.is_null or not is_nonnegative(flow):
         raise DomainError("internal rate needs a nonnegative, nonzero flow")
@@ -124,24 +127,26 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     if lo_support < purchase_time:
         raise DomainError("flow must be supported at or after the purchase time")
     eff_tol = tol * (1.0 + abs(target_price))
-    mass = total_mass(flow)
+    times, amounts, rows, partition = prepare(flow._units, atoms=flow.atoms,
+                                              origin=purchase_time)
+    nodes, weights = fixed_nodes((times, amounts, rows, partition))
+    # the mass and the first moment, the integral of t - purchase_time
+    # (Gauss-Legendre is exact on them): the mean payment time is first / mass
+    mass, first = math.fsum(weights.tolist()), math.fsum((weights * nodes).tolist())
     sup = hi_support - purchase_time
     if sup == 0.0:  # all mass at the purchase time: PV constant in the rate
         if abs(mass - target_price) <= eff_tol:
             return YieldResult(0.0, mass - target_price, 0)
         raise DomainError("present value does not depend on the rate; no root")
-    times, amounts, rows, partition = prepare(flow._units, atoms=flow.atoms,
-                                              origin=purchase_time)
 
-    def value(rate: float, cap: float = math.inf) -> tuple[Bracket, float]:
-        """The price bracket at a flat ``rate``, from the partition the last
-        call ended with, and the first moment ``sum a_k t_k P(t_k) +
-        integral t rho P dt``, an estimate.  The width is at most ``eff_tol
-        / 8``, or ``1e-12`` of the largest discounted mass where wider, and
-        at most ``cap``.  Both are infinite when discounting overflows
-        (rate very close to -1), which keeps the search away from there.
+    def value(rate: float, certify: bool, cap: float = math.inf) -> tuple[Bracket, float]:
+        """The price at a flat ``rate`` and the first moment, fixed-node sums
+        on the last certified partition; with ``certify`` the price is
+        enclosed from there (an atom sum is exact already) to a width of at
+        most ``eff_tol / 8``, or ``1e-12`` of the largest discounted mass
+        where wider, and at most ``cap``.  Both are infinite on overflow.
         """
-        nonlocal partition
+        nonlocal partition, nodes, weights
         try:
             # near rate -1 the discount factor reaches ~(1+rate)^-sup, where
             # a fixed absolute tolerance is not certifiable and the search
@@ -149,56 +154,60 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
             scale = mass * max(1.0, (1.0 + rate) ** (-sup))
         except OverflowError:
             return Bracket(math.inf, math.inf, math.inf, 0.0), math.nan
-
-        def discount(ts):
-            return np.power(1.0 + rate, -ts)
-
-        try:
-            pv, partition = enclose(discount, (times, amounts, rows, partition),
-                                    min(cap, max(eff_tol / 8.0, 1e-12 * scale)))
-        except DomainError as err:
-            raise DomainError(f"irr tolerance not achievable at rate {rate!r}: {err}") from err
-        moment = math.fsum((amounts * times * discount(times)).tolist()) + estimate(
-            lambda ts: ts * discount(ts), rows, partition)
-        return pv, moment
+        pv = None
+        if certify and len(partition[0]):
+            try:
+                pv, part = enclose(lambda ts: np.power(1.0 + rate, -ts),
+                                   (times, amounts, rows, partition),
+                                   min(cap, max(eff_tol / 8.0, 1e-12 * scale)))
+            except DomainError as err:
+                raise DomainError(f"irr tolerance not achievable at rate {rate!r}: {err}") from err
+            if len(part[0]) != len(partition[0]):  # refined: new fixed nodes
+                nodes, weights = fixed_nodes((times, amounts, rows, part))
+            partition = part
+        discount = np.power(1.0 + rate, -nodes)
+        estimate = math.fsum((weights * discount).tolist())
+        return (pv or Bracket(estimate, estimate, estimate, 0.0),
+                math.fsum((weights * nodes * discount).tolist()))
 
     lo_end, hi_end = _IRR_LO + 1e-9, _IRR_HI
     lo, hi = lo_end, hi_end  # bounds on the root, proved once lo_ok / hi_ok
     lo_ok = hi_ok = False
     close = []  # (|residual|, rate, residual) of the steps within eff_tol
-    # t - purchase_time is (t - origin) + (origin - purchase_time) about a
-    # piece's own origin
-    first = math.fsum([x.amount * (x.time - purchase_time) for x in flow.atoms]
-                      + [poly.definite_integral(
-                          poly.multiply(p.coeffs, (p.origin - purchase_time, 1.0)),
-                          p.start - p.origin, p.end - p.origin) for p in flow.pieces])
-    # the first step is where the mass, discounted at the flow's mean
-    # payment time first / mass, meets the target
+    # the first step is where the mass, discounted at the mean payment
+    # time, meets the target
     x = _newton_rate(0.0, mass, first, target_price)
     x = 0.0 if math.isnan(x) else min(max(x, lo_end), hi_end)
+    steer, both = len(partition[0]) > 0, False  # atoms alone certify at once
     for step in range(1, _IRR_STEPS + 1):
-        pv, moment = value(x)
+        pv, moment = value(x, not steer)
         res = pv.value - target_price
-        if (x == hi_end and res > 0.0) or (x == lo_end and res < 0.0):
-            raise DomainError(
-                f"no internal rate in ({_IRR_LO}, {_IRR_HI}] reaches the target")
-        if pv.lower < target_price < pv.upper and res != 0.0:
-            # the bracket does not tell the side: tighten it to |res| / 2
-            pv, moment = value(x, 0.5 * abs(res))
-            res = pv.value - target_price
-        if pv.lower >= target_price:
-            lo, lo_ok = max(lo, x), True
-        if pv.upper <= target_price:
-            hi, hi_ok = min(hi, x), True
-        if abs(res) <= eff_tol:
-            close.append((abs(res), x, res))
-        both = lo_ok and hi_ok and hi - lo <= tol
-        if both:
-            inside = [c for c in close if lo <= c[1] <= hi]
-            if inside:
-                _, rate, res = min(inside)
-                return YieldResult(rate, res, step)
+        if not steer:
+            if (x == hi_end and res > 0.0) or (x == lo_end and res < 0.0):
+                raise DomainError(
+                    f"no internal rate in ({_IRR_LO}, {_IRR_HI}] reaches the target")
+            if pv.lower < target_price < pv.upper and res != 0.0:
+                # the bracket does not tell the side: tighten it to |res| / 2
+                pv, moment = value(x, True, 0.5 * abs(res))
+                res = pv.value - target_price
+            if pv.lower >= target_price:
+                lo, lo_ok = max(lo, x), True
+            if pv.upper <= target_price:
+                hi, hi_ok = min(hi, x), True
+            if abs(res) <= eff_tol:
+                close.append((abs(res), x, res))
+            both = lo_ok and hi_ok and hi - lo <= tol
+            if both:
+                inside = [c for c in close if lo <= c[1] <= hi]
+                if inside:
+                    _, rate, res = min(inside)
+                    return YieldResult(rate, res, step)
         p = _newton_rate(x, pv.value, moment, target_price)
+        if steer:  # the last update aims past p below; an undefined one certifies x
+            steer = lo_end <= p <= hi_end and abs(p - x) > tol
+            x = p if steer else x
+            if steer or math.isnan(p):
+                continue
         # a prediction within tol past a certified bound puts the root at
         # that bound, up to rounding
         if hi_ok and hi <= p <= hi + tol:

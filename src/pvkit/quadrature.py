@@ -26,7 +26,8 @@ cost only a few rounds; supplying the integrand's kink points as
 The split, the layout (:func:`prepare`) and the refinement (:func:`enclose`)
 are separate steps: pricing lays out the split the flow keeps, and
 integrating against a sequence of integrands lays out once and refines
-each from the partition the last one ended with.
+each from the partition the last one ended with (:func:`fixed_nodes`
+estimates on a partition without certifying).
 """
 from __future__ import annotations
 
@@ -259,14 +260,11 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     what the previous round measured.  Below a decay of 5.5 bits a level,
     as near the noise floor of ``fn``, a round bisects once.
 
-    The residual at a sample ``s`` is computed centred on the item's
-    midpoint value, ``(f_s - f(mid)) - L (f_c - f(mid))``, where ``f_c``
-    are the node values and ``L`` is built from the Lagrange formula.  The
-    rows of ``L`` sum to 1 within 2 ulp.  Uncentred, ``L f_c`` would carry
-    up to 2 ulp of ``|f|`` from that alone; centred, the row-sum error
-    multiplies only ``f_c - f(mid)``, the variation of ``f`` over the
-    item, so the model's roundoff stays far inside the allowance of
-    ``1e-15 * max|f|`` (about 4.5 ulp of ``f``) added to each pad.
+    The residual at a sample ``s`` is centred on the item's midpoint value,
+    ``(f_s - f(mid)) - L (f_c - f(mid))`` for node values ``f_c``, so the
+    2-ulp row-sum error of the Lagrange matrix ``L`` multiplies only the
+    variation of ``f`` over the item, far inside the allowance of ``1e-15 *
+    max|f|`` (about 4.5 ulp of ``f``) added to each pad.
 
     Raises DomainError when the tolerance cannot be met: when a round's
     children are together no narrower than their parents (refinement has
@@ -403,22 +401,15 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
             (items[:, 0], items[:, 1], unit))
 
 
-def estimate(fn, rows, partition) -> float:
-    """Gauss-Legendre estimate of ``integral rho f`` over a partition.
-
-    The 8-point rule on every item of ``partition`` (as :func:`enclose`
-    returns it, with ``rows`` as :func:`prepare` lays them out), with one
-    ``fn`` call for all items.  No enclosure: for
-    quantities that steer a search but certify nothing, such as ``irr``'s
-    Newton slope.
+def fixed_nodes(measure) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, for a measure as :func:`prepare` lays it out, of
+    the estimate ``sum(weights * f(nodes))`` of ``integral f d(measure)``:
+    the atom times weighted by their amounts, then every item's GL8 nodes
+    weighted ``half * w8 * rho(node)``.  No enclosure; with no items the
+    sum is :func:`enclose`'s atom sum, bit for bit.
     """
-    a, b, unit = partition
-    if not len(a):
-        return 0.0
-    points, _, w8, _ = _tables()
-    n_f = len(_F_POINTS)
-    half = 0.5 * (b - a)
-    ts = 0.5 * (a + b)[:, None] + half[:, None] * points[n_f:n_f + len(w8)]
-    rho = density_at(rows[unit], ts)
-    f = fn(ts.ravel()).reshape(ts.shape)
-    return math.fsum((half * ((rho * f) @ w8)).tolist())
+    times, amounts, rows, (a, b, unit) = measure
+    half = 0.5 * (b - a)[:, None]
+    ts = 0.5 * (a + b)[:, None] + half * [x for x, _ in _GL8]
+    w = half * _tables()[2] * density_at(rows[unit], ts)
+    return np.concatenate((times, ts.ravel())), np.concatenate((amounts, w.ravel()))

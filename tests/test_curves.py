@@ -109,6 +109,26 @@ def test_svensson_yield_formula_oracle():
     assert c.discount(t) == pytest.approx(math.exp(-t * expected), rel=1e-15)
 
 
+def test_svensson_yields_match_the_masked_hump_bit_for_bit():
+    # the hump (1 - exp(-x)) / x as expm1(n) / n at n = -x, with the least
+    # subnormal standing in for n = 0, against np.divide masked at x = 0
+    def masked(c, ts):
+        def hump(x):
+            return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0.0)
+        x1, x2 = ts / c.tau1, ts / c.tau2
+        h1 = hump(x1)
+        return (c.beta0 + c.beta1 * h1 + c.beta2 * (h1 - np.exp(-x1))
+                + c.beta3 * (hump(x2) - np.exp(-x2)))
+
+    rng = np.random.default_rng(19)
+    ts = np.concatenate((rng.uniform(0.0, 100.0, 50_000), 10.0 ** rng.uniform(-320.0, 2.0, 50_000),
+                         [0.0, -0.0, 5e-324, 1e-300, 1e-8]))
+    for c in (SvenssonCurve(0.03, -0.01, 0.02, 0.015, tau1=1.5, tau2=6.0),
+              SvenssonCurve(0.04, 0.02, -0.03, 0.01, tau1=1e-3, tau2=1e3),
+              SvenssonCurve(0.01, -0.02, 0.05, -0.04, tau1=30.0, tau2=0.25)):
+        assert c._yields(ts).tobytes() == masked(c, ts).tobytes()
+
+
 def test_svensson_rejects_nonpositive_tau_and_negative_discounts():
     with pytest.raises(DomainError):
         SvenssonCurve(0.03, 0.0, 0.0, 0.0, tau1=0.0, tau2=1.0)

@@ -4,8 +4,10 @@ Reference values are closed forms: a unit annuity over n years at flat
 rate i is worth (1 - (1+i)^-n)/i, and a unit-density payment stream over
 [0, T) is worth (1 - (1+i)^-T)/ln(1+i).
 """
+import importlib.util
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,22 +225,54 @@ def test_irr_no_rate_reaches_target():
 
 
 def test_irr_bisects_when_newton_steps_leave_the_bracket(monkeypatch):
-    # predictions past both ends of the window: the first two steps go to
-    # the window's ends, and every later one bisects the certified bracket
-    target = price(FlatCurve(0.05), ANNUITY_10).value
-    expected = irr(ANNUITY_10, target)
+    # predictions past both ends of the window: certified steps go to the
+    # window's ends, and every later one bisects the certified bracket; for
+    # atoms alone every step is certified, with a density the first steers
+    for flow in (ANNUITY_10, density(0.0, 10.0) + dirac(10.0, 0.5)):
+        target = price(FlatCurve(0.05), flow).value
+        expected = irr(flow, target)
+        calls = []  # the rate of every prediction
+
+        def wild(rate, pv, moment, tgt):
+            calls.append(rate)
+            return 20.0 if len(calls) % 2 else -0.9999
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pricing, "_newton_rate", wild)
+            res = irr(flow, target)
+        assert abs(res.rate - expected.rate) <= 1e-10
+        assert abs(res.residual) <= 1e-10 * (1.0 + target)
+        assert res.iterations > expected.iterations
+        # calls[0] is the start's prediction, from rate 0; then one per step
+        steps = calls[1:]
+        ends = {pricing._IRR_HI, pricing._IRR_LO + 1e-9}
+        last = max(k for k, rate in enumerate(steps) if rate in ends)
+        assert ends <= set(steps[:last + 1]) and last + 1 < len(steps)
+        for k in range(last + 1, len(steps)):
+            below = max(r for r in steps[:k] if r < steps[k])
+            above = min(r for r in steps[:k] if r > steps[k])
+            assert steps[k] == 0.5 * (below + above)
+
+
+def _irr_profile_cases():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "irr_profile.py"
+    spec = importlib.util.spec_from_file_location("irr_profile", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.cases()
+
+
+def test_irr_certifies_at_most_two_brackets_on_the_profile_cases(monkeypatch):
+    # steering on fixed-node estimates leaves enclose to the rates that
+    # straddle the root; where the first step hits it, one bracket does
     calls = []
-
-    def wild(rate, pv, moment, tgt):
-        calls.append(rate)
-        return 20.0 if len(calls) % 2 else -0.9999
-
-    monkeypatch.setattr(pricing, "_newton_rate", wild)
-    res = irr(ANNUITY_10, target)
-    assert abs(res.rate - expected.rate) <= 1e-10
-    assert abs(res.residual) <= 1e-10 * (1.0 + target)
-    assert res.iterations > expected.iterations
-    assert calls[1:3] == [10.0, pricing._IRR_LO + 1e-9]
+    enclose = pricing.enclose
+    monkeypatch.setattr(pricing, "enclose", lambda *args: calls.append(args) or enclose(*args))
+    for name, flow, rate in _irr_profile_cases():
+        target = price(FlatCurve(rate), flow).value
+        calls.clear()
+        assert irr(flow, target).rate == pytest.approx(rate, abs=1e-9)
+        assert len(calls) <= (1 if name in ("random 3", "random 8", "random 11") else 2), name
 
 
 def test_irr_long_dated_flow_at_a_high_rate():

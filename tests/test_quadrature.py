@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from pvkit import DomainError, FlatCurve, SvenssonCurve, density, price
+from pvkit import Atom, DomainError, FlatCurve, SvenssonCurve, density, price
 from pvkit import poly, quadrature
 from pvkit.quadrature import bracketed_integral
 from pvkit.sampling import random_cashflow, random_curve
@@ -327,8 +327,23 @@ def test_refine_continues_from_a_final_partition():
         a, b, unit = (x[order] for x in part)
         same = unit[1:] == unit[:-1]
         assert (a[1:][same] == b[:-1][same]).all()
-        estimate = quadrature.estimate(lambda t: np.exp(-lam * t), rows, part)
+        # the fixed nodes of the final partition estimate the same integral
+        nodes, weights = quadrature.fixed_nodes((times, amounts, rows, part))
+        estimate = math.fsum((weights * np.exp(-lam * nodes)).tolist())
         assert estimate == pytest.approx(exact, rel=1e-9)
+
+
+def test_fixed_nodes_of_atoms_sum_as_enclose_does():
+    # atoms only: the nodes are the atom times and the weights their
+    # amounts, so the fixed-node sum is enclose's zero-width atom sum
+    atoms = [Atom(t, a) for t, a in ((0.5, 1.25), (3.0, 0.03), (7.25, 2.0), (30.0, 1.0 / 3.0))]
+    measure = quadrature.prepare((), atoms=atoms, origin=0.25)
+    nodes, weights = quadrature.fixed_nodes(measure)
+    for rate in (-0.5, 0.0, 0.0371, 0.9):
+        fn = lambda t: np.power(1.0 + rate, -t)  # noqa: E731
+        br, _ = quadrature.enclose(fn, measure, 1e-10)
+        value = math.fsum((weights * fn(nodes)).tolist())
+        assert br.lower == br.upper == value
 
 
 def _poisson(k, x):
