@@ -17,7 +17,9 @@ returned result's ``value``, ``lower``, ``upper``, ``atom_part`` and
 ``density_part``, in case order: two revisions whose digests agree
 returned bit-identical results.  A second SHA-256 covers the one-field
 tuple ``(density_part,)`` alone, so a change to the atom sum and a change
-to the quadrature show up separately.
+to the quadrature show up separately.  A third covers ``(lower, upper)``
+alone, so a change to the point values that leaves every bracket as it
+was shows as a change of the first two digests only.
 
 Run:  PYTHONPATH=src python scripts/quadrature_sweep.py
 """
@@ -60,7 +62,7 @@ def sweep(cases, counts):
         counts["batches"] = counts["items"] = 0
         start = time.perf_counter()
         refused, too_wide = [], 0
-        digest, density = hashlib.sha256(), hashlib.sha256()
+        digest, density, bracket = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
         for i, (curve, flow) in enumerate(cases):
             try:
                 res = price(curve, flow, tol)
@@ -70,11 +72,13 @@ def sweep(cases, counts):
             too_wide += res.upper - res.lower > (default_tolerance(flow) if tol is None else tol)
             digest.update(repr(tuple(getattr(res, f) for f in FIELDS)).encode())
             density.update(repr((res.density_part,)).encode())
+            bracket.update(repr((res.lower, res.upper)).encode())
         total += len(refused)
         print(f"tol {'default' if tol is None else f'{tol:g}'}: {len(refused)} of {CASES} refused, {too_wide} wider than tol, "
               f"{time.perf_counter() - start:.2f} s; {counts['batches']} batches, "
               f"{counts['items']} items; refused {refused}; "
-              f"sha256 {digest.hexdigest()}; density_part sha256 {density.hexdigest()}")
+              f"sha256 {digest.hexdigest()}; density_part sha256 {density.hexdigest()}; "
+              f"(lower, upper) sha256 {bracket.hexdigest()}")
     print(f"total: {total} of {CASES * len(TOLERANCES)} refused")
 
 

@@ -12,6 +12,9 @@ interpolant of ``f``:
   ``m = integral rho`` (``rho`` of one sign) the remainder lies between
   ``m*rmin`` and ``m*rmax``.
 
+The subinterval's point value is the same 8-point rule applied to
+``rho * f`` itself, clamped into its enclosure.
+
 Signed densities are first cut at their sign changes into sign-definite
 units (``poly.sign_units``, the package's one sign split, which a
 ``CashFlow`` makes once and keeps, and which the Jordan decomposition
@@ -40,18 +43,9 @@ import numpy as np
 from . import poly
 from .errors import DomainError
 
-# 7-point Gauss-Legendre rule on [-1, 1], for the residual correction.
-_GL7 = (
-    (-0.9491079123427585, 0.1294849661688697),
-    (-0.7415311855993945, 0.2797053914892766),
-    (-0.4058451513773972, 0.3818300505051189),
-    (0.0, 0.4179591836734694),
-    (0.4058451513773972, 0.3818300505051189),
-    (0.7415311855993945, 0.2797053914892766),
-    (0.9491079123427585, 0.1294849661688697),
-)
 # 8-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree
-# <= 15, so for a density of degree <= 8 times the degree-6 model.
+# <= 15, so for a density of degree <= 8 times the degree-6 model.  It is
+# also the rule of an item's point value and of fixed_nodes.
 _GL8 = (
     (-0.9602898564975363, 0.10122853629037626),
     (-0.7966664774136267, 0.22238103445337448),
@@ -77,14 +71,15 @@ _GATE_BITS = 5.5
 _MAX_DEPTH = 3
 
 # Positions on [-1, 1] (an item [a, b] maps them to mid + half * x) of the
-# 47 points where an item evaluates f: the model nodes, the residual
-# samples, then the GL7 nodes, whose middle one is the item's midpoint.
+# 48 points where an item evaluates f: the model nodes, the residual
+# samples, whose middle one (x = 0) is the item's midpoint, then the GL8
+# nodes, where the density is evaluated too.
 _CHEB = poly.chebyshev_nodes(_MODEL_NODES)
 _SAMPLES = tuple(-1.0 + 2.0 * j / (_RESIDUAL_SAMPLES - 1) for j in range(_RESIDUAL_SAMPLES))
-_F_POINTS = _CHEB + _SAMPLES + tuple(x for x, _ in _GL7)
+_F_POINTS = _CHEB + _SAMPLES + tuple(x for x, _ in _GL8)
 _N_CHEB = len(_CHEB)
 _N_SAMPLED = _N_CHEB + _RESIDUAL_SAMPLES
-_MID = _N_SAMPLED + 3
+_MID = _N_CHEB + _RESIDUAL_SAMPLES // 2
 
 
 def _lagrange_rows(points) -> tuple:
@@ -107,18 +102,15 @@ def _lagrange_rows(points) -> tuple:
 def _tables():
     """Points, node-to-sample matrix and weights as arrays, built on first use.
 
-    Returns the 62 positions on [-1, 1] where an item evaluates something
-    (the 47 points of f, then the GL8 and GL7 nodes for the density), the
-    7 x 48 matrix from model-node values to the model's values at the
-    residual samples, the GL7 nodes and the GL8 nodes, and the GL8 and GL7
-    weights.
+    Returns the 48 positions on [-1, 1] where an item evaluates f (the
+    last 8, the GL8 nodes, are where it evaluates the density), the 7 x 41
+    matrix from model-node values to the model's values at the residual
+    samples and the GL8 nodes, and the GL8 weights.
     """
-    samples = _SAMPLES + tuple(x for x, _ in _GL7) + tuple(x for x, _ in _GL8)
     return (
-        np.array(_F_POINTS + tuple(x for x, _ in _GL8) + tuple(x for x, _ in _GL7)),
-        np.array(_lagrange_rows(samples)).T,
+        np.array(_F_POINTS),
+        np.array(_lagrange_rows(_F_POINTS[_N_CHEB:])).T,
         np.array([w for _, w in _GL8]),
-        np.array([w for _, w in _GL7]),
     )
 
 
@@ -156,29 +148,27 @@ def _evaluate_items(fn, a, b, rows):
 
     ``a``, ``b`` are arrays of item ends and row ``i`` of ``rows`` holds
     item ``i``'s sign-definite density as :func:`prepare` lays it out.
-    Returns an array with one row ``(a, b, value, lower, upper)`` per item.
+    Returns an array with one row ``(a, b, value, lower, upper)`` per item,
+    ``value`` the GL8 sum of ``rho f`` clamped into ``[lower, upper]``.
     One ``fn`` call covers every point of every item.
     """
-    points, lagrange, w8, w7 = _tables()
+    points, lagrange, w8 = _tables()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     ts = mid[:, None] + half[:, None] * points
-    n_f = len(_F_POINTS)
-    f = fn(ts[:, :n_f].ravel()).reshape(len(a), n_f)
+    f = fn(ts.ravel()).reshape(ts.shape)
     f_mid = f[:, _MID:_MID + 1]
     # centred on f(mid): the interpolant is f(mid) + L (f_c - f(mid)), so a
     # row-sum error of L never multiplies the full size of f
     model = (f[:, :_N_CHEB] - f_mid) @ lagrange
-    resid = (f[:, _N_CHEB:] - f_mid) - model[:, :n_f - _N_CHEB]
-    sampled = resid[:, :_RESIDUAL_SAMPLES]
-    rmin = sampled.min(axis=1)
-    rmax = sampled.max(axis=1)
+    resid = (f[:, _N_CHEB:_N_SAMPLED] - f_mid) - model[:, :_RESIDUAL_SAMPLES]
+    rmin = resid.min(axis=1)
+    rmax = resid.max(axis=1)
     pad = 0.5 * (rmax - rmin) + 1e-15 * np.abs(f[:, _N_CHEB:_N_SAMPLED]).max(axis=1)
-    rho = density_at(rows, ts[:, n_f:])  # at the GL8 then GL7 nodes
-    rho8, rho7 = rho[:, :8], rho[:, 8:]
-    mass = half * (rho8 @ w8)
-    exact = half * ((rho8 * (model[:, n_f - _N_CHEB:] + f_mid)) @ w8)
-    corr = half * ((rho7 * resid[:, _RESIDUAL_SAMPLES:]) @ w7)
+    rho = density_at(rows, ts[:, _N_SAMPLED:])  # at the GL8 nodes
+    mass = half * (rho @ w8)
+    exact = half * ((rho * (model[:, _RESIDUAL_SAMPLES:] + f_mid)) @ w8)
+    value = half * ((rho * f[:, _N_SAMPLED:]) @ w8)  # the same rule on rho * f
     # the remainder integral of rho * r lies between mass * (rmin - pad)
     # and mass * (rmax + pad), in either order as rho has either sign
     low = mass * (rmin - pad)
@@ -187,7 +177,7 @@ def _evaluate_items(fn, a, b, rows):
     out[:, 0], out[:, 1] = a, b
     lower = np.add(exact, np.minimum(low, high), out=out[:, 3])
     upper = np.add(exact, np.maximum(low, high), out=out[:, 4])
-    np.minimum(np.maximum(exact + corr, lower), upper, out=out[:, 2])
+    np.minimum(np.maximum(value, lower), upper, out=out[:, 2])
     if not np.isfinite(upper - lower).all():
         raise DomainError("integrand is not finite on the density's support")
     return out
@@ -246,10 +236,13 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     out by :func:`prepare`, with no atoms.
 
     Every interval (item) gets a degree-6 model of ``fn`` through 7
-    Chebyshev nodes, 33 evenly spaced residual samples and a 7-point
-    Gauss-Legendre correction: 47 points.  Items are built in batches, and
-    one ``fn`` call evaluates every point of a batch; fixed matrices map
-    node values to the model's values at the samples.  The first batch is
+    Chebyshev nodes, 33 evenly spaced residual samples and the 8 nodes of
+    the Gauss-Legendre rule that integrates the density times the model:
+    48 points, the density evaluated at the last 8.  The item's point value
+    is the same rule's sum of density times ``fn``, clamped into the item's
+    enclosure.  Items are built in batches, and one ``fn`` call evaluates
+    every point of a batch; a fixed matrix maps node values to the model's
+    values at the samples and the Gauss-Legendre nodes.  The first batch is
     every item of the starting partition.  Each later round takes the
     widest items until their widths cover ``total - tol`` and cuts them all,
     as one batch, to one depth by repeated midpoint halving.  The depth is
@@ -405,11 +398,13 @@ def fixed_nodes(measure) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights, for a measure as :func:`prepare` lays it out, of
     the estimate ``sum(weights * f(nodes))`` of ``integral f d(measure)``:
     the atom times weighted by their amounts, then every item's GL8 nodes
-    weighted ``half * w8 * rho(node)``.  No enclosure; with no items the
-    sum is :func:`enclose`'s atom sum, bit for bit.
+    weighted ``half * w8 * rho(node)``, the rule of every item's point
+    value in :func:`enclose`.  No enclosure; with no items the sum is
+    :func:`enclose`'s atom sum, bit for bit.
     """
     times, amounts, rows, (a, b, unit) = measure
+    points, _, w8 = _tables()
     half = 0.5 * (b - a)[:, None]
-    ts = 0.5 * (a + b)[:, None] + half * [x for x, _ in _GL8]
-    w = half * _tables()[2] * density_at(rows[unit], ts)
+    ts = 0.5 * (a + b)[:, None] + half * points[_N_SAMPLED:]
+    w = half * w8 * density_at(rows[unit], ts)
     return np.concatenate((times, ts.ravel())), np.concatenate((amounts, w.ravel()))

@@ -82,6 +82,13 @@ def test_combined_price_in_both_quote_currencies():
         price_dual(MARKET, flow, currency="sterling")
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10])
+def test_price_dual_rejects_non_positive_tolerance(tol):
+    flow = DualCashFlow(domestic=dirac(1.0, 1.0), foreign=dirac(1.0, 1.0))
+    with pytest.raises(DomainError, match="tolerance must be positive"):
+        price_dual(MARKET, flow, tol=tol)
+
+
 def test_one_sided_flows():
     dom_only = DualCashFlow(domestic=dirac(2.0, 5.0))
     assert price_dual(MARKET, dom_only).value == pytest.approx(

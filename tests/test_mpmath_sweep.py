@@ -5,11 +5,13 @@ and integrates every density piece with mpmath's quadrature, split at the
 spot-grid knots; atoms are summed in mpmath too.  Nothing in the oracle
 calls pvkit's evaluation code.
 """
+import math
+
 import numpy as np
 import pytest
 
-from pvkit import (DomainError, FlatCurve, SpotGridCurve, SvenssonCurve,
-                   default_tolerance, price)
+from pvkit import (CashFlow, DensityPiece, DomainError, FlatCurve, SpotGridCurve,
+                   SvenssonCurve, default_tolerance, price, quadrature)
 from pvkit.sampling import random_cashflow, random_curve
 
 mp = pytest.importorskip("mpmath")
@@ -95,3 +97,19 @@ def test_sweep_brackets_contain_high_precision_values():
                     continue  # below this flow's noise floor
                 assert res.upper - res.lower <= tol
                 assert res.lower - slack <= exact <= res.upper + slack, (i, tol)
+
+
+def test_item_too_narrow_to_halve_stays_in_the_partition():
+    # [1, 1 + ulp) has no float midpoint: once it is among the widest items
+    # it is set aside with its enclosure, and the rest still refine to tol
+    curve = FlatCurve(0.03)
+    one_ulp = math.nextafter(1.0, 2.0)
+    flow = CashFlow(pieces=(DensityPiece(1.0, one_ulp, (1e18,)),
+                            DensityPiece(2.0, 30.0, (1.0, 0.3, -0.01))))
+    br, (a, b, _) = quadrature.enclose(
+        curve.discount_many, quadrature.prepare(flow._units, curve.knot_times()), 1e-12)
+    assert br.upper - br.lower <= 1e-12
+    assert ((a == 1.0) & (b == one_ulp)).sum() == 1
+    with mp.workdps(30):
+        exact, slack = _oracle_price(curve, flow)
+    assert br.lower - slack <= exact <= br.upper + slack

@@ -207,6 +207,12 @@ def test_irr_rejects_bad_inputs():
         irr(CashFlow(), 1.0)
     with pytest.raises(DomainError):
         irr(dirac(1.0, 1.0), 0.5, purchase_time=2.0)  # support before purchase
+    for purchase_time in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="purchase time must be >= 0"):
+            irr(dirac(1.0, 1.0), 0.9, purchase_time=purchase_time)
+    for tol in (0.0, -1e-10):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            irr(dirac(1.0, 1.0), 0.9, tol=tol)
 
 
 def test_irr_deep_discount_root():

@@ -257,8 +257,8 @@ def test_noise_floor_refusals_stay_stalls(monkeypatch):
 
 def test_node_to_sample_rows_sum_to_one():
     # the residual's roundoff allowance relies on this (see bracketed_integral)
-    _, lagrange, _, _ = quadrature._tables()
-    assert lagrange.shape == (7, 48)
+    _, lagrange, _ = quadrature._tables()
+    assert lagrange.shape == (7, 41)
     for row in lagrange.T.tolist():
         assert abs(math.fsum(row) - 1.0) <= 2 * math.ulp(1.0)
 
@@ -344,6 +344,26 @@ def test_fixed_nodes_of_atoms_sum_as_enclose_does():
         br, _ = quadrature.enclose(fn, measure, 1e-10)
         value = math.fsum((weights * fn(nodes)).tolist())
         assert br.lower == br.upper == value
+
+
+def test_item_values_are_the_fixed_node_sum():
+    # an item's point value is the GL8 sum that fixed_nodes lays out, so
+    # the density part is the fixed-node estimate on the final partition
+    # up to the rounding of the two summation orders
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(150):
+        curve, flow = random_curve(rng), random_cashflow(rng)
+        measure = quadrature.prepare(flow._units, curve.knot_times())
+        if not len(measure[3][0]):
+            continue
+        br, part = quadrature.enclose(curve.discount_many, measure, 1e-3)
+        nodes, weights = quadrature.fixed_nodes(measure[:3] + (part,))
+        terms = (weights * curve.discount_many(nodes)).tolist()
+        size = math.fsum(map(abs, terms))
+        assert abs(br.density_part - math.fsum(terms)) <= 2 * math.ulp(1.0) * size
+        checked += 1
+    assert checked == 112
 
 
 def _poisson(k, x):
