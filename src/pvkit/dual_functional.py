@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .curves import ScaledCurve, check_positive
 from .errors import DomainError
 from .measures import CashFlow, lebesgue
-from .pricing import _price, default_tolerance, price
+from .pricing import default_tolerance, price
 from .quadrature import Bracket
 
 
@@ -67,15 +67,15 @@ def dual_price(functional: DualFunctional, flow: CashFlow,
 
     The atomic layer is an exact sum against the atom curve; the density
     layer is bracketed quadrature against the density weight: ``atom_part``
-    is the atomic layer, ``density_part`` the stream layer.  The default
-    tolerance reads the split the flow keeps (``CashFlow._units``), and the
-    stream layer, which holds the same pieces, is handed that split.
+    is the atomic layer, ``density_part`` the stream layer.  Each layer is
+    priced by :func:`~pvkit.pricing.price` to ``tol`` (default
+    :func:`~pvkit.pricing.default_tolerance` of the whole flow).
     """
     if tol is None:
         tol = default_tolerance(flow)
     parts = lebesgue(flow)
     atoms = price(functional.atom_curve, parts.singular, tol)
-    dens = _price(functional.density_weight, parts.absolutely_continuous, tol)
+    dens = price(functional.density_weight, parts.absolutely_continuous, tol)
     return Bracket(
         atoms.value + dens.lower,
         atoms.value + dens.upper,

@@ -39,7 +39,7 @@ from . import poly
 from .curves import _at, check_positive
 from .errors import DomainError
 from .measures import Atom, CashFlow, DensityPiece, total_variation
-from .pricing import TOLERANCE_SCALE, _price, check_support
+from .pricing import TOLERANCE_SCALE, check_support, price
 from .quadrature import Bracket, _depth, _split, density_at, prepare
 
 FIT_REL_TOL = 1e-10
@@ -110,21 +110,19 @@ def price_dual(market: DualCurrencyMarket, flow: DualCashFlow,
                currency: str = "domestic", tol: float | None = None) -> Bracket:
     """Combined value of both legs, quoted in the requested currency.
 
-    The default tolerance and each leg's price read the split the leg
-    keeps (``CashFlow._units``)."""
+    Both legs are checked against the market horizon, then each is priced
+    by :func:`~pvkit.pricing.price` to half of ``tol`` in the quote currency."""
     if currency not in CURRENCIES:
         raise DomainError(f"currency must be one of {CURRENCIES}, got {currency!r}")
     if tol is None:
         tol = default_dual_tolerance(market, flow)
-    if not tol > 0.0:
-        raise DomainError("tolerance must be positive")
     check_support(flow.domestic, market.horizon, "domestic leg", "market")
     check_support(flow.foreign, market.horizon, "foreign leg", "market")
     unit = 1.0 if currency == "domestic" else 1.0 / market.spot_fx
     dom_tol = 0.5 * tol / unit
     for_tol = 0.5 * tol / (unit * market.spot_fx)
-    dom = _price(market.domestic_curve, flow.domestic, dom_tol)
-    for_ = _price(market.foreign_curve, flow.foreign, for_tol)
+    dom = price(market.domestic_curve, flow.domestic, dom_tol)
+    for_ = price(market.foreign_curve, flow.foreign, for_tol)
     s = market.spot_fx
     return Bracket(
         unit * (dom.lower + s * for_.lower),

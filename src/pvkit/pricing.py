@@ -40,31 +40,28 @@ def check_support(flow: CashFlow, horizon: float, what: str = "flow",
 
 
 def price(curve, flow: CashFlow, tol: float | None = None) -> Bracket:
-    """Present value at time 0 with a certified bracket of width <= tol."""
-    return _price(curve, flow, tol, 1.0)
-
-
-def forward_price(curve, flow: CashFlow, at: float, tol: float | None = None) -> Bracket:
-    """Value of the flow quoted for delivery at time ``at``: price / P(at)."""
-    if not 0.0 <= at <= curve.horizon:
-        raise DomainError(f"forward time must lie in [0, {curve.horizon}], got {at}")
-    p_at = curve.discount(at)
-    inner = _price(curve, flow, tol, p_at)
-    return Bracket(inner.lower / p_at, inner.upper / p_at, inner.atom_part / p_at,
-                   inner.density_part / p_at)
-
-
-def _price(curve, flow: CashFlow, tol: float | None, scale: float = 1.0) -> Bracket:
-    """The price to width ``tol * scale``; the default ``tol`` and the
-    quadrature read the split the flow keeps (``CashFlow._units``)."""
+    """Present value at time 0 with a certified bracket of width <= tol
+    (default :func:`default_tolerance`); it and the quadrature read the
+    split the flow keeps (``CashFlow._units``)."""
     if tol is None:
         tol = default_tolerance(flow)
-    tol *= scale
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
     check_support(flow, curve.horizon)
     return enclose(curve.discount_many, prepare(flow._units, curve.knot_times(), flow.atoms),
                    tol)[0]
+
+
+def forward_price(curve, flow: CashFlow, at: float, tol: float | None = None) -> Bracket:
+    """Value of the flow quoted for delivery at time ``at``: price / P(at),
+    with the price bracketed to width ``tol * P(at)``."""
+    if not 0.0 <= at <= curve.horizon:
+        raise DomainError(f"forward time must lie in [0, {curve.horizon}], got {at}")
+    p_at = curve.discount(at)
+    tol = default_tolerance(flow) if tol is None else tol
+    inner = price(curve, flow, tol * p_at)
+    return Bracket(inner.lower / p_at, inner.upper / p_at, inner.atom_part / p_at,
+                   inner.density_part / p_at)
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,7 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     # time, meets the target
     x = _newton_rate(0.0, mass, first, target_price)
     x = 0.0 if math.isnan(x) else min(max(x, lo_end), hi_end)
-    steer, both = len(partition[0]) > 0, False  # atoms alone certify at once
+    steer = len(partition[0]) > 0  # atoms alone certify at once
     for step in range(1, _IRR_STEPS + 1):
         pv, moment = value(x, not steer)
         res = pv.value - target_price
@@ -196,8 +193,7 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
                 hi, hi_ok = min(hi, x), True
             if abs(res) <= eff_tol:
                 close.append((abs(res), x, res))
-            both = lo_ok and hi_ok and hi - lo <= tol
-            if both:
+            if lo_ok and hi_ok and hi - lo <= tol:
                 inside = [c for c in close if lo <= c[1] <= hi]
                 if inside:
                     _, rate, res = min(inside)
@@ -221,9 +217,6 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
                 x = lo_end
             else:
                 x = 0.5 * (lo + hi)
-        elif both:
-            # the root is bracketed, but no step there has a small residual
-            x = p if lo < p < hi else 0.5 * (lo + hi)
         else:
             # aim delta past the prediction, on the side still lacking a
             # certified bracket within tol / 2: delta keeps the residual

@@ -44,8 +44,6 @@ def random_cashflow(rng: np.random.Generator, *, horizon: float = 30.0,
             coeffs = poly.add(poly.multiply(q, q), (float(rng.uniform(0.01, 0.5)),))
         else:
             coeffs = tuple(rng.uniform(-1.5, 1.5, size=int(rng.integers(1, 5))))
-        if poly.is_zero(coeffs):
-            coeffs = (1.0,)
         pieces.append(DensityPiece(a, b, coeffs))
     # pieces may overlap as drawn; fold them in one at a time instead
     flow = CashFlow(tuple(atoms), ())

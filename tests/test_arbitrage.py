@@ -33,7 +33,7 @@ from pvkit import (
     implied_curve,
     price,
 )
-from pvkit import arbitrage
+from pvkit import arbitrage, simplex
 from pvkit.arbitrage import _echelon, reduce_quotes
 from pvkit.measures import Atom
 from pvkit.simplex import phase_one
@@ -637,3 +637,23 @@ def test_phase_one_matches_the_general_lp():
 def test_phase_one_needs_b_nonnegative():
     with pytest.raises(ValueError, match=r"b >= 0"):
         phase_one([[1, 1]], [-1])
+
+
+def test_phase_one_stops_at_the_pivot_cap(monkeypatch):
+    monkeypatch.setattr(simplex, "_PIVOT_CAP", 0)
+    with pytest.raises(RuntimeError, match="pivot cap"):
+        phase_one([[1, 1]], [1])
+
+
+def test_verdicts_are_replayed_before_they_are_returned():
+    # 1 at t = 1 quoted at 0.9: its integer row is (0.9 * 2**53, -2**53)
+    red = reduce_quotes(QuoteSet((0.0, 1.0), (Quote(dirac(1.0, 1.0), dirac(0.0, 0.9)),)))
+    assert red.rows == ((8106479329266893, -2 ** 53),)
+    assert red.max_bits == 54
+    with pytest.raises(RuntimeError, match="does not reprice"):
+        arbitrage._repricing(red, [1, 1])
+    with pytest.raises(RuntimeError, match="not strictly positive"):
+        arbitrage._repricing(red, [0, 0])
+    # weight 1 on the row is the flow (0.9, -1), no free lunch either way
+    with pytest.raises(RuntimeError, match="certificate replay failed"):
+        arbitrage._certificate(red, [1])

@@ -217,6 +217,11 @@ def test_every_family_is_sampled():
     assert set(CURVE_FAMILIES) == {"flat", "spot_grid", "svensson"}
 
 
+def test_random_curve_refuses_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown curve family 'nope'"):
+        random_curve(np.random.default_rng(0), "nope")
+
+
 def test_horizon_is_declared_and_positive():
     assert FlatCurve(0.05).horizon == 100.0
     assert FlatCurve(0.05, horizon=10.0).horizon == 10.0

@@ -14,6 +14,7 @@ import pytest
 
 from pvkit import (DomainError, FlatCurve, ScaledCurve, SpotGridCurve, SvenssonCurve,
                    density, dirac, yield_bound_check)
+from pvkit import forward_max
 from pvkit.sampling import CURVE_FAMILIES, random_curve
 
 mp = pytest.importorskip("mpmath")
@@ -196,6 +197,18 @@ def test_a_window_from_s_gives_the_instantaneous_limit():
     assert grid.forward_max(3.0, 3.0, 4.0) == pytest.approx(math.expm1(span), rel=1e-14)
     assert grid.forward_max(0.0, 0.0, 2.0) == pytest.approx(math.expm1(-math.log(0.9) / 2),
                                                             rel=1e-14)
+
+
+def test_a_window_before_s_has_no_forward():
+    curve = SpotGridCurve(((0.0, 1.0), (1.0, 0.97), (5.0, 0.8)))
+    assert curve.forward_max(10.0, 2.0, 5.0) == 0.0
+
+
+def test_root_returns_its_last_step_at_the_step_cap():
+    # a derivative 100 times too large keeps every Newton step short, so
+    # the steps run out before one falls below the stop
+    t = forward_max._root(lambda t: t - 0.3, lambda t: 100.0, 0.0, 1.0, -0.3)
+    assert 0.0 <= t <= 1.0 and abs(t - 0.3) > 0.01
 
 
 def test_yield_bound_reads_forward_max():

@@ -89,6 +89,14 @@ def test_price_dual_rejects_non_positive_tolerance(tol):
         price_dual(MARKET, flow, tol=tol)
 
 
+def test_price_dual_reports_a_leg_past_the_horizon_before_the_tolerance():
+    # each leg's price checks the tolerance, after both legs' supports
+    flow = DualCashFlow(domestic=dirac(1.0, 1.0), foreign=dirac(150.0, 1.0))
+    with pytest.raises(DomainError, match="foreign leg support reaches 150.0, beyond the "
+                                          "market horizon 100.0"):
+        price_dual(MARKET, flow, tol=0.0)
+
+
 def test_one_sided_flows():
     dom_only = DualCashFlow(domestic=dirac(2.0, 5.0))
     assert price_dual(MARKET, dom_only).value == pytest.approx(

@@ -1,6 +1,9 @@
 """File formats and the command-line front end."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -587,6 +590,31 @@ def test_curve_eval_row_limit_is_exact():
     for to in (100000.0, 99999.5):
         with pytest.raises(DomainError, match="needs more than 100000 rows"):
             _tabulation_times(to, 1.0)
+
+
+@pytest.mark.parametrize("to, step, k", [
+    (21711.199999978286, 0.7, 31016),  # int(end / step) is k - 1
+    (7793.863128459082, 0.7922202814054561, 9837),  # int(end / step) is k + 1
+])
+def test_curve_eval_count_corrects_the_quotient(to, step, k):
+    end = to * (1.0 + 1e-12)
+    assert int(end / step) != k
+    assert k * step <= end < (k + 1) * step
+    last = min(k * step, to)
+    assert _tabulation_times(to, step) == (
+        [min(j * step, to) for j in range(k + 1)] + ([to] if last < to else []))
+
+
+def test_cli_runs_as_a_module(tmp_path, capsys):
+    # python -m pvkit.cli prints what main prints
+    curve = _write(tmp_path, "curve.json", FLAT5)
+    argv = ["curve-eval", "--curve", curve, "--to", "2.5", "--step", "1.0"]
+    src = os.path.dirname(os.path.dirname(fio.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "pvkit.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, run(capsys, *argv)[1], "")
 
 
 def test_preset_choices_are_the_presets():

@@ -246,6 +246,10 @@ def test_distribution_is_right_continuous_jump():
     assert distribution(a, 0.999999) == 0.0
 
 
+def test_distribution_is_zero_before_time_zero():
+    assert distribution(dirac(1.0), -1.0) == 0.0
+
+
 @given(seeds)
 def test_sigma_additivity_over_partition(seed):
     a = _flow(seed)

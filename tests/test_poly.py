@@ -72,6 +72,14 @@ def test_sign_changes_skips_touch_roots():
     assert poly.sign_changes((1.0, -2.0, 1.0), 0.0, 2.0) == ()
 
 
+def test_sign_changes_stops_at_adjacent_floats():
+    # near sqrt(5000) one ulp exceeds ROOT_TOL: bisection ends when the
+    # midpoint rounds to an end
+    assert math.ulp(math.sqrt(5000.0)) > poly.ROOT_TOL
+    (root,) = poly.sign_changes((-5000.0, 0.0, 1.0), 60.0, 80.0)
+    assert abs(root - math.sqrt(5000.0)) <= poly.ROOT_TOL
+
+
 def test_sign_changes_boundary_root_not_interior():
     # root exactly at the left endpoint does not split the interior
     assert poly.sign_changes((0.0, 1.0), 0.0, 1.0) == ()

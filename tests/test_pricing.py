@@ -294,6 +294,26 @@ def test_irr_target_beyond_every_value_is_a_domain_error():
         irr(dirac(1.0, 1e-300), 1e300)
 
 
+def test_irr_steps_past_an_overflowing_value():
+    # 1 at t = 1 and at t = 150 is worth 1e300 at 1 + rate = 1e-2; near the
+    # window's low end (1 + rate)^-150 overflows, and that step's value is
+    # infinite and its Newton update undefined
+    res = irr(dirac(1.0) + dirac(150.0), 1e300)
+    assert abs(res.rate + 0.99) <= 1e-10
+
+
+def test_irr_names_the_rate_where_a_bracket_cannot_narrow():
+    flow = density(0.0, 30.0, (1.0, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8))
+    with pytest.raises(DomainError, match=r"irr tolerance not achievable at rate [0-9.]+: "):
+        irr(flow, 5.0, tol=1e-16)
+
+
+def test_irr_stops_at_its_step_cap(monkeypatch):
+    monkeypatch.setattr(pricing, "_IRR_STEPS", 1)
+    with pytest.raises(DomainError, match="did not converge"):
+        irr(density(0.0, 10.0), 5.0)
+
+
 def test_irr_degenerate_all_at_purchase_time():
     # flow entirely at the purchase date: PV is rate-free
     res = irr(dirac(0.0, 3.0), 3.0)
