@@ -8,8 +8,9 @@ script prints the rate steps (``iterations``), the steering steps among
 them, the certified present-value brackets computed (calls of
 ``quadrature.enclose``, the atoms-plus-density enclosure a certified step
 of a flow with densities runs, or for an atoms-only flow one exact atom
-sum per step), the sign splits of a density piece (``poly.sign_spans``
-calls), the quadrature batches and items built
+sum per step), the flow splits (``poly.sign_units`` calls over one or
+more density pieces; a flow is split once, when it is first priced),
+the quadrature batches and items built
 (``quadrature._evaluate_items`` calls and the intervals they evaluate)
 and the best wall time of a solve.  A certified step whose bracket does
 not tell the side of the target calls ``enclose`` again at the same rate,
@@ -79,16 +80,16 @@ def best_time(flow, target) -> float:
 def main() -> None:
     counts = {"pv": 0, "splits": 0, "batches": 0, "items": 0}
     rates = set()  # 1 + rate of each enclose call
-    enclose, sign_spans, evaluate_items = pricing.enclose, poly.sign_spans, quadrature._evaluate_items
+    enclose, sign_units, evaluate_items = pricing.enclose, poly.sign_units, quadrature._evaluate_items
 
     def counted_enclose(fn, *args):
         counts["pv"] += 1
         rates.add(float(fn(np.array([-1.0]))[0]))
         return enclose(fn, *args)
 
-    def counted_spans(*args):
-        counts["splits"] += 1
-        return sign_spans(*args)
+    def counted_units(pieces):
+        counts["splits"] += bool(pieces)
+        return sign_units(pieces)
 
     def counted_items(fn, a, b, coeffs):
         counts["batches"] += 1
@@ -103,13 +104,13 @@ def main() -> None:
         for key in counts:
             counts[key] = 0
         rates.clear()
-        patched = counted_enclose, counted_spans, counted_items
-        pricing.enclose, poly.sign_spans, quadrature._evaluate_items = patched
+        patched = counted_enclose, counted_units, counted_items
+        pricing.enclose, poly.sign_units, quadrature._evaluate_items = patched
         try:
             steps = irr(fresh(flow), target).iterations
         finally:
-            pricing.enclose, poly.sign_spans, quadrature._evaluate_items = (
-                enclose, sign_spans, evaluate_items)
+            pricing.enclose, poly.sign_units, quadrature._evaluate_items = (
+                enclose, sign_units, evaluate_items)
         certified, steer = (counts["pv"], steps - len(rates)) if flow.pieces else (steps, 0)
         ms = 1e3 * best_time(flow, target)
         rows.append((steps, steer, certified, counts["splits"], counts["batches"],

@@ -275,7 +275,7 @@ def _fit_spans(fn, rows, partition):
         span, parent_worst, depth = span[parent], worst[parent], depth[parent]
     accept, a, b, mid, errs, coeffs = (np.concatenate(x) for x in zip(*rounds))
     a, b, mid, errs, coeffs = a[accept], b[accept], mid[accept], errs[accept], coeffs[accept]
-    pieces = [DensityPiece(a[i], b[i], poly.trim(coeffs[i].tolist()), mid[i])
+    pieces = [DensityPiece(a[i], b[i], coeffs[i].tolist(), mid[i])
               for i in np.argsort(a, kind="stable").tolist()]
     return pieces, math.fsum(errs.tolist())
 

@@ -52,7 +52,8 @@ class Atom:
 @dataclass(frozen=True, slots=True)
 class DensityPiece:
     """A polynomial payment rate on [start, end): ``coeffs``, constant
-    first, in powers of ``t - origin``."""
+    first, in powers of ``t - origin``, coefficients stored trimmed (no
+    trailing zeros; the zero density is ``()``)."""
 
     start: float
     end: float
@@ -66,8 +67,8 @@ class DensityPiece:
             raise DomainError(f"piece start must be >= 0, got {a}")
         if not a < b:
             raise DomainError(f"piece needs start < end, got [{a}, {b})")
-        c = tuple(_check_finite(x, "piece coefficient") for x in self.coeffs)
-        if len(poly.trim(c)) > poly.MAX_DEGREE + 1:
+        c = poly.trim(_check_finite(x, "piece coefficient") for x in self.coeffs)
+        if len(c) > poly.MAX_DEGREE + 1:
             raise DomainError(f"density degree is capped at {poly.MAX_DEGREE}")
         object.__setattr__(self, "start", a)
         object.__setattr__(self, "end", b)
@@ -93,7 +94,7 @@ def _normalize_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
 
 
 def _normalize_pieces(pieces: Iterable[DensityPiece]) -> tuple[DensityPiece, ...]:
-    kept = [p for p in pieces if not poly.is_zero(p.coeffs)]
+    kept = [p for p in pieces if p.coeffs]
     kept.sort(key=lambda p: p.start)
     for prev, nxt in zip(kept, kept[1:]):
         if nxt.start < prev.end:
@@ -103,12 +104,11 @@ def _normalize_pieces(pieces: Iterable[DensityPiece]) -> tuple[DensityPiece, ...
             )
     out: list[DensityPiece] = []
     for p in kept:
-        c = poly.trim(p.coeffs)
-        if (out and out[-1].end == p.start and out[-1].coeffs == c
+        if (out and out[-1].end == p.start and out[-1].coeffs == p.coeffs
                 and out[-1].origin == p.origin):
-            out[-1] = DensityPiece(out[-1].start, p.end, c, p.origin)
+            out[-1] = DensityPiece(out[-1].start, p.end, p.coeffs, p.origin)
         else:
-            out.append(p if c == p.coeffs else DensityPiece(p.start, p.end, c, p.origin))
+            out.append(p)
     return tuple(out)
 
 
@@ -191,7 +191,7 @@ def add(a: CashFlow, b: CashFlow) -> CashFlow:
                     o = p.origin
                 c = poly.add(c, p.coeffs if p.origin == o
                              else poly.taylor_shift(p.coeffs, o - p.origin))
-        if not poly.is_zero(c):
+        if c:
             out.append(DensityPiece(lo, hi, c, o))
     return CashFlow(atoms, tuple(out))
 

@@ -4,7 +4,8 @@ A polynomial is a tuple ``(c0, c1, ..., cd)`` meaning ``c0 + c1*t + ... +
 cd*t**d``.  Stored densities cap the degree at :data:`MAX_DEGREE`; the
 helpers themselves work for any degree.  They use plain floats, integers
 and fractions, no numpy, so the measure algebra and the arbitrage checker
-built on them load none.
+built on them load none.  :func:`sign_units` is the package's one sign
+split: one recursive pass per piece over its stored, trimmed coefficients.
 """
 from __future__ import annotations
 
@@ -164,105 +165,89 @@ def _bisect_root(sign, lo: float, hi: float, slo: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _interval_signs(sign, cuts) -> list[int]:
-    # Sign of p on each span between consecutive cuts, assuming p does not
-    # change sign inside one: the first nonzero sign at nine interior
-    # samples.  A nonzero polynomial of degree <= 8 cannot vanish at all of
-    # them, so with exact signs a span gets 0 only where p is identically 0.
-    signs = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        s = 0
-        for k in range(1, 10):
-            s = sign(lo + 0.1 * k * (hi - lo))
-            if s:
-                break
-        signs.append(s)
-    return signs
+def _interval_signs(sign, cuts) -> list[list]:
+    # ``[a, b, sign]`` for each span between the sign changes of p, given
+    # every zero of p inside [cuts[0], cuts[-1]] as the interior cuts.  Each
+    # span between consecutive cuts takes the first nonzero sign at nine
+    # interior samples; a nonzero polynomial of degree <= 8 cannot vanish at
+    # all of them, so with exact signs a span gets 0 only where p is
+    # identically 0.  A zero is a sign change where the nearest nonzero
+    # signs on its two sides differ; the spans across any other zero merge,
+    # taking the first nonzero sign among them.
+    signs = [next((s for s in (sign(lo + 0.1 * k * (hi - lo)) for k in range(1, 10)) if s), 0)
+             for lo, hi in zip(cuts, cuts[1:])]
+    spans, left = [], 0  # left: the last nonzero sign so far
+    for k, s in enumerate(signs):
+        if spans and left * next((x for x in signs[k:] if x), 0) >= 0:
+            spans[-1][1:] = cuts[k + 1], spans[-1][2] or s
+        else:
+            spans.append([cuts[k], cuts[k + 1], s])
+        left = s or left
+    return spans
 
 
-def _definite(c, lo: float, hi: float) -> bool:
-    # True when p has no root in [lo, hi]: around the midpoint m,
-    # p(m + u) = sum_k q_k u^k, and |q_0| > sum_{k>=1} |q_k| r^k bounds p
-    # away from 0 for |u| <= r.  The shift and the sums round by at most
-    # 4 n u sum_k |c_k| (|m| + r)^k together (each q_k takes 2n roundings);
-    # the margin is twice that.
+def _definite(c, lo: float, hi: float) -> int:
+    # The sign of p on [lo, hi] when it has no root there, else 0: around
+    # the midpoint m, p(m + u) = sum_k q_k u^k, and |q_0| > sum_{k>=1} |q_k|
+    # r^k bounds p away from 0 for |u| <= r.  The shift and the sums round
+    # by at most 4 n u sum_k |c_k| (|m| + r)^k together (each q_k takes 2n
+    # roundings); the margin is twice that.
     m = 0.5 * (lo + hi)
     r = math.nextafter(max(hi - m, m - lo), math.inf)
     q = taylor_shift(c, m)
     spread = r * evaluate(tuple(map(abs, q[1:])), r)
     margin = 8.0 * len(c) * 2.0 ** -53 * evaluate(tuple(map(abs, c)), abs(m) + r)
-    return abs(q[0]) > spread + margin
+    return ((q[0] > 0.0) - (q[0] < 0.0)) if abs(q[0]) > spread + margin else 0
 
 
-def sign_changes(coeffs, lo: float, hi: float) -> Coeffs:
-    """Points in (lo, hi) where the polynomial changes sign, sorted.
+def _sign_spans(c, lo: float, hi: float) -> list:
+    """``[a, b, sign]`` for each span of [lo, hi] between the sign changes of
+    the polynomial with trimmed coefficients ``c``; the spans tile [lo, hi].
 
+    ``sign`` is +1 or -1, or 0 on a span where the polynomial vanishes.
     Roots of even multiplicity (the graph touches zero without crossing)
-    are not reported.  Between consecutive sign changes the polynomial is
-    a.e. sign-definite.  Works by recursing on the derivative: between
-    sign changes of p' the polynomial is monotone, so every crossing is
-    caught by an endpoint sign test and pinned down by bisection.  Every
-    sign is exact for the stored coefficients (see :func:`_signer`), and
-    each sign change is located to :data:`ROOT_TOL`.  The derivatives'
-    coefficients ``k c_k`` are rounded, which can hide only a pair of
-    crossings where p and p' are both within rounding error of zero.  An
-    interval where p is certainly bounded away from zero is not searched.
+    do not cut.  A span where the polynomial is certainly bounded away from
+    zero is not searched.  Otherwise the crossings come from recursing on
+    the derivative: between sign changes of p' the polynomial is monotone,
+    so every crossing is caught by an endpoint sign test and pinned down by
+    bisection.  Every sign is exact for the stored coefficients (see
+    :func:`_signer`), and each sign change is located to :data:`ROOT_TOL`.
+    The derivatives' coefficients ``k c_k`` are rounded, which can hide
+    only a pair of crossings where p and p' are both within rounding error
+    of zero.
     """
-    c = trim(coeffs)
-    if len(c) <= 1 or not (lo < hi) or _definite(c, lo, hi):
-        return ()
+    s = _definite(c, lo, hi) if c else 0
+    if s:
+        return [[lo, hi, s]]
     sign = _signer(c)
-    breaks = (lo,) + sign_changes(derivative(c), lo, hi) + (hi,)
-    at = [sign(x) for x in breaks]
     zeros: list[float] = []
-    for x0, x1, s0, s1 in zip(breaks, breaks[1:], at, at[1:]):
-        if s0 == 0 and lo < x0:
-            zeros.append(x0)
-        if s0 * s1 < 0:
-            zeros.append(_bisect_root(sign, x0, x1, s0))
-    if not zeros:
-        return ()
-    zeros = sorted(set(zeros))
-    # keep only genuine crossings: the a.e. sign must differ across the zero
-    cuts = [lo] + zeros + [hi]
-    signs = _interval_signs(sign, cuts)
-    out = []
-    for k, z in enumerate(zeros):
-        left = next((s for s in reversed(signs[: k + 1]) if s != 0), 0)
-        right = next((s for s in signs[k + 1 :] if s != 0), 0)
-        if left * right < 0:
-            out.append(z)
-    return tuple(out)
-
-
-def sign_spans(coeffs, lo: float, hi: float) -> tuple[tuple[float, float, int], ...]:
-    """``(a, b, sign)`` for each span of [lo, hi] between sign changes.
-
-    The spans are cut at :func:`sign_changes`; ``sign`` is +1 or -1, and
-    spans where the polynomial vanishes are left out.
-    """
-    c = trim(coeffs)
-    cuts = (lo,) + sign_changes(c, lo, hi) + (hi,)
-    return tuple(span for span in zip(cuts, cuts[1:], _interval_signs(_signer(c), cuts))
-                 if span[2])
+    if len(c) > 1 and lo < hi:
+        breaks = [lo] + [b for _, b, _ in _sign_spans(derivative(c), lo, hi)[:-1]] + [hi]
+        at = [sign(x) for x in breaks]
+        for x0, x1, s0, s1 in zip(breaks, breaks[1:], at, at[1:]):
+            if s0 == 0 and lo < x0:
+                zeros.append(x0)
+            if s0 * s1 < 0:
+                zeros.append(_bisect_root(sign, x0, x1, s0))
+    return _interval_signs(sign, [lo] + sorted(set(zeros)) + [hi])
 
 
 def sign_units(pieces) -> list:
     """``(a, b, coeffs, sign, origin)`` for each span of each piece
-    ``(start, end, coeffs, origin)`` between its density's sign changes
-    (:func:`sign_spans`), with the piece's trimmed coefficients, the sign
-    there, +1 or -1, and the piece's origin.  The density is split in its
+    ``(start, end, coeffs, origin)``, coefficients trimmed, between its
+    density's sign changes (:func:`_sign_spans`), with the piece's
+    coefficients, the sign there, +1 or -1, and the piece's origin; spans
+    where the density vanishes are left out.  The density is split in its
     own coordinates, on ``[start - origin, end - origin)``; the spans' ends
     are times, with ``start`` and ``end`` kept exactly.  This is the
     package's one sign split: quadrature integrates the units and the
     Jordan decomposition reads them."""
     units = []
-    for start, end, coeffs, origin in pieces:
-        c = trim(coeffs)
+    for start, end, c, origin in pieces:
         lo, hi = start - origin, end - origin
-        for a, b, s in sign_spans(c, lo, hi):
+        for a, b, s in _sign_spans(c, lo, hi):
             a = start if a == lo else a + origin
             b = end if b == hi else b + origin
-            if a < b:  # a span narrower than the times' spacing there is dropped
+            if s and a < b:  # a span narrower than the times' spacing there is dropped
                 units.append((a, b, c, s, origin))
     return units

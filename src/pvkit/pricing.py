@@ -264,13 +264,16 @@ def yield_bound_check(curve, flow: CashFlow, purchase_time: float = 0.0,
     forwards.  That maximum is ``curve.forward_max(purchase_time, lo,
     hi)`` over the support ``[lo, hi]``, which each curve family finds
     from its own form (see :mod:`pvkit.curves`); ``holds`` compares with
-    slack ``tol``.  A curve without ``forward_max`` is refused with a
-    DomainError before any pricing.
+    slack ``tol``.  A curve without ``forward_max``, or a ``tol`` that is
+    not positive (nan included), is refused with a DomainError before any
+    pricing.
 
     The target's default tolerance is absolute, too wide for a flow worth
     less than it, so before answering ``holds=False`` the target is priced
     again to ``1e-10`` of its value and the rate solved again.
     """
+    if not tol > 0.0:
+        raise DomainError("tolerance must be positive")
     best_forward = getattr(curve, "forward_max", None)
     if best_forward is None:
         raise DomainError(f"yield bound needs the curve's forward_max(s, a, b); "

@@ -16,11 +16,11 @@ The subinterval's point value is the same 8-point rule applied to
 ``rho * f`` itself, clamped into its enclosure.
 
 Signed densities are first cut at their sign changes into sign-definite
-units (``poly.sign_units``, the package's one sign split, which a
-``CashFlow`` makes once and keeps, and which the Jordan decomposition
-also reads).  Subintervals are refined worst-first, in
-rounds, until the total enclosure width drops below the requested
-tolerance.  For smooth ``f`` the residual shrinks spectrally, so a round
+units (``poly.sign_units``, the package's one sign split, one pass over
+each piece's trimmed coefficients, which a ``CashFlow`` makes once and
+keeps, and which the Jordan decomposition also reads).  Subintervals are
+refined worst-first, in rounds, until the total enclosure width drops
+below the requested tolerance.  For smooth ``f`` the residual shrinks spectrally, so a round
 cuts its subintervals as many levels deep (up to 3) as the observed decay
 of the widths predicts the tolerance needs, and tolerances near 1e-12
 cost only a few rounds; supplying the integrand's kink points as
@@ -150,7 +150,8 @@ def _evaluate_items(fn, a, b, rows):
     item ``i``'s sign-definite density as :func:`prepare` lays it out.
     Returns an array with one row ``(a, b, value, lower, upper)`` per item,
     ``value`` the GL8 sum of ``rho f`` clamped into ``[lower, upper]``.
-    One ``fn`` call covers every point of every item.
+    One ``fn`` call covers every point of every item, and an item's row
+    is the same bits whatever other items share its batch.
     """
     points, lagrange, w8 = _tables()
     mid = 0.5 * (a + b)
@@ -159,16 +160,17 @@ def _evaluate_items(fn, a, b, rows):
     f = fn(ts.ravel()).reshape(ts.shape)
     f_mid = f[:, _MID:_MID + 1]
     # centred on f(mid): the interpolant is f(mid) + L (f_c - f(mid)), so a
-    # row-sum error of L never multiplies the full size of f
-    model = (f[:, :_N_CHEB] - f_mid) @ lagrange
+    # row-sum error of L never multiplies the full size of f.  einsum sums
+    # each row in node order, where a BLAS matmul's order depends on the rows
+    model = np.einsum("ij,jk->ik", f[:, :_N_CHEB] - f_mid, lagrange)
     resid = (f[:, _N_CHEB:_N_SAMPLED] - f_mid) - model[:, :_RESIDUAL_SAMPLES]
     rmin = resid.min(axis=1)
     rmax = resid.max(axis=1)
     pad = 0.5 * (rmax - rmin) + 1e-15 * np.abs(f[:, _N_CHEB:_N_SAMPLED]).max(axis=1)
     rho = density_at(rows, ts[:, _N_SAMPLED:])  # at the GL8 nodes
-    mass = half * (rho @ w8)
-    exact = half * ((rho * (model[:, _RESIDUAL_SAMPLES:] + f_mid)) @ w8)
-    value = half * ((rho * f[:, _N_SAMPLED:]) @ w8)  # the same rule on rho * f
+    mass = half * np.einsum("ij,j->i", rho, w8)
+    exact = half * np.einsum("ij,j->i", rho * (model[:, _RESIDUAL_SAMPLES:] + f_mid), w8)
+    value = half * np.einsum("ij,j->i", rho * f[:, _N_SAMPLED:], w8)  # the same rule on rho * f
     # the remainder integral of rho * r lies between mass * (rmin - pad)
     # and mass * (rmax + pad), in either order as rho has either sign
     low = mass * (rmin - pad)
@@ -229,8 +231,8 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     of its values, and must be continuous and bounded on the union of the
     pieces (kinks are fine if listed in ``breakpoints``).  ``pieces`` is an
     iterable of ``(start, end, coeffs)`` with signed polynomial
-    coefficients of degree at most ``poly.MAX_DEGREE``.  The result's
-    ``atom_part`` is 0 and its ``density_part`` is the estimate.
+    coefficients of degree at most ``poly.MAX_DEGREE``, trimmed here.  The
+    result's ``atom_part`` is 0 and its ``density_part`` is the estimate.
 
     This is :func:`enclose` on the pieces' units (``poly.sign_units``) laid
     out by :func:`prepare`, with no atoms.
@@ -275,7 +277,7 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    pieces = [(start, end, tuple(c), 0.0) for start, end, c in pieces]
+    pieces = [(start, end, poly.trim(c), 0.0) for start, end, c in pieces]
     for start, end, c, _ in pieces:
         if not (all(map(math.isfinite, (start, end, *c))) and start <= end):
             raise DomainError(f"piece ({start}, {end}, {c}) needs finite entries and start <= end")

@@ -91,6 +91,16 @@ def test_degree_cap():
         DensityPiece(0.0, 1.0, tuple(range(10)))  # degree 9
 
 
+def test_piece_coefficients_are_stored_trimmed():
+    # trailing zeros of either sign are dropped, so a degree-9 tuple with a
+    # zero top coefficient is within the cap, and the zero density is ()
+    assert DensityPiece(0.0, 1.0, (1.0, 2.0, 0.0, -0.0)).coeffs == (1.0, 2.0)
+    assert DensityPiece(0.0, 1.0, tuple(range(9)) + (-0.0,)).coeffs == tuple(
+        map(float, range(9)))
+    assert DensityPiece(0.0, 1.0, (0.0, -0.0)).coeffs == ()
+    assert DensityPiece(0.0, 1.0, (-0.0, 1.0, -0.0)).coeffs == (-0.0, 1.0)
+
+
 def test_add_splits_at_boundaries():
     a = density(0.0, 2.0, (1.0,))
     b = density(1.0, 3.0, (1.0,))
@@ -173,7 +183,7 @@ def test_sign_span_narrower_than_the_time_spacing_is_dropped():
     # after the piece's start, less than an ulp of 64: the negative sliver
     # has no time of its own, and the split keeps only the positive span
     flow = CashFlow((), (DensityPiece(64.0, 65.0, (0.5 - 3e-15, 1.0), 64.5),))
-    assert poly.sign_spans(flow.pieces[0].coeffs, -0.5, 0.5)[0][2] == -1
+    assert poly._sign_spans(flow.pieces[0].coeffs, -0.5, 0.5)[0][2] == -1
     j = jordan(flow)
     assert j.negative.is_null and j.positive == flow
     assert total_variation(flow) == total_mass(flow)

@@ -373,10 +373,19 @@ def test_yield_bound_holds_for_flows_worth_less_than_the_default_width():
         assert report.holds, (k, report.rate, report.forward_max)
 
 
+def test_yield_bound_refuses_a_tolerance_that_is_not_positive():
+    # min(1e-10, nan) gave irr 1e-10, but rate <= forward_max + nan is
+    # False: a flow that meets the bound was answered holds=False
+    for tol in (math.nan, 0.0, -1e-10):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            yield_bound_check(FlatCurve(0.03), density(0.0, 10.0), tol=tol)
+
+
 def test_each_flow_is_split_once(monkeypatch):
     # the flow keeps its sign split: the first call on a fresh flow splits
-    # each piece once, where yield_bound_check and price_dual on one flow
-    # in both legs used to split it twice, and a second call splits nothing
+    # it once, one poly.sign_units call over its pieces, where
+    # yield_bound_check and price_dual on one flow in both legs used to
+    # split it twice, and a second call splits nothing
     def make():
         return (dirac(1.0, 0.5) + density(0.0, 5.0, (1.0, 0.1))
                 + density(6.0, 9.0, (2.0, -0.1, 0.01)))
@@ -385,13 +394,14 @@ def test_each_flow_is_split_once(monkeypatch):
     target = price(curve, make()).value
     market = DualCurrencyMarket(curve, FlatCurve(0.02), 1.3)
     calls = []
-    sign_spans = poly.sign_spans
+    sign_units = poly.sign_units
 
-    def counted(*args):
-        calls.append(args)
-        return sign_spans(*args)
+    def counted(pieces):
+        if pieces:  # an atoms-only flow, as dual_price's singular part, splits nothing
+            calls.append(pieces)
+        return sign_units(pieces)
 
-    monkeypatch.setattr(poly, "sign_spans", counted)
+    monkeypatch.setattr(poly, "sign_units", counted)
     runs = (lambda f: price(curve, f),
             lambda f: forward_price(curve, f, 2.0),
             lambda f: irr(f, target),
@@ -403,7 +413,7 @@ def test_each_flow_is_split_once(monkeypatch):
         flow = make()
         calls.clear()
         run(flow)
-        assert len(calls) == len(flow.pieces)
+        assert len(calls) == 1 and len(calls[0]) == len(flow.pieces)
         calls.clear()
         run(flow)
         assert calls == []

@@ -366,6 +366,26 @@ def test_item_values_are_the_fixed_node_sum():
     assert checked == 112
 
 
+def test_an_item_alone_evaluates_as_in_a_batch():
+    # each row's products are summed in node order, never by a BLAS matmul
+    # whose order depends on the number of rows, so an item's enclosure and
+    # value are the same bits alone as inside any batch
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(50):
+        curve, flow = random_curve(rng), random_cashflow(rng)
+        _, _, rows, (a, b, unit) = quadrature.prepare(flow._units, curve.knot_times())
+        if not len(a):
+            continue
+        batch = quadrature._evaluate_items(curve.discount_many, a, b, rows[unit])
+        for k in range(len(a)):
+            alone = quadrature._evaluate_items(curve.discount_many, a[k:k + 1], b[k:k + 1],
+                                               rows[unit[k:k + 1]])
+            assert alone.tolist() == batch[k:k + 1].tolist()
+            checked += 1
+    assert checked == 63
+
+
 def _poisson(k, x):
     """``sum_{j <= k} x^j / j!``, for ``integral t^k e^(-lam t)``."""
     return math.fsum(x ** j / math.factorial(j) for j in range(k + 1))

@@ -1,6 +1,6 @@
 """The polynomial sign split against exact arithmetic.
 
-``poly.sign_spans`` cuts a polynomial at its sign changes.  The oracle
+``poly.sign_units`` cuts a polynomial at its sign changes.  The oracle
 works on the same coefficients as exact rationals: sympy counts the real
 roots of odd multiplicity strictly inside the interval (a square-free
 factorisation, then exact root counting), and ``fractions.Fraction``
@@ -95,7 +95,7 @@ def test_sign_spans_match_exact_roots_and_signs():
     misses = []
     for i, (lo, hi, coeffs) in enumerate(cases):
         exact = [Fraction(c) for c in coeffs]
-        spans = poly.sign_spans(coeffs, lo, hi)
+        spans = [(a, b, s) for a, b, _, s, _ in poly.sign_units([(lo, hi, coeffs, 0.0)])]
         tiled = (bool(spans) and spans[0][0] == lo and spans[-1][1] == hi
                  and all(x[1] == y[0] for x, y in zip(spans, spans[1:])))
         cuts = len(spans) - 1
