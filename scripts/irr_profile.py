@@ -5,11 +5,14 @@ for that price.  A solve steers by Newton steps on fixed-node estimates
 until an update is within ``tol``, then certifies; an atoms-only flow has
 exact sums and certifies from its first step.  For every solve the
 script prints the rate steps (``iterations``), the steering steps among
-them, the certified present-value brackets computed (calls of
-``quadrature.enclose``, the atoms-plus-density enclosure a certified step
-of a flow with densities runs, or for an atoms-only flow one exact atom
-sum per step), the flow splits (``poly.sign_units`` calls over one or
-more density pieces; a flow is split once, when it is first priced),
+them, the certified present-value brackets computed (``certified``:
+calls of ``quadrature.enclose``, the atoms-plus-density enclosure a
+certified step of a flow with densities runs, or for an atoms-only flow
+one exact atom sum per step; the rate on the far side of the root that
+``irr`` certifies from a certified step's own items is not a step and
+computes no bracket, so a density solve that ends that way counts 1),
+the flow splits (``poly.sign_units`` calls over one or more density
+pieces; a flow is split once, when it is first priced),
 the quadrature batches and items built
 (``quadrature._evaluate_items`` calls and the intervals they evaluate)
 and the best wall time of a solve.  A certified step whose bracket does

@@ -6,7 +6,8 @@ the bracketed quadrature engine, so every result carries a certified
 interval ``[lower, upper]`` of width at most the requested tolerance.
 The default tolerance scales with the flow: ``1e-10 * (1 + total
 variation)``.  ``irr`` steers on uncertified fixed-node estimates and
-certifies only the rates that straddle the root.
+certifies the rates that straddle the root, the second from the first's
+enclosure where it can.
 """
 from __future__ import annotations
 
@@ -100,17 +101,34 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     certified bracket of the root bisects it instead, and the window's
     ends are evaluated only when a step reaches them.
 
-    The stop is on the rate: the result is returned once the certified
-    brackets at two rates at most ``tol`` apart straddle the target, at a
-    rate between them with ``|PV - target| <= tol * (1 + |target|)`` (an
-    absolute residual finer than double precision allows is not
-    certifiable for large flows).  Near the root each certified step aims
-    just past the predicted rate, on the side still lacking a certified
-    bracket, and a bracket that contains the target is tightened to half
-    the residual.  ``iterations`` counts the rate steps, steering and
-    certified.  Raises DomainError when no rate in the window reaches the
-    target, and when a step's bracket cannot be made narrow enough (a
-    ``tol`` below the flow's noise floor).
+    A certified step at ``x`` that proves one side of the root also bounds
+    the rate ``y`` just under ``tol`` away on the other side, from its own
+    enclosure's items.  Time ``s`` is measured from the purchase time and
+    the flow is nonnegative, so on item ``[a_k, b_k)`` ``s >= a_k >= 0``
+    and ``rho >= 0``; with ``d = ln(1 + y) - ln(1 + x)``, ``e^(-d s) <=
+    e^(-d a_k)`` for ``d > 0`` and ``>=`` for ``d < 0``, hence ``PV(y) <=
+    atoms(y) + sum_k e^(-d a_k) upper_k`` for ``y > x`` and ``PV(y) >=
+    atoms(y) + sum_k e^(-d a_k) lower_k`` for ``y < x``, ``atoms(y)`` the
+    atom sum at ``y``.  That costs one atom sum and one ``np.exp`` over the
+    items.  Where the bound reaches the target, ``y`` is certified without
+    an enclosure; where it does not (an item starting at the purchase time
+    bounds nothing past its own bracket), the loop goes on to the next
+    certified step.  Like the brackets (the price's atom sum and the
+    quadrature items), the bound is computed in floating point without
+    outward rounding.
+
+    The stop is on the rate: the result is returned once the present value
+    is certified on both sides of the target at two rates at most ``tol``
+    apart, at a certified rate between them with ``|PV - target| <= tol *
+    (1 + |target|)`` (an absolute residual finer than double precision
+    allows is not certifiable for large flows).  Near the root each
+    certified step aims just past the predicted rate, on the side still
+    lacking a certified bracket, and a bracket that contains the target is
+    tightened to half the residual.  ``iterations`` counts the rate steps,
+    steering and certified; a bound is not a step.  Raises DomainError
+    when ``tol`` is not positive and finite, when no rate in the window
+    reaches the target, and when a step's bracket cannot be made narrow
+    enough (a ``tol`` below the flow's noise floor).
     """
     if flow.is_null or not is_nonnegative(flow):
         raise DomainError("internal rate needs a nonnegative, nonzero flow")
@@ -118,8 +136,8 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
         raise DomainError(f"target price must be positive, got {target_price!r}")
     if not (math.isfinite(purchase_time) and purchase_time >= 0.0):
         raise DomainError(f"purchase time must be >= 0, got {purchase_time!r}")
-    if not tol > 0.0:
-        raise DomainError("tolerance must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
     lo_support, hi_support = flow.support_bounds()
     if lo_support < purchase_time:
         raise DomainError("flow must be supported at or after the purchase time")
@@ -167,6 +185,19 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
         return (pv or Bracket(estimate, estimate, estimate, 0.0),
                 math.fsum((weights * nodes * discount).tolist()))
 
+    def beyond(x: float, y: float) -> bool:
+        """Whether the items of the last certified step, at ``x``, bound
+        ``PV(y)`` past the target (the bound above), the atoms summed at
+        ``y`` as :func:`~pvkit.quadrature.enclose` sums them."""
+        a, _, _, *ends = partition  # an enclosed partition has its items' ends
+        d = math.log1p(y) - math.log1p(x)
+        # an infinite PV(y), y < x, proves y; inf - inf is nan, which proves nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            pv = math.fsum((amounts * np.power(1.0 + y, -times)).tolist())
+            if ends:
+                pv += float(np.exp(-d * a) @ ends[y > x])
+        return pv <= target_price if y > x else pv >= target_price
+
     lo_end, hi_end = _IRR_LO + 1e-9, _IRR_HI
     lo, hi = lo_end, hi_end  # bounds on the root, proved once lo_ok / hi_ok
     lo_ok = hi_ok = False
@@ -187,12 +218,23 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
                 # the bracket does not tell the side: tighten it to |res| / 2
                 pv, moment = value(x, True, 0.5 * abs(res))
                 res = pv.value - target_price
-            if pv.lower >= target_price:
+            # x proved below the root, above it, or (a zero-width bracket) at it
+            below, above = pv.lower >= target_price, pv.upper <= target_price
+            if below:
                 lo, lo_ok = max(lo, x), True
-            if pv.upper <= target_price:
+            if above:
                 hi, hi_ok = min(hi, x), True
             if abs(res) <= eff_tol:
                 close.append((abs(res), x, res))
+            if below != above and not (lo_ok and hi_ok and hi - lo <= tol):
+                # the rate just under tol away on the other side, in the window
+                y = math.nextafter(x + tol if below else x - tol, x)
+                y = min(max(y, lo_end), hi_end)
+                if beyond(x, y):
+                    if below:
+                        hi, hi_ok = min(hi, y), True
+                    else:
+                        lo, lo_ok = max(lo, y), True
             if lo_ok and hi_ok and hi - lo <= tol:
                 inside = [c for c in close if lo <= c[1] <= hi]
                 if inside:
@@ -204,12 +246,6 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
             x = p if steer else x
             if steer or math.isnan(p):
                 continue
-        # a prediction within tol past a certified bound puts the root at
-        # that bound, up to rounding
-        if hi_ok and hi <= p <= hi + tol:
-            p = hi
-        elif lo_ok and lo - tol <= p <= lo:
-            p = lo
         if not lo <= p <= hi:
             if p > hi and not hi_ok:
                 x = hi_end

@@ -326,13 +326,15 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
     of row ``unit[k]``; every item is evaluated as one batch, then the
     widest items are cut worst-first, each round to the depth the observed
     decay predicts (see :func:`bracketed_integral`), until the enclosure's
-    width is at most ``tol``.  Returns the bracket
-    and the final partition, every item that ended the refinement, in the
-    same ``(a, b, unit)`` form.
+    width is at most ``tol``.  Returns the bracket and the final partition,
+    every item that ended the refinement, as ``(a, b, unit, lower,
+    upper)``: the same ``(a, b, unit)`` form, which :func:`enclose` and
+    :func:`fixed_nodes` take back, followed by each item's enclosure.  With
+    no items the partition is returned as given.
     """
     times, amounts, rows, partition = measure
     atom = math.fsum((amounts * fn(times)).tolist())
-    a, b, unit = partition
+    a, b, unit, *_ = partition
     if not len(a):
         return Bracket(atom, atom, atom, 0.0), partition
     items = _evaluate_items(fn, a, b, rows[unit])
@@ -393,7 +395,7 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
         items = np.concatenate((items, done))
         unit = np.concatenate((unit, done_unit))
     return (Bracket(atom + lower, atom + upper, atom, value),
-            (items[:, 0], items[:, 1], unit))
+            (items[:, 0], items[:, 1], unit, items[:, 3], items[:, 4]))
 
 
 def fixed_nodes(measure) -> tuple[np.ndarray, np.ndarray]:
@@ -404,7 +406,7 @@ def fixed_nodes(measure) -> tuple[np.ndarray, np.ndarray]:
     value in :func:`enclose`.  No enclosure; with no items the sum is
     :func:`enclose`'s atom sum, bit for bit.
     """
-    times, amounts, rows, (a, b, unit) = measure
+    times, amounts, rows, (a, b, unit, *_) = measure
     points, _, w8 = _tables()
     half = 0.5 * (b - a)[:, None]
     ts = 0.5 * (a + b)[:, None] + half * points[_N_SAMPLED:]

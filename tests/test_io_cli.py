@@ -275,6 +275,21 @@ def test_cli_irr(tmp_path, capsys):
     assert payload["iterations"] >= 1
 
 
+def test_cli_irr_of_a_density_prints_exact_bytes(tmp_path, capsys):
+    # a certified step and the item bound beside it end the solve: 4
+    # steering steps and one certified, where two certified steps made 6
+    flow = _write(tmp_path, "flow.json", {
+        "atoms": [{"t": 10.0, "amount": 0.5}],
+        "density": [{"from": 0.0, "to": 10.0, "coeffs": [1.0, 0.1]}],
+    })
+    code, out, _ = run(capsys, "irr", "--cashflow", flow, "--target", "10.0")
+    assert (code, out) == (0, "0.085349 (residual 0, iterations 5)\n")
+    code, out, _ = run(capsys, "irr", "--cashflow", flow, "--target", "10.0",
+                       "--format", "structured")
+    assert (code, out) == (0, '{\n  "iterations": 5,\n  "rate": 0.08534851648710853,\n'
+                              '  "residual": -5.500027100424631e-10\n}\n')
+
+
 def test_cli_decompose(tmp_path, capsys):
     flow = _write(tmp_path, "flow.json", {
         "atoms": [{"t": 0.0, "amount": -2.0}, {"t": 1.0, "amount": 3.0}],

@@ -3,14 +3,17 @@
 A zero-coupon payment of A at T bought at time s for ``target`` has the
 closed-form rate ``(A / target)^(1/(T-s)) - 1``.  A unit density on
 [a, b) is worth ``((1+i)^-(a-s) - (1+i)^-(b-s)) / ln(1+i)`` at time s at
-flat rate i; its root is found by mpmath's ``findroot`` at 30 digits.  ``irr`` stops once certified price
-brackets at two rates at most ``tol`` apart straddle the target, so the
-returned rate lies within ``tol`` of the root.
+flat rate i; its root is found by mpmath's ``findroot`` at 30 digits.
+Polynomial densities with coupons are valued by mpmath's ``quad`` at 30
+digits.
+``irr`` stops once the present value is certified on both sides of the
+target at two rates at most ``tol`` apart, so the returned rate lies
+within ``tol`` of the root.
 """
 import numpy as np
 import pytest
 
-from pvkit import DomainError, density, dirac, irr
+from pvkit import DomainError, density, dirac, irr, pricing
 
 mp = pytest.importorskip("mpmath")
 
@@ -44,9 +47,21 @@ def _density_target(rate, a, b):
         return float(_density_value(mp.mpf(rate), mp.mpf(a), mp.mpf(b)))
 
 
-def _assert_contract(res, root, target):
-    assert abs(res.rate - root) <= TOL, (res, root)
-    assert abs(res.residual) <= TOL * (1.0 + target)
+def _flow_value(flow, i, s):
+    """The flow's value at time s at flat rate i, atoms and densities."""
+    value = mp.mpf(0)
+    for atom in flow.atoms:
+        value += mp.mpf(atom.amount) * (1 + i) ** (s - mp.mpf(atom.time))
+    for piece in flow.pieces:
+        coeffs = [mp.mpf(c) for c in reversed(piece.coeffs)]
+        value += mp.quad(lambda t: mp.polyval(coeffs, t - piece.origin) * (1 + i) ** (s - t),
+                         [piece.start, piece.end])
+    return value
+
+
+def _assert_contract(res, root, target, tol=TOL):
+    assert abs(res.rate - root) <= tol, (res, root)
+    assert abs(res.residual) <= tol * (1.0 + target)
 
 
 @pytest.mark.parametrize("amount, t, target", [
@@ -71,6 +86,70 @@ def test_constant_density_matches_findroot(a, b, target):
     a, b = a + PURCHASE, b + PURCHASE
     res = irr(density(a, b), target, purchase_time=PURCHASE, tol=TOL)
     _assert_contract(res, _density_root(a, b, target, res.rate, PURCHASE), target)
+
+
+def _coupons(times, amount):
+    return sum((dirac(float(t), amount) for t in times[1:]), dirac(float(times[0]), amount))
+
+
+# (name, flow, purchase time, rate): nonnegative polynomial densities with
+# coupons; four densities start at the purchase time, where the item that
+# starts there bounds nothing past its own bracket
+POLYNOMIAL_FLOWS = [
+    ("coupons on [0, 10)", density(0.0, 10.0, (1.0, 0.2, -0.01)) + _coupons(range(1, 11), 0.05)
+     + dirac(10.0), 0.0, 0.05),
+    ("from purchase 1.5", density(1.5, 6.5, (0.5, 0.0, 0.03)) + dirac(2.5, 0.1) + dirac(6.5),
+     1.5, 0.07),
+    ("quadratic on [3, 8)", density(3.0, 8.0, (2.0, -0.5, 0.05)) + dirac(8.0), 0.0, 0.12),
+    ("late, purchase 4", density(10.0, 25.0, (0.1, 0.01)) + _coupons(range(5, 30, 5), 0.2),
+     4.0, 0.03),
+    ("negative rate", density(0.0, 5.0, (1.0, -0.3, 0.05)) + dirac(5.0, 2.0), 0.0, -0.2),
+    ("high rate", density(0.5, 4.0, (0.3, 0.3, 0.0, 0.01)) + dirac(4.0, 3.0), 0.25, 1.5),
+    ("cubic, purchase 2", density(2.0, 12.0, (1.0, 0.0, 0.0, 0.001)) + dirac(12.0, 0.5),
+     2.0, 0.06),
+    ("two pieces", density(1.0, 3.0, (0.4,)) + density(5.0, 9.0, (0.1, 0.05)) + dirac(9.0),
+     0.5, 0.09),
+]
+
+
+def _polynomial_target(flow, s, rate):
+    with mp.workdps(30):
+        return float(_flow_value(flow, mp.mpf(rate), mp.mpf(s)))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("name, flow, s, rate", POLYNOMIAL_FLOWS,
+                         ids=[case[0] for case in POLYNOMIAL_FLOWS])
+def test_polynomial_densities_with_coupons_match_quad(name, flow, s, rate, tol):
+    target = _polynomial_target(flow, s, rate)
+    res = irr(flow, target, purchase_time=s, tol=tol)
+    with mp.workdps(30):
+        root = float(mp.findroot(lambda i: _flow_value(flow, i, mp.mpf(s)) - target,
+                                 mp.mpf(res.rate)))
+    _assert_contract(res, root, target, tol)
+
+
+def test_first_certified_steps_land_on_both_sides(monkeypatch):
+    # the item bound certifies the side opposite the first certified step,
+    # below the root or above it: the cases above exercise both
+    brackets = []
+    enclose = pricing.enclose
+
+    def recorded(*args):
+        bracket, part = enclose(*args)
+        brackets.append(bracket)
+        return bracket, part
+
+    monkeypatch.setattr(pricing, "enclose", recorded)
+    sides = set()
+    for name, flow, s, rate in POLYNOMIAL_FLOWS:
+        target = _polynomial_target(flow, s, rate)
+        for tol in (1e-8, 1e-10, 1e-12):
+            brackets.clear()
+            irr(flow, target, purchase_time=s, tol=tol)
+            sides.add("below" if brackets[0].lower >= target else
+                      "above" if brackets[0].upper <= target else "undecided")
+    assert {"below", "above"} <= sides
 
 
 def test_seeded_rates_across_the_window():

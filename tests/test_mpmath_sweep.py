@@ -106,10 +106,13 @@ def test_item_too_narrow_to_halve_stays_in_the_partition():
     one_ulp = math.nextafter(1.0, 2.0)
     flow = CashFlow(pieces=(DensityPiece(1.0, one_ulp, (1e18,)),
                             DensityPiece(2.0, 30.0, (1.0, 0.3, -0.01))))
-    br, (a, b, _) = quadrature.enclose(
+    br, (a, b, _, lower, upper) = quadrature.enclose(
         curve.discount_many, quadrature.prepare(flow._units, curve.knot_times()), 1e-12)
     assert br.upper - br.lower <= 1e-12
     assert ((a == 1.0) & (b == one_ulp)).sum() == 1
+    # the partition hands back every item's enclosure, the narrow one's too,
+    # and they sum to the bracket
+    assert (br.lower, br.upper) == (math.fsum(lower.tolist()), math.fsum(upper.tolist()))
     with mp.workdps(30):
         exact, slack = _oracle_price(curve, flow)
     assert br.lower - slack <= exact <= br.upper + slack

@@ -215,6 +215,14 @@ def test_irr_rejects_bad_inputs():
             irr(dirac(1.0, 1.0), 0.9, tol=tol)
 
 
+def test_irr_rejects_a_non_finite_tolerance():
+    # tol = inf stopped at once and returned the window's end 10.0 with
+    # residual -7.58, though the root is near 0.064
+    for tol in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+            irr(density(0.0, 10.0) + dirac(10.0), 8.0, tol=tol)
+
+
 def test_irr_deep_discount_root():
     # a payment of 1 at t=1 bought for 2 implies the rate -0.5 exactly
     res = irr(dirac(1.0, 1.0), 2.0)
@@ -268,9 +276,10 @@ def _irr_profile_cases():
     return module.cases()
 
 
-def test_irr_certifies_at_most_two_brackets_on_the_profile_cases(monkeypatch):
-    # steering on fixed-node estimates leaves enclose to the rates that
-    # straddle the root; where the first step hits it, one bracket does
+def test_irr_certifies_one_bracket_on_the_profile_cases(monkeypatch):
+    # steering on fixed-node estimates leaves enclose to one rate next to
+    # the root, and that enclosure's items bound PV just under tol away on
+    # the other side; an atoms-only flow has exact sums and never encloses
     calls = []
     enclose = pricing.enclose
     monkeypatch.setattr(pricing, "enclose", lambda *args: calls.append(args) or enclose(*args))
@@ -278,7 +287,27 @@ def test_irr_certifies_at_most_two_brackets_on_the_profile_cases(monkeypatch):
         target = price(FlatCurve(rate), flow).value
         calls.clear()
         assert irr(flow, target).rate == pytest.approx(rate, abs=1e-9)
-        assert len(calls) <= (1 if name in ("random 3", "random 8", "random 11") else 2), name
+        assert len(calls) == (1 if flow.pieces else 0), name
+
+
+def test_irr_encloses_again_where_the_item_bound_fails(monkeypatch):
+    # density(0, 0.25) ends its enclosure as one item starting at the
+    # purchase time, where e^(-d a) = 1 bounds nothing past the step's own
+    # bracket, so the second side takes a second enclose
+    flow = density(0.0, 0.25)
+    target = price(FlatCurve(0.05), flow).value
+    calls = []
+    enclose = pricing.enclose
+
+    def counted(fn, measure, tol):
+        bracket, part = enclose(fn, measure, tol)
+        calls.append(part)
+        return bracket, part
+
+    monkeypatch.setattr(pricing, "enclose", counted)
+    res = irr(flow, target)
+    assert abs(res.rate - 0.05) <= 1e-10
+    assert [(p[0].tolist(), p[1].tolist()) for p in calls] == [([0.0], [0.25])] * 2
 
 
 def test_irr_long_dated_flow_at_a_high_rate():

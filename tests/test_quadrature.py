@@ -324,7 +324,7 @@ def test_refine_continues_from_a_final_partition():
         assert br.upper - br.lower <= 1e-10
         # the final partition tiles every unit without gaps or overlaps
         order = np.lexsort((part[0], part[2]))
-        a, b, unit = (x[order] for x in part)
+        a, b, unit = (x[order] for x in part[:3])
         same = unit[1:] == unit[:-1]
         assert (a[1:][same] == b[:-1][same]).all()
         # the fixed nodes of the final partition estimate the same integral
