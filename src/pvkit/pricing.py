@@ -113,7 +113,8 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     items.  Where the bound reaches the target, ``y`` is certified without
     an enclosure; where it does not (an item starting at the purchase time
     bounds nothing past its own bracket), the loop goes on to the next
-    certified step.  Like the brackets (the price's atom sum and the
+    certified step.  A step whose value overflows encloses nothing and so
+    bounds nothing.  Like the brackets (the price's atom sum and the
     quadrature items), the bound is computed in floating point without
     outward rounding.
 
@@ -154,12 +155,16 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
             return YieldResult(0.0, mass - target_price, 0)
         raise DomainError("present value does not depend on the rate; no root")
 
-    def value(rate: float, certify: bool, cap: float = math.inf) -> tuple[Bracket, float]:
-        """The price at a flat ``rate`` and the first moment, fixed-node sums
-        on the last certified partition; with ``certify`` the price is
-        enclosed from there (an atom sum is exact already) to a width of at
-        most ``eff_tol / 8``, or ``1e-12`` of the largest discounted mass
-        where wider, and at most ``cap``.  Both are infinite on overflow.
+    def value(rate: float, certify: bool,
+              cap: float = math.inf) -> tuple[Bracket, float, tuple | None]:
+        """The price at a flat ``rate``, the first moment, and the items
+        this call enclosed, if any.  The sums are fixed-node sums on the
+        last certified partition; with ``certify`` the price is enclosed
+        from there (an atom sum is exact already) to a width of at most
+        ``eff_tol / 8``, or ``1e-12`` of the largest discounted mass where
+        wider, and at most ``cap``, and the items are returned as their
+        starts and lower and upper ends (empty for atoms alone).  On
+        overflow the price and moment are infinite and nothing is enclosed.
         """
         nonlocal partition, nodes, weights
         try:
@@ -168,35 +173,27 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
             # needs only the sign, so the tolerance follows that magnitude
             scale = mass * max(1.0, (1.0 + rate) ** (-sup))
         except OverflowError:
-            return Bracket(math.inf, math.inf, math.inf, 0.0), math.nan
-        pv = None
-        if certify and len(partition[0]):
-            try:
-                pv, part = enclose(lambda ts: np.power(1.0 + rate, -ts),
-                                   (times, amounts, rows, partition),
-                                   min(cap, max(eff_tol / 8.0, 1e-12 * scale)))
-            except DomainError as err:
-                raise DomainError(f"irr tolerance not achievable at rate {rate!r}: {err}") from err
-            if len(part[0]) != len(partition[0]):  # refined: new fixed nodes
-                nodes, weights = fixed_nodes((times, amounts, rows, part))
-            partition = part
+            return Bracket(math.inf, math.inf, math.inf, 0.0), math.nan, None
+        pv = items = None
+        if certify:
+            a = partition[0]
+            items = (a, a, a)  # atoms alone: no items
+            if len(a):
+                try:
+                    pv, part = enclose(lambda ts: np.power(1.0 + rate, -ts),
+                                       (times, amounts, rows, partition),
+                                       min(cap, max(eff_tol / 8.0, 1e-12 * scale)))
+                except DomainError as err:
+                    raise DomainError(
+                        f"irr tolerance not achievable at rate {rate!r}: {err}") from err
+                if len(part[0]) != len(a):  # refined: new fixed nodes
+                    nodes, weights = fixed_nodes((times, amounts, rows, part))
+                partition = part
+                items = (part[0], part[3], part[4])
         discount = np.power(1.0 + rate, -nodes)
         estimate = math.fsum((weights * discount).tolist())
         return (pv or Bracket(estimate, estimate, estimate, 0.0),
-                math.fsum((weights * nodes * discount).tolist()))
-
-    def beyond(x: float, y: float) -> bool:
-        """Whether the items of the last certified step, at ``x``, bound
-        ``PV(y)`` past the target (the bound above), the atoms summed at
-        ``y`` as :func:`~pvkit.quadrature.enclose` sums them."""
-        a, _, _, *ends = partition  # an enclosed partition has its items' ends
-        d = math.log1p(y) - math.log1p(x)
-        # an infinite PV(y), y < x, proves y; inf - inf is nan, which proves nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            pv = math.fsum((amounts * np.power(1.0 + y, -times)).tolist())
-            if ends:
-                pv += float(np.exp(-d * a) @ ends[y > x])
-        return pv <= target_price if y > x else pv >= target_price
+                math.fsum((weights * nodes * discount).tolist()), items)
 
     lo_end, hi_end = _IRR_LO + 1e-9, _IRR_HI
     lo, hi = lo_end, hi_end  # bounds on the root, proved once lo_ok / hi_ok
@@ -208,7 +205,7 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     x = 0.0 if math.isnan(x) else min(max(x, lo_end), hi_end)
     steer = len(partition[0]) > 0  # atoms alone certify at once
     for step in range(1, _IRR_STEPS + 1):
-        pv, moment = value(x, not steer)
+        pv, moment, items = value(x, not steer)
         res = pv.value - target_price
         if not steer:
             if (x == hi_end and res > 0.0) or (x == lo_end and res < 0.0):
@@ -216,7 +213,7 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
                     f"no internal rate in ({_IRR_LO}, {_IRR_HI}] reaches the target")
             if pv.lower < target_price < pv.upper and res != 0.0:
                 # the bracket does not tell the side: tighten it to |res| / 2
-                pv, moment = value(x, True, 0.5 * abs(res))
+                pv, moment, items = value(x, True, 0.5 * abs(res))
                 res = pv.value - target_price
             # x proved below the root, above it, or (a zero-width bracket) at it
             below, above = pv.lower >= target_price, pv.upper <= target_price
@@ -226,15 +223,23 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
                 hi, hi_ok = min(hi, x), True
             if abs(res) <= eff_tol:
                 close.append((abs(res), x, res))
-            if below != above and not (lo_ok and hi_ok and hi - lo <= tol):
-                # the rate just under tol away on the other side, in the window
-                y = math.nextafter(x + tol if below else x - tol, x)
-                y = min(max(y, lo_end), hi_end)
-                if beyond(x, y):
-                    if below:
-                        hi, hi_ok = min(hi, y), True
-                    else:
-                        lo, lo_ok = max(lo, y), True
+            # the rate y just under tol away on the other side, in the window,
+            # bounded from the items x was enclosed on (none on overflow)
+            y = math.nextafter(x + tol if below else x - tol, x)
+            y = min(max(y, lo_end), hi_end)
+            if (items is not None and below != above and y != x
+                    and not (lo_ok and hi_ok and hi - lo <= tol)):
+                a, lower, upper = items
+                d = math.log1p(y) - math.log1p(x)
+                # an infinite PV(y), y < x, proves y; inf - inf is nan, which
+                # proves nothing
+                with np.errstate(over="ignore", invalid="ignore"):
+                    bound = (math.fsum((amounts * np.power(1.0 + y, -times)).tolist())
+                             + float(np.exp(-d * a) @ (upper if below else lower)))
+                if below and bound <= target_price:
+                    hi, hi_ok = min(hi, y), True
+                elif above and bound >= target_price:
+                    lo, lo_ok = max(lo, y), True
             if lo_ok and hi_ok and hi - lo <= tol:
                 inside = [c for c in close if lo <= c[1] <= hi]
                 if inside:

@@ -331,6 +331,14 @@ def test_irr_steps_past_an_overflowing_value():
     assert abs(res.rate + 0.99) <= 1e-10
 
 
+def test_irr_bounds_nothing_from_an_overflowing_value():
+    # the density analogue: the step at the window's low end overflows
+    # before any enclosure, so it bounds no other rate from stale items;
+    # root from 40-digit mpmath on the closed form of the two integrals
+    res = irr(density(0.0, 1.0) + density(149.0, 150.0), 1e300)
+    assert abs(res.rate + 0.9901020987372979658) <= 1e-10
+
+
 def test_irr_names_the_rate_where_a_bracket_cannot_narrow():
     flow = density(0.0, 30.0, (1.0, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8))
     with pytest.raises(DomainError, match=r"irr tolerance not achievable at rate [0-9.]+: "):
