@@ -120,11 +120,11 @@ def identity(name, converted):
         s = market.spot_fx
         try:
             local = price(market.domestic_curve, out, tol)
-            foreign = price(market.foreign_curve, flow, tol / s)
+            foreign = price(market.foreign_curve, flow, tol / s) * s
         except DomainError:
             unpriced.append(i)
             continue
-        gap = max(local.lower - s * foreign.upper, s * foreign.lower - local.upper, 0.0)
+        gap = max(local.lower - foreign.upper, foreign.lower - local.upper, 0.0)
         disjoint += gap > 0.0
         gaps.append(gap / scale)
     print(f"{name} identity: {disjoint} of {len(gaps)} brackets disjoint, "

@@ -17,7 +17,8 @@ curve (see the dual-functional module).
 
 All curves are immutable.  ``horizon`` marks how far out the curve is
 meant to be used; construction samples ``P`` densely on [0, horizon] and
-rejects parameters that produce non-finite or non-positive values there.
+rejects parameters that produce non-finite or non-positive values there
+(:class:`ScaledCurve` included), so no user of a curve repeats the check.
 Each family has one formula, the array form ``discount_many(ts)``;
 ``discount(t)`` is ``discount_many`` at one time, so callers that need
 several times make one ``discount_many`` call.
@@ -258,6 +259,7 @@ class ScaledCurve:
         if not (math.isfinite(f) and f > 0.0):
             raise DomainError(f"scale factor must be positive, got {f!r}")
         object.__setattr__(self, "factor", f)
+        _validate_curve(self)
 
     @property
     def horizon(self) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import ScaledCurve, check_positive
+from .curves import ScaledCurve
 from .errors import DomainError
 from .measures import CashFlow, lebesgue
 from .pricing import default_tolerance, price
@@ -31,20 +31,14 @@ class DualFunctional:
 
     ``atom_curve`` must be a discount curve (P(0) = 1); ``density_weight``
     only needs to be positive, continuous and bounded on the horizon --
-    e.g. a :class:`ScaledCurve` with factor != 1.
+    e.g. a :class:`ScaledCurve` with factor != 1.  Curves check that when
+    built (:mod:`pvkit.curves`); here only ``P(0) = 1`` is checked.
     """
 
     atom_curve: object
     density_weight: object
 
     def __post_init__(self):
-        for name in ("atom_curve", "density_weight"):
-            c = getattr(self, name)
-            check_positive(
-                c.discount_many,
-                c.horizon,
-                lambda t, w: f"{name} must be positive and bounded, got {w!r} at t={t}",
-            )
         if self.atom_curve.discount(0.0) != 1.0:
             raise DomainError("atom curve must have P(0) = 1")
 
@@ -69,19 +63,14 @@ def dual_price(functional: DualFunctional, flow: CashFlow,
     layer is bracketed quadrature against the density weight: ``atom_part``
     is the atomic layer, ``density_part`` the stream layer.  Each layer is
     priced by :func:`~pvkit.pricing.price` to ``tol`` (default
-    :func:`~pvkit.pricing.default_tolerance` of the whole flow).
+    :func:`~pvkit.pricing.default_tolerance` of the whole flow); the two
+    brackets add.
     """
     if tol is None:
         tol = default_tolerance(flow)
     parts = lebesgue(flow)
-    atoms = price(functional.atom_curve, parts.singular, tol)
-    dens = price(functional.density_weight, parts.absolutely_continuous, tol)
-    return Bracket(
-        atoms.value + dens.lower,
-        atoms.value + dens.upper,
-        atoms.value,
-        dens.value,
-    )
+    return (price(functional.atom_curve, parts.singular, tol)
+            + price(functional.density_weight, parts.absolutely_continuous, tol))
 
 
 def choquet_gap(functional: DualFunctional, flow: CashFlow,

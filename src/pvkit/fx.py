@@ -123,13 +123,7 @@ def price_dual(market: DualCurrencyMarket, flow: DualCashFlow,
     for_tol = 0.5 * tol / (unit * market.spot_fx)
     dom = price(market.domestic_curve, flow.domestic, dom_tol)
     for_ = price(market.foreign_curve, flow.foreign, for_tol)
-    s = market.spot_fx
-    return Bracket(
-        unit * (dom.lower + s * for_.lower),
-        unit * (dom.upper + s * for_.upper),
-        unit * (dom.atom_part + s * for_.atom_part),
-        unit * (dom.density_part + s * for_.density_part),
-    )
+    return (dom + for_ * market.spot_fx) * unit
 
 
 @functools.cache
@@ -197,8 +191,7 @@ def _fit_spans(fn, rows, partition):
     (:func:`interpolate_chebyshev`) in powers of ``t - mid`` for the
     segment's midpoint ``mid``, and one Horner evaluation of every fit at
     its samples.  Each accepted fit is stored as it is, a piece with
-    origin ``mid``.  Returns (pieces sorted by start,
-    abs_error_integral_bound).
+    origin ``mid``.  Returns (pieces, abs_error_integral_bound).
 
     A segment that fails is cut by repeated midpoint halving, each segment
     to its own depth: ``ceil(log2(excess) / decay)`` levels, at most 3,
@@ -275,8 +268,8 @@ def _fit_spans(fn, rows, partition):
         span, parent_worst, depth = span[parent], worst[parent], depth[parent]
     accept, a, b, mid, errs, coeffs = (np.concatenate(x) for x in zip(*rounds))
     a, b, mid, errs, coeffs = a[accept], b[accept], mid[accept], errs[accept], coeffs[accept]
-    pieces = [DensityPiece(a[i], b[i], coeffs[i].tolist(), mid[i])
-              for i in np.argsort(a, kind="stable").tolist()]
+    pieces = [DensityPiece(*x) for x in zip(a.tolist(), b.tolist(), coeffs.tolist(),
+                                            mid.tolist())]
     return pieces, math.fsum(errs.tolist())
 
 

@@ -297,11 +297,18 @@ def trace(a: CashFlow, start: float, end: float, closure: str = "[]") -> CashFlo
     return CashFlow(atoms, tuple(pieces))
 
 
+def finite_sum(values) -> float:
+    """``math.fsum(values)``, with a DomainError where the sum leaves the
+    float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise DomainError("the flow's sum exceeds the float range") from None
+
+
 def total_mass(a: CashFlow) -> float:
     """Signed total a(R+): atom amounts plus exact density integrals."""
-    return math.fsum(
-        [x.amount for x in a.atoms] + [p.mass() for p in a.pieces]
-    )
+    return finite_sum([x.amount for x in a.atoms] + [p.mass() for p in a.pieces])
 
 
 def mass(a: CashFlow, start: float, end: float, closure: str = "[]") -> float:
@@ -323,7 +330,7 @@ def total_variation(a: CashFlow) -> float:
         poly.definite_integral(c, lo - o, hi - o) for lo, hi, c, s, o in units if s > 0]
     neg = [-x.amount for x in a.atoms if x.amount < 0] + [
         -poly.definite_integral(c, lo - o, hi - o) for lo, hi, c, s, o in units if s < 0]
-    return math.fsum(pos) + math.fsum(neg)
+    return finite_sum([finite_sum(pos), finite_sum(neg)])
 
 
 def is_nonnegative(a: CashFlow) -> bool:

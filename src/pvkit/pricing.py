@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .measures import CashFlow, is_nonnegative, total_variation
+from .measures import CashFlow, finite_sum, is_nonnegative, total_variation
 from .quadrature import Bracket, enclose, fixed_nodes, prepare
 
 TOLERANCE_SCALE = 1e-10
@@ -60,9 +60,7 @@ def forward_price(curve, flow: CashFlow, at: float, tol: float | None = None) ->
         raise DomainError(f"forward time must lie in [0, {curve.horizon}], got {at}")
     p_at = curve.discount(at)
     tol = default_tolerance(flow) if tol is None else tol
-    inner = price(curve, flow, tol * p_at)
-    return Bracket(inner.lower / p_at, inner.upper / p_at, inner.atom_part / p_at,
-                   inner.density_part / p_at)
+    return price(curve, flow, tol * p_at) / p_at
 
 
 @dataclass(frozen=True)
@@ -126,10 +124,11 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     certified step aims just past the predicted rate, on the side still
     lacking a certified bracket, and a bracket that contains the target is
     tightened to half the residual.  ``iterations`` counts the rate steps,
-    steering and certified; a bound is not a step.  Raises DomainError
-    when ``tol`` is not positive and finite, when no rate in the window
-    reaches the target, and when a step's bracket cannot be made narrow
-    enough (a ``tol`` below the flow's noise floor).
+    steering and certified; a bound is not a step.  A fixed-node sum past
+    the float range reads as inf.  Raises DomainError when ``tol`` is not
+    positive and finite, when the flow's mass passes the float range, when
+    no rate in the window reaches the target, and when a step's bracket
+    cannot be made narrow enough (a ``tol`` below the flow's noise floor).
     """
     if flow.is_null or not is_nonnegative(flow):
         raise DomainError("internal rate needs a nonnegative, nonzero flow")
@@ -148,7 +147,7 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     nodes, weights = fixed_nodes((times, amounts, rows, partition))
     # the mass and the first moment, the integral of t - purchase_time
     # (Gauss-Legendre is exact on them): the mean payment time is first / mass
-    mass, first = math.fsum(weights.tolist()), math.fsum((weights * nodes).tolist())
+    mass, first = finite_sum(weights.tolist()), _fsum_up((weights * nodes).tolist())
     sup = hi_support - purchase_time
     if sup == 0.0:  # all mass at the purchase time: PV constant in the rate
         if abs(mass - target_price) <= eff_tol:
@@ -191,9 +190,9 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
                 partition = part
                 items = (part[0], part[3], part[4])
         discount = np.power(1.0 + rate, -nodes)
-        estimate = math.fsum((weights * discount).tolist())
+        estimate = _fsum_up((weights * discount).tolist())
         return (pv or Bracket(estimate, estimate, estimate, 0.0),
-                math.fsum((weights * nodes * discount).tolist()), items)
+                _fsum_up((weights * nodes * discount).tolist()), items)
 
     lo_end, hi_end = _IRR_LO + 1e-9, _IRR_HI
     lo, hi = lo_end, hi_end  # bounds on the root, proved once lo_ok / hi_ok
@@ -234,7 +233,7 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
                 # an infinite PV(y), y < x, proves y; inf - inf is nan, which
                 # proves nothing
                 with np.errstate(over="ignore", invalid="ignore"):
-                    bound = (math.fsum((amounts * np.power(1.0 + y, -times)).tolist())
+                    bound = (_fsum_up((amounts * np.power(1.0 + y, -times)).tolist())
                              + float(np.exp(-d * a) @ (upper if below else lower)))
                 if below and bound <= target_price:
                     hi, hi_ok = min(hi, y), True
@@ -271,6 +270,14 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
                 side = 1.0 if res > 0.0 else -1.0
             x = min(max(p + side * delta, lo), hi)
     raise DomainError("internal rate search did not converge to the tolerance")
+
+
+def _fsum_up(values) -> float:
+    """``math.fsum`` of nonnegative values, inf where the sum passes the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def _newton_rate(rate: float, pv: float, moment: float, target: float) -> float:

@@ -42,6 +42,7 @@ import numpy as np
 
 from . import poly
 from .errors import DomainError
+from .measures import finite_sum
 
 # 8-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree
 # <= 15, so for a density of degree <= 8 times the degree-6 model.  It is
@@ -122,6 +123,8 @@ class Bracket:
     ``density_part`` the quadrature estimate over its densities; the
     enclosure's width comes from the density part alone.  ``value`` is
     their sum, clamped into the enclosure: ``lower <= value <= upper``.
+    ``+`` adds brackets field by field and ``*``, ``/`` scale every field by
+    a positive float: the one place where certified values combine.
     """
 
     lower: float
@@ -137,12 +140,25 @@ class Bracket:
     def width(self) -> float:
         return self.upper - self.lower
 
+    def __add__(self, other: "Bracket") -> "Bracket":
+        return Bracket(self.lower + other.lower, self.upper + other.upper,
+                       self.atom_part + other.atom_part, self.density_part + other.density_part)
+
+    def __mul__(self, k: float) -> "Bracket":
+        return Bracket(self.lower * k, self.upper * k, self.atom_part * k, self.density_part * k)
+
+    def __truediv__(self, k: float) -> "Bracket":
+        return Bracket(self.lower / k, self.upper / k, self.atom_part / k, self.density_part / k)
+
 
 def density_at(rows, ts):
     """Row ``i``'s density at the times ``ts[i]``, rows as :func:`prepare` lays them out."""
     return poly.evaluate(rows[:, :-1].T[:, :, None], ts - rows[:, -1:])
 
 
+# a non-finite f, or a sum past the float range, ends in the DomainError at
+# the end, not in a numpy warning on the way
+@np.errstate(over="ignore", invalid="ignore")
 def _evaluate_items(fn, a, b, rows):
     """Enclosures of ``integral_a^b rho f`` for a batch of items.
 
@@ -181,6 +197,8 @@ def _evaluate_items(fn, a, b, rows):
     upper = np.add(exact, np.maximum(low, high), out=out[:, 4])
     np.minimum(np.maximum(value, lower), upper, out=out[:, 2])
     if not np.isfinite(upper - lower).all():
+        if np.isfinite(f).all():
+            raise DomainError("the flow's sum exceeds the float range")
         raise DomainError("integrand is not finite on the density's support")
     return out
 
@@ -266,8 +284,9 @@ def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
     stalled at the noise floor of ``fn``) or when bisecting would exceed
     the 20,000-interval budget (a deeper cut is clipped to the budget
     left), both naming the tolerance and the width attained;
-    also when ``fn`` is not finite, a density's degree exceeds the cap, or
-    a piece (named) has a non-finite entry or starts after it ends.
+    also when ``fn`` is not finite, a sum passes the float range, a
+    density's degree exceeds the cap, or a piece (named) has a non-finite
+    entry or starts after it ends.
 
     Certification is relative to sampled values: features of ``fn`` that
     vanish at every node of a subinterval's 33-point sample are invisible
@@ -333,7 +352,7 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
     no items the partition is returned as given.
     """
     times, amounts, rows, partition = measure
-    atom = math.fsum((amounts * fn(times)).tolist())
+    atom = finite_sum((amounts * fn(times)).tolist())
     a, b, unit, *_ = partition
     if not len(a):
         return Bracket(atom, atom, atom, 0.0), partition

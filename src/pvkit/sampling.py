@@ -15,16 +15,16 @@ CURVE_FAMILIES = ("flat", "spot_grid", "svensson")
 
 
 def random_cashflow(rng: np.random.Generator, *, horizon: float = 30.0,
-                    max_atoms: int = 3, max_pieces: int = 2,
                     nonnegative: bool = False) -> CashFlow:
-    """A random nonzero cash flow supported inside [0, horizon].
+    """A random nonzero cash flow supported inside [0, horizon]: up to 3
+    atoms and up to 2 density pieces.
 
     Nonnegative flows use positive atom amounts and squared polynomials
     (plus a positive constant) as densities, so nonnegativity holds
     pointwise by construction, not merely on average.
     """
-    n_atoms = int(rng.integers(0, max_atoms + 1))
-    n_pieces = int(rng.integers(0, max_pieces + 1))
+    n_atoms = int(rng.integers(0, 4))
+    n_pieces = int(rng.integers(0, 3))
     if n_atoms == 0 and n_pieces == 0:
         n_atoms = 1
     atoms = []

@@ -304,6 +304,15 @@ def test_positivity_validators_keep_their_messages():
     with pytest.raises(DomainError,
                        match=r"forward FX rate is not positive and bounded at t=78\.125"):
         DualCurrencyMarket(FlatCurve(99.0), FlatCurve(-0.99), 1.0)
-    with pytest.raises(DomainError, match=r"density_weight must be positive and "
-                                          r"bounded, got inf at t="):
+    # a weight curve is refused when it is built, before a DualFunctional sees it
+    with pytest.raises(DomainError, match=r"curve is not positive and bounded on "
+                                          r"\[0, 100\.0\]: P\(4\.6875\) = inf"):
         DualFunctional(FlatCurve(0.05), ScaledCurve(FlatCurve(-0.99), 1e300))
+
+
+def test_scaled_curve_is_validated_at_construction():
+    # 1e300 * 100**t passes the float range before t = 4.6875
+    with pytest.raises(DomainError, match=r"curve is not positive and bounded"):
+        ScaledCurve(FlatCurve(-0.99), 1e300)
+    # a scaled curve that stays in range is kept, factor and all
+    assert ScaledCurve(FlatCurve(-0.99), 1e-300).discount(1.0) == pytest.approx(1e-298)

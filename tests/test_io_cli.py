@@ -290,6 +290,22 @@ def test_cli_irr_of_a_density_prints_exact_bytes(tmp_path, capsys):
                               '  "residual": -5.500027100424631e-10\n}\n')
 
 
+@pytest.mark.parametrize("argv", [
+    ("price", "--curve", "flat.json", "--cashflow", "big.json"),
+    ("irr", "--target", "1e308", "--cashflow", "big.json"),
+    ("decompose", "--cashflow", "big.json"),
+])
+def test_cli_refuses_a_flow_whose_sum_overflows(tmp_path, capsys, argv):
+    # two atoms of 1.5e308: their sum used to escape as an OverflowError
+    # traceback from math.fsum
+    _write(tmp_path, "flat.json", {"type": "flat", "i": 0.01})
+    _write(tmp_path, "big.json", {"atoms": [{"t": 1.0, "amount": 1.5e308},
+                                            {"t": 2.0, "amount": 1.5e308}]})
+    code, out, err = run(capsys, *(str(tmp_path / a) if a.endswith(".json") else a
+                                   for a in argv))
+    assert (code, out, err) == (1, "", "error: the flow's sum exceeds the float range\n")
+
+
 def test_cli_decompose(tmp_path, capsys):
     flow = _write(tmp_path, "flow.json", {
         "atoms": [{"t": 0.0, "amount": -2.0}, {"t": 1.0, "amount": 3.0}],

@@ -28,8 +28,10 @@ from pvkit import (
     irr,
     is_nonnegative,
     jordan,
+    lebesgue,
     price,
     price_dual,
+    total_mass,
     total_variation,
     translate,
     yield_bound_check,
@@ -86,6 +88,44 @@ def test_support_beyond_horizon_rejected():
 def test_null_flow_prices_to_zero():
     res = price(FlatCurve(0.05), CashFlow())
     assert res.value == res.lower == res.upper == 0.0
+
+
+def test_price_adds_over_the_lebesgue_parts():
+    # the functional is additive: a flow's price is the sum, bit for bit, of
+    # its singular and absolutely continuous parts' prices at the same tol
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        curve, flow = random_curve(rng), random_cashflow(rng)
+        tol = default_tolerance(flow)
+        parts = lebesgue(flow)
+        assert (price(curve, flow, tol)
+                == price(curve, parts.singular, tol)
+                + price(curve, parts.absolutely_continuous, tol)), seed
+
+
+def test_sums_past_the_float_range_are_domain_errors():
+    # math.fsum's OverflowError used to escape each of these
+    big = dirac(1.0, 1.5e308) + dirac(2.0, 1.5e308)
+    for call in (lambda: total_variation(big), lambda: total_mass(big),
+                 lambda: total_variation(dirac(1.0, 1.5e308) - dirac(2.0, 1.5e308)),
+                 lambda: price(FlatCurve(0.01), big),
+                 lambda: price(FlatCurve(0.01), big, tol=1.0),
+                 lambda: irr(big, 1e308)):
+        with pytest.raises(DomainError, match="the flow's sum exceeds the float range"):
+            call()
+    # a density whose integral overflows raises without a numpy warning
+    with pytest.raises(DomainError, match="the flow's sum exceeds the float range"):
+        price(FlatCurve(0.01), density(0.0, 1.0, (1.7e308,)) + density(1.0, 2.0, (1.7e308,)),
+              tol=1.0)
+
+
+def test_irr_reads_present_values_past_the_float_range_as_infinite():
+    # two atoms worth 0.9e308 bought for 1.7e308: steps below the root sum
+    # past the float range, which used to escape from math.fsum; the root
+    # solves 0.3 v**2 + 0.6 v = 1.7 for v = 1 / (1 + rate)
+    res = irr(dirac(1.0, 0.6e308) + dirac(2.0, 0.3e308), 1.7e308)
+    v = (math.sqrt(0.36 + 4.0 * 0.3 * 1.7) - 0.6) / 0.6
+    assert res.rate == pytest.approx(1.0 / v - 1.0, abs=1e-10)
 
 
 # --- property suites --------------------------------------------------------

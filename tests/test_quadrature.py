@@ -16,6 +16,19 @@ def _exp_decay(t):
     return np.exp(-0.05 * t)
 
 
+def test_bracket_operators_act_field_by_field():
+    a = quadrature.Bracket(1.0, 1.5, 0.25, 1.125)
+    b = quadrature.Bracket(-2.0, -1.75, 0.5, -2.0)
+    assert a + b == quadrature.Bracket(-1.0, -0.25, 0.75, -0.875)
+    assert a * 4.0 == quadrature.Bracket(4.0, 6.0, 1.0, 4.5)
+    assert a / 4.0 == quadrature.Bracket(0.25, 0.375, 0.0625, 0.28125)
+    # the same float operations as the fields written out, bit for bit
+    c = quadrature.Bracket(0.1, 0.3, 0.7, -0.1)
+    assert (c * 1.3, c / 1.3) == (
+        quadrature.Bracket(0.1 * 1.3, 0.3 * 1.3, 0.7 * 1.3, -0.1 * 1.3),
+        quadrature.Bracket(0.1 / 1.3, 0.3 / 1.3, 0.7 / 1.3, -0.1 / 1.3))
+
+
 def test_bracket_contains_closed_form():
     pieces = ((0.0, 10.0, (1.0,)),)
     exact = (1.0 - math.exp(-0.5)) / 0.05
@@ -99,8 +112,8 @@ def test_interval_budget_raises():
 
 def test_non_finite_integrand_raises():
     fn = lambda t: np.where(t > 0.5, np.inf, 1.0)
-    with np.errstate(invalid="ignore"), pytest.raises(
-            DomainError, match="integrand is not finite on the density's support"):
+    # raised without a numpy warning on the way
+    with pytest.raises(DomainError, match="integrand is not finite on the density's support"):
         bracketed_integral(fn, ((0.0, 1.0, (1.0,)),), tol=1e-10)
 
 
