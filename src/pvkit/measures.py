@@ -298,12 +298,15 @@ def trace(a: CashFlow, start: float, end: float, closure: str = "[]") -> CashFlo
 
 
 def finite_sum(values) -> float:
-    """``math.fsum(values)``, with a DomainError where the sum leaves the
-    float range."""
+    """``math.fsum(values)``, with a DomainError where the sum is not finite:
+    where it leaves the float range, or a term already has."""
     try:
-        return math.fsum(values)
-    except OverflowError:
-        raise DomainError("the flow's sum exceeds the float range") from None
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # ValueError: inf and -inf among the terms
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError("the flow's sum exceeds the float range")
+    return total
 
 
 def total_mass(a: CashFlow) -> float:

@@ -29,10 +29,6 @@ def trim(coeffs) -> Coeffs:
     return tuple(float(x) for x in c)
 
 
-def is_zero(coeffs) -> bool:
-    return all(x == 0.0 for x in coeffs)
-
-
 def evaluate(coeffs, t: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
@@ -59,8 +55,6 @@ def negate(a) -> Coeffs:
 
 
 def multiply(a, b) -> Coeffs:
-    if is_zero(a) or is_zero(b):
-        return ()
     out = [0.0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0.0:

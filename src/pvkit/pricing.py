@@ -12,6 +12,7 @@ enclosure where it can.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,10 +145,19 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     eff_tol = tol * (1.0 + abs(target_price))
     times, amounts, rows, partition = prepare(flow._units, atoms=flow.atoms,
                                               origin=purchase_time)
-    nodes, weights = fixed_nodes((times, amounts, rows, partition))
+
+    def node_weights(part) -> tuple:
+        """The fixed nodes of ``part``, an array, with their weights and the
+        weights times the nodes as lists: products with them are Python
+        floats, inf past the float range and with no numpy warning."""
+        nodes, weights = fixed_nodes((times, amounts, rows, part))
+        weights = weights.tolist()
+        return nodes, weights, list(map(operator.mul, weights, nodes.tolist()))
+
+    nodes, weights, moments = node_weights(partition)
     # the mass and the first moment, the integral of t - purchase_time
     # (Gauss-Legendre is exact on them): the mean payment time is first / mass
-    mass, first = finite_sum(weights.tolist()), _fsum_up((weights * nodes).tolist())
+    mass, first = finite_sum(weights), _fsum_up(moments)
     sup = hi_support - purchase_time
     if sup == 0.0:  # all mass at the purchase time: PV constant in the rate
         if abs(mass - target_price) <= eff_tol:
@@ -165,7 +175,7 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
         starts and lower and upper ends (empty for atoms alone).  On
         overflow the price and moment are infinite and nothing is enclosed.
         """
-        nonlocal partition, nodes, weights
+        nonlocal partition, nodes, weights, moments
         try:
             # near rate -1 the discount factor reaches ~(1+rate)^-sup, where
             # a fixed absolute tolerance is not certifiable and the search
@@ -186,13 +196,13 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
                     raise DomainError(
                         f"irr tolerance not achievable at rate {rate!r}: {err}") from err
                 if len(part[0]) != len(a):  # refined: new fixed nodes
-                    nodes, weights = fixed_nodes((times, amounts, rows, part))
+                    nodes, weights, moments = node_weights(part)
                 partition = part
                 items = (part[0], part[3], part[4])
-        discount = np.power(1.0 + rate, -nodes)
-        estimate = _fsum_up((weights * discount).tolist())
+        discount = np.power(1.0 + rate, -nodes).tolist()
+        estimate = _fsum_up(map(operator.mul, weights, discount))
         return (pv or Bracket(estimate, estimate, estimate, 0.0),
-                _fsum_up((weights * nodes * discount).tolist()), items)
+                _fsum_up(map(operator.mul, moments, discount)), items)
 
     lo_end, hi_end = _IRR_LO + 1e-9, _IRR_HI
     lo, hi = lo_end, hi_end  # bounds on the root, proved once lo_ok / hi_ok

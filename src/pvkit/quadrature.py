@@ -1,9 +1,10 @@
-"""Bracketed integration of piecewise-polynomial densities.
+"""Bracketed integration against cash-flow measures.
 
-Computes ``sum over pieces of integral rho(t) f(t) dt`` together with a
-certified enclosure.  Per subinterval the integrand is split as
-``rho * phat + rho * (f - phat)`` where ``phat`` is a Chebyshev-node
-interpolant of ``f``:
+Computes ``integral f d(measure)`` together with a certified enclosure,
+for a measure of atoms (a correctly rounded sum of amounts times ``f``)
+and piecewise-polynomial densities.  Per subinterval of a density the
+integrand is split as ``rho * phat + rho * (f - phat)`` where ``phat`` is
+a Chebyshev-node interpolant of ``f``:
 
 * ``integral rho * phat`` is a polynomial integral, evaluated exactly by
   an 8-point Gauss-Legendre rule;
@@ -20,22 +21,25 @@ units (``poly.sign_units``, the package's one sign split, one pass over
 each piece's trimmed coefficients, which a ``CashFlow`` makes once and
 keeps, and which the Jordan decomposition also reads).  Subintervals are
 refined worst-first, in rounds, until the total enclosure width drops
-below the requested tolerance.  For smooth ``f`` the residual shrinks spectrally, so a round
-cuts its subintervals as many levels deep (up to 3) as the observed decay
-of the widths predicts the tolerance needs, and tolerances near 1e-12
-cost only a few rounds; supplying the integrand's kink points as
-``breakpoints`` keeps each work item inside a smooth span.
+below the requested tolerance.  For smooth ``f`` the residual shrinks
+spectrally, so a round cuts its subintervals as many levels deep (up to 3)
+as the observed decay of the widths predicts the tolerance needs, and
+tolerances near 1e-12 cost only a few rounds; cutting the units at the
+integrand's kink points (``prepare``'s ``breakpoints``) keeps each work
+item inside a smooth span.
 
 The split, the layout (:func:`prepare`) and the refinement (:func:`enclose`)
-are separate steps: pricing lays out the split the flow keeps, and
-integrating against a sequence of integrands lays out once and refines
-each from the partition the last one ended with (:func:`fixed_nodes`
-estimates on a partition without certifying).
+are separate steps, and :func:`enclose` is the only way in: pricing lays
+out the split the flow keeps, and integrating against a sequence of
+integrands lays out once and refines each from the partition the last one
+ended with (:func:`fixed_nodes` estimates on a partition without
+certifying).
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,68 +246,6 @@ def _split(a, b, depth):
         depth[parent[ca >= cb]] = 1
 
 
-def bracketed_integral(fn, pieces, tol: float, breakpoints=()) -> Bracket:
-    """Enclose ``sum_i integral_{a_i}^{b_i} rho_i(t) fn(t) dt`` within tol.
-
-    ``fn`` is vectorised: it maps a 1-D float64 array of times to the array
-    of its values, and must be continuous and bounded on the union of the
-    pieces (kinks are fine if listed in ``breakpoints``).  ``pieces`` is an
-    iterable of ``(start, end, coeffs)`` with signed polynomial
-    coefficients of degree at most ``poly.MAX_DEGREE``, trimmed here.  The
-    result's ``atom_part`` is 0 and its ``density_part`` is the estimate.
-
-    This is :func:`enclose` on the pieces' units (``poly.sign_units``) laid
-    out by :func:`prepare`, with no atoms.
-
-    Every interval (item) gets a degree-6 model of ``fn`` through 7
-    Chebyshev nodes, 33 evenly spaced residual samples and the 8 nodes of
-    the Gauss-Legendre rule that integrates the density times the model:
-    48 points, the density evaluated at the last 8.  The item's point value
-    is the same rule's sum of density times ``fn``, clamped into the item's
-    enclosure.  Items are built in batches, and one ``fn`` call evaluates
-    every point of a batch; a fixed matrix maps node values to the model's
-    values at the samples and the Gauss-Legendre nodes.  The first batch is
-    every item of the starting partition.  Each later round takes the
-    widest items until their widths cover ``total - tol`` and cuts them all,
-    as one batch, to one depth by repeated midpoint halving.  The depth is
-    ``ceil(log2(excess) / decay)``, at most 3, where the excess is the
-    picked items' width over what the other items leave of ``tol``, and
-    the decay is the bits of width a level of halving removes: 7 in the
-    first split (an item's width goes as its length to the 8th power), then
-    what the previous round measured.  Below a decay of 5.5 bits a level,
-    as near the noise floor of ``fn``, a round bisects once.
-
-    The residual at a sample ``s`` is centred on the item's midpoint value,
-    ``(f_s - f(mid)) - L (f_c - f(mid))`` for node values ``f_c``, so the
-    2-ulp row-sum error of the Lagrange matrix ``L`` multiplies only the
-    variation of ``f`` over the item, far inside the allowance of ``1e-15 *
-    max|f|`` (about 4.5 ulp of ``f``) added to each pad.
-
-    Raises DomainError when the tolerance cannot be met: when a round's
-    children are together no narrower than their parents (refinement has
-    stalled at the noise floor of ``fn``) or when bisecting would exceed
-    the 20,000-interval budget (a deeper cut is clipped to the budget
-    left), both naming the tolerance and the width attained;
-    also when ``fn`` is not finite, a sum passes the float range, a
-    density's degree exceeds the cap, or a piece (named) has a non-finite
-    entry or starts after it ends.
-
-    Certification is relative to sampled values: features of ``fn`` that
-    vanish at every node of a subinterval's 33-point sample are invisible
-    to the enclosure, so integrands needing resolution finer than 1/32 of
-    a piece should list interior markers in ``breakpoints``.  Discount
-    curves, which are the intended integrands, vary on year scales.
-    """
-    if not tol > 0.0:
-        raise DomainError("tolerance must be positive")
-    pieces = [(start, end, poly.trim(c), 0.0) for start, end, c in pieces]
-    for start, end, c, _ in pieces:
-        if not (all(map(math.isfinite, (start, end, *c))) and start <= end):
-            raise DomainError(f"piece ({start}, {end}, {c}) needs finite entries and start <= end")
-    units = poly.sign_units(pieces)
-    return enclose(fn, prepare(units, breakpoints), tol)[0]
-
-
 def prepare(units, breakpoints=(), atoms=(), origin: float = 0.0) -> tuple:
     """``(times, amounts, rows, partition)``, a measure laid out for
     :func:`enclose` with time ``s`` measured from ``origin``.  Only the
@@ -315,12 +257,11 @@ def prepare(units, breakpoints=(), atoms=(), origin: float = 0.0) -> tuple:
     unit's own origin on that scale, so that the row's density is in
     powers of ``s`` minus that entry; and as partition ``(a, b, unit)`` the
     units cut at the ``breakpoints`` inside them (item ``k`` spans ``[a[k],
-    b[k])`` with the density of row ``unit[k]``).  Raises DomainError when
-    a density's degree exceeds the cap.
+    b[k])`` with the density of row ``unit[k]``).  Every unit comes from a
+    ``DensityPiece``, whose degree is capped when it is built, or from a
+    degree-8 FX fit.
     """
     size = max((len(c) for _, _, c, *_ in units), default=0)
-    if size > poly.MAX_DEGREE + 1:
-        raise DomainError(f"density degree is capped at {poly.MAX_DEGREE}")
     rows = np.zeros((len(units), size + 1))
     marks = sorted(set(breakpoints))
     a, b, unit = [], [], []
@@ -340,19 +281,62 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
     """Enclose ``integral fn d(measure)`` within ``tol`` for a measure as
     :func:`prepare` returns it.
 
-    The atom part is a correctly rounded sum.  For the density part, item
-    ``k`` of the partition spans ``[a[k], b[k])`` and carries the density
-    of row ``unit[k]``; every item is evaluated as one batch, then the
-    widest items are cut worst-first, each round to the depth the observed
-    decay predicts (see :func:`bracketed_integral`), until the enclosure's
-    width is at most ``tol``.  Returns the bracket and the final partition,
-    every item that ended the refinement, as ``(a, b, unit, lower,
-    upper)``: the same ``(a, b, unit)`` form, which :func:`enclose` and
-    :func:`fixed_nodes` take back, followed by each item's enclosure.  With
-    no items the partition is returned as given.
+    ``fn`` is vectorised: it maps a 1-D float64 array of times to the array
+    of its values, and must be continuous and bounded on the measure's
+    densities (kinks are fine where ``prepare`` cut the units at them).
+    The atom part is a correctly rounded sum of amounts times ``fn``.  For
+    the density part, item ``k`` of the partition spans ``[a[k], b[k])``
+    and carries the density of row ``unit[k]``.
+
+    Every item gets a degree-6 model of ``fn`` through 7 Chebyshev nodes,
+    33 evenly spaced residual samples and the 8 nodes of the
+    Gauss-Legendre rule that integrates the density times the model: 48
+    points, the density evaluated at the last 8.  The item's point value
+    is the same rule's sum of density times ``fn``, clamped into the item's
+    enclosure.  Items are built in batches, and one ``fn`` call evaluates
+    every point of a batch; a fixed matrix maps node values to the model's
+    values at the samples and the Gauss-Legendre nodes.  The first batch is
+    every item of the partition.  Each later round takes the widest items
+    until their widths cover ``total - tol`` and cuts them all, as one
+    batch, to one depth by repeated midpoint halving.  The depth is
+    ``ceil(log2(excess) / decay)``, at most 3, where the excess is the
+    picked items' width over what the other items leave of ``tol``, and
+    the decay is the bits of width a level of halving removes: 7 in the
+    first split (an item's width goes as its length to the 8th power), then
+    what the previous round measured.  Below a decay of 5.5 bits a level,
+    as near the noise floor of ``fn``, a round bisects once.
+
+    The residual at a sample ``s`` is centred on the item's midpoint value,
+    ``(f_s - f(mid)) - L (f_c - f(mid))`` for node values ``f_c``, so the
+    2-ulp row-sum error of the Lagrange matrix ``L`` multiplies only the
+    variation of ``f`` over the item, far inside the allowance of ``1e-15 *
+    max|f|`` (about 4.5 ulp of ``f``) added to each pad.
+
+    Returns the bracket and the final partition, every item that ended the
+    refinement, as ``(a, b, unit, lower, upper)``: the same ``(a, b,
+    unit)`` form, which :func:`enclose` and :func:`fixed_nodes` take back,
+    followed by each item's enclosure.  With no items the partition is
+    returned as given.
+
+    Raises DomainError when the tolerance cannot be met: when a round's
+    children are together no narrower than their parents (refinement has
+    stalled at the noise floor of ``fn``) or when bisecting would exceed
+    the 20,000-interval budget (a deeper cut is clipped to the budget
+    left), both naming the tolerance and the width attained; also when
+    ``fn`` is not finite on a density or a sum passes the float range.
+    The tolerance is not checked here: its callers pass a positive one
+    (``price`` refuses any other).
+
+    Certification is relative to sampled values: features of ``fn`` that
+    vanish at every node of an item's 33-point sample are invisible to the
+    enclosure, so integrands needing resolution finer than 1/32 of a unit
+    should have ``prepare`` cut the units at interior markers.  Discount
+    curves, which are the intended integrands, vary on year scales.
     """
     times, amounts, rows, partition = measure
-    atom = finite_sum((amounts * fn(times)).tolist())
+    # the products as Python floats: one past the float range is inf, with no
+    # numpy warning, and finite_sum refuses the total
+    atom = finite_sum(map(operator.mul, amounts.tolist(), fn(times).tolist()))
     a, b, unit, *_ = partition
     if not len(a):
         return Bracket(atom, atom, atom, 0.0), partition
@@ -361,8 +345,8 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
     built = len(items)
     decay = _WIDTH_DECAY
     while True:
-        lower = math.fsum(items[:, 3].tolist() + [r[3] for r in done])
-        upper = math.fsum(items[:, 4].tolist() + [r[4] for r in done])
+        lower = finite_sum(items[:, 3].tolist() + [r[3] for r in done])
+        upper = finite_sum(items[:, 4].tolist() + [r[4] for r in done])
         total = upper - lower
         if total <= tol:
             break
@@ -409,7 +393,7 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
         unit = np.concatenate((unit[keep], cu))
     # each item's value lies in its enclosure, so the correctly rounded sum
     # lies in [lower, upper]
-    value = math.fsum(items[:, 2].tolist() + [r[2] for r in done])
+    value = finite_sum(items[:, 2].tolist() + [r[2] for r in done])
     if done:
         items = np.concatenate((items, done))
         unit = np.concatenate((unit, done_unit))

@@ -42,7 +42,6 @@ from pvkit import (
 )
 from pvkit.fx import default_dual_tolerance
 from pvkit.pricing import default_tolerance
-from pvkit.quadrature import bracketed_integral
 from pvkit.sampling import CURVE_FAMILIES, random_cashflow, random_curve
 from selfchecks import verify_na_positivity
 
@@ -243,17 +242,15 @@ def test_09_property_sweep():
         assert sigma == pytest.approx(total_mass(a),
                                       abs=1e-9 * (1.0 + total_variation(a)))
 
-        pieces = [(q.start, q.end, q.coeffs) for q in a.pieces]
-        if pieces:
-            knots = curve.knot_times()
-            coarse = bracketed_integral(curve.discount_many, pieces, 1e-6, breakpoints=knots)
-            fine = bracketed_integral(curve.discount_many, pieces, 1e-9, breakpoints=knots)
+        split = lebesgue(a)
+        if split.absolutely_continuous.pieces:
+            coarse = price(curve, split.absolutely_continuous, 1e-6)
+            fine = price(curve, split.absolutely_continuous, 1e-9)
             assert fine.width <= coarse.width
             assert max(fine.lower, coarse.lower) <= min(fine.upper, coarse.upper)
 
         parts = jordan(a)
         assert parts.positive - parts.negative == a
-        split = lebesgue(a)
         assert split.absolutely_continuous + split.singular == a
     _report(9, "200-case sweep of 7 invariants clean; "
                f"hypothesis profile runs {settings().max_examples} examples")

@@ -306,6 +306,23 @@ def test_cli_refuses_a_flow_whose_sum_overflows(tmp_path, capsys, argv):
     assert (code, out, err) == (1, "", "error: the flow's sum exceeds the float range\n")
 
 
+@pytest.mark.parametrize("rate, flow, tol", [
+    # five unit densities worth 4.5e307 to 4.9e307: the items' sums pass
+    # the float range
+    (0.0001, {"density": [{"from": k, "to": k + 1, "coeffs": [(0.45 + 0.01 * k) * 1e308]}
+                          for k in range(5)]}, "1e300"),
+    # an atom whose discounted amount passes the float range
+    (-0.5, {"atoms": [{"t": 10.0, "amount": 1e306}]}, "1.0"),
+], ids=["density-items", "discounted-atom"])
+def test_cli_refuses_a_price_whose_sum_overflows(tmp_path, capsys, rate, flow, tol):
+    # the first raised an OverflowError traceback from math.fsum, and the
+    # second printed "inf [inf, inf]" and exited 0
+    curve = _write(tmp_path, "curve.json", {"type": "flat", "i": rate})
+    flow = _write(tmp_path, "flow.json", flow)
+    code, out, err = run(capsys, "price", "--curve", curve, "--cashflow", flow, "--tol", tol)
+    assert (code, out, err) == (1, "", "error: the flow's sum exceeds the float range\n")
+
+
 def test_cli_decompose(tmp_path, capsys):
     flow = _write(tmp_path, "flow.json", {
         "atoms": [{"t": 0.0, "amount": -2.0}, {"t": 1.0, "amount": 3.0}],

@@ -189,6 +189,19 @@ def test_sign_span_narrower_than_the_time_spacing_is_dropped():
     assert total_variation(flow) == total_mass(flow)
 
 
+@pytest.mark.parametrize("piece, message", [
+    ((5.0, 1.0, (1.0,)), "piece needs start < end, got [5.0, 1.0)"),
+    ((math.nan, 1.0, (1.0,)), "piece start must be finite, got nan"),
+    ((0.0, math.inf, (1.0,)), "piece end must be finite, got inf"),
+    ((0.0, 1.0, (1.0, math.nan)), "piece coefficient must be finite, got nan"),
+    ((0.0, 1.0, (1.0,) * 10), "density degree is capped at 8"),
+], ids=["reversed", "nan-start", "infinite-end", "nan-coefficient", "degree-9"])
+def test_density_piece_refusals_keep_their_messages(piece, message):
+    with pytest.raises(DomainError) as err:
+        DensityPiece(*piece)
+    assert str(err.value) == message
+
+
 def test_piece_origin_must_be_finite():
     with pytest.raises(DomainError, match="piece origin"):
         DensityPiece(0.0, 1.0, (1.0,), math.inf)

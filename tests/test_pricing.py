@@ -15,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pvkit import (
+    DensityPiece,
     DomainError,
     DualCashFlow,
     DualCurrencyMarket,
@@ -34,6 +35,7 @@ from pvkit import (
     total_mass,
     total_variation,
     translate,
+    YieldResult,
     yield_bound_check,
 )
 from pvkit import poly, pricing
@@ -117,6 +119,30 @@ def test_sums_past_the_float_range_are_domain_errors():
     with pytest.raises(DomainError, match="the flow's sum exceeds the float range"):
         price(FlatCurve(0.01), density(0.0, 1.0, (1.7e308,)) + density(1.0, 2.0, (1.7e308,)),
               tol=1.0)
+    # the items' sums raised math.fsum's OverflowError; an atom discounted
+    # past the float range priced at Bracket(inf, inf, inf, 0.0) with a
+    # numpy warning, and two of opposite signs raised fsum's ValueError
+    stream = CashFlow(pieces=tuple(DensityPiece(k, k + 1, ((0.45 + 0.01 * k) * 1e308,))
+                                   for k in range(5)))
+    for curve, flow, tol in ((FlatCurve(0.0001), stream, 1e300),
+                             (FlatCurve(-0.5), dirac(10.0, 1e306), 1.0),
+                             (FlatCurve(-0.5), dirac(10.0, 1e306) - dirac(11.0, 1e306), 1.0)):
+        with pytest.raises(DomainError, match="the flow's sum exceeds the float range"):
+            price(curve, flow, tol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_irr_fixed_node_sums_past_the_float_range_raise_no_warning():
+    # each weight times its node passes the float range: the first moment
+    # and every step's moment warned "overflow encountered in multiply"
+    assert irr(dirac(50.0, 1e307) + dirac(60.0, 1e307), 1e306) == YieldResult(
+        0.05669967955327593, -2.4110218714251963e+295, 37)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_price_refuses_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(DomainError, match="tolerance must be positive"):
+        price(FlatCurve(0.05), density(0.0, 1.0), tol)
 
 
 def test_irr_reads_present_values_past_the_float_range_as_infinite():

@@ -1,19 +1,22 @@
 """Certified integration of smooth integrands against polynomial densities."""
 import math
-import re
 import time
 
 import numpy as np
 import pytest
 
-from pvkit import Atom, DomainError, FlatCurve, SvenssonCurve, density, price
-from pvkit import poly, quadrature
-from pvkit.quadrature import bracketed_integral
+from pvkit import (Atom, CashFlow, DensityPiece, DomainError, FlatCurve, SvenssonCurve,
+                   density, price, quadrature)
 from pvkit.sampling import random_cashflow, random_curve
 
 
 def _exp_decay(t):
     return np.exp(-0.05 * t)
+
+
+def _integral(fn, flow, tol, breakpoints=()):
+    """The bracket of ``integral fn d(flow)``, the flow's units cut at the breakpoints."""
+    return quadrature.enclose(fn, quadrature.prepare(flow._units, breakpoints), tol)[0]
 
 
 def test_bracket_operators_act_field_by_field():
@@ -30,9 +33,8 @@ def test_bracket_operators_act_field_by_field():
 
 
 def test_bracket_contains_closed_form():
-    pieces = ((0.0, 10.0, (1.0,)),)
     exact = (1.0 - math.exp(-0.5)) / 0.05
-    br = bracketed_integral(_exp_decay, pieces, tol=1e-10)
+    br = _integral(_exp_decay, density(0.0, 10.0), 1e-10)
     assert br.lower <= exact <= br.upper
     assert br.upper - br.lower <= 1e-10
     assert br.value == pytest.approx(exact, abs=1e-10)
@@ -40,7 +42,7 @@ def test_bracket_contains_closed_form():
 
 def test_growing_integrand_brackets_closed_form():
     # e^t against the unit density on [0, 1): exact e - 1
-    br = bracketed_integral(np.exp, ((0.0, 1.0, (1.0,)),), tol=1e-12)
+    br = _integral(np.exp, density(0.0, 1.0), 1e-12)
     exact = math.e - 1.0
     assert br.lower <= exact <= br.upper
     assert br.upper - br.lower <= 1e-12
@@ -48,24 +50,22 @@ def test_growing_integrand_brackets_closed_form():
 
 def test_polynomial_integrand_times_density():
     # f(t) = t^2 against rho(t) = t on [0, 2): exact 2^4/4 = 4
-    br = bracketed_integral(lambda t: t * t,
-                            ((0.0, 2.0, (0.0, 1.0)),), tol=1e-12)
+    br = _integral(lambda t: t * t, density(0.0, 2.0, (0.0, 1.0)), 1e-12)
     assert br.lower <= 4.0 <= br.upper
 
 
 def test_signed_density_split():
     # rho = t - 1 on [0, 2) against f = 1: exact 0, with both signs present
-    br = bracketed_integral(np.ones_like,
-                            ((0.0, 2.0, (-1.0, 1.0)),), tol=1e-12)
+    br = _integral(np.ones_like, density(0.0, 2.0, (-1.0, 1.0)), 1e-12)
     assert br.lower <= 0.0 <= br.upper
     assert abs(br.value) <= 1e-12
 
 
 def test_tightening_tolerance_narrows_bracket():
-    pieces = ((0.0, 30.0, (1.0, 0.2, 0.0, 0.001)),)
+    flow = density(0.0, 30.0, (1.0, 0.2, 0.0, 0.001))
     widths = []
     for tol in (1e-4, 1e-7, 1e-10):
-        br = bracketed_integral(_exp_decay, pieces, tol=tol)
+        br = _integral(_exp_decay, flow, tol)
         widths.append(br.upper - br.lower)
         assert br.upper - br.lower <= tol
     assert widths[0] >= widths[1] >= widths[2]
@@ -74,9 +74,9 @@ def test_tightening_tolerance_narrows_bracket():
 def test_refinement_never_loosens_enclosure():
     # Darboux-style refinement: finer tolerance brackets nest inside cruder
     # ones up to their certified widths
-    pieces = ((0.0, 20.0, (2.0, -0.1, 0.01)),)
-    crude = bracketed_integral(_exp_decay, pieces, tol=1e-3)
-    fine = bracketed_integral(_exp_decay, pieces, tol=1e-9)
+    flow = density(0.0, 20.0, (2.0, -0.1, 0.01))
+    crude = _integral(_exp_decay, flow, 1e-3)
+    fine = _integral(_exp_decay, flow, 1e-9)
     assert crude.lower - 1e-12 <= fine.lower
     assert fine.upper <= crude.upper + 1e-12
     assert crude.lower <= fine.value <= crude.upper
@@ -86,8 +86,7 @@ def test_breakpoints_are_respected():
     # integrand with a kink; supplying the kink keeps certification honest
     kink = 5.0
     fn = lambda t: np.abs(t - kink)
-    pieces = ((0.0, 10.0, (1.0,)),)
-    br = bracketed_integral(fn, pieces, tol=1e-9, breakpoints=(kink,))
+    br = _integral(fn, density(0.0, 10.0), 1e-9, breakpoints=(kink,))
     assert br.lower <= 25.0 <= br.upper
     assert br.upper - br.lower <= 1e-9
 
@@ -95,9 +94,8 @@ def test_breakpoints_are_respected():
 def test_impossible_budget_raises():
     # the residual pad floors bracket widths near 1e-15 * |fn| * mass, so a
     # tolerance below that floor must exhaust the budget, not silently pass
-    pieces = ((0.0, 30.0, (1.0,)),)
     with pytest.raises(DomainError):
-        bracketed_integral(_exp_decay, pieces, tol=1e-30)
+        _integral(_exp_decay, density(0.0, 30.0), 1e-30)
 
 
 def test_interval_budget_raises():
@@ -106,79 +104,40 @@ def test_interval_budget_raises():
     marks = tuple(np.linspace(0.0, 1.0, 20001)[1:-1])
     with pytest.raises(DomainError, match=r"tolerance 1e-15 not achievable within "
                        r"the 20000-interval budget: attained width \d"):
-        bracketed_integral(lambda t: np.sqrt(np.abs(t - 1.0 / 3.0)),
-                           ((0.0, 1.0, (1.0,)),), tol=1e-15, breakpoints=marks)
+        _integral(lambda t: np.sqrt(np.abs(t - 1.0 / 3.0)), density(0.0, 1.0), 1e-15,
+                  breakpoints=marks)
 
 
 def test_non_finite_integrand_raises():
     fn = lambda t: np.where(t > 0.5, np.inf, 1.0)
     # raised without a numpy warning on the way
     with pytest.raises(DomainError, match="integrand is not finite on the density's support"):
-        bracketed_integral(fn, ((0.0, 1.0, (1.0,)),), tol=1e-10)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
-def test_non_positive_tolerance_raises(tol):
-    with pytest.raises(DomainError, match="tolerance must be positive"):
-        bracketed_integral(_exp_decay, ((0.0, 1.0, (1.0,)),), tol=tol)
-
-
-def test_density_degree_cap_raises():
-    coeffs = (1.0,) * (poly.MAX_DEGREE + 2)
-    with pytest.raises(DomainError, match=f"density degree is capped at {poly.MAX_DEGREE}"):
-        bracketed_integral(_exp_decay, ((0.0, 1.0, coeffs),), tol=1e-10)
-    with pytest.raises(DomainError, match="density degree is capped"):
-        quadrature.prepare([(0.0, 1.0, coeffs, 0.0)])
+        _integral(fn, density(0.0, 1.0), 1e-10)
 
 
 def test_sub_resolution_features_need_breakpoints():
     # a needle far narrower than the sampling grid is invisible without a
     # marker; with markers at its feet the enclosure finds the mass
     fn = lambda t: np.exp(-((t - 3.0) ** 2) * 1e6)
-    pieces = ((0.0, 30.0, (1.0,)),)
-    blind = bracketed_integral(fn, pieces, tol=1e-12)
+    flow = density(0.0, 30.0)
+    blind = _integral(fn, flow, 1e-12)
     assert blind.value == 0.0  # sampled certificate, honestly blind
     exact = math.sqrt(math.pi / 1e6)
-    seen = bracketed_integral(fn, pieces, tol=1e-12,
-                              breakpoints=(2.99, 3.0, 3.01))
+    seen = _integral(fn, flow, 1e-12, breakpoints=(2.99, 3.0, 3.01))
     assert seen.lower <= exact <= seen.upper
 
 
 def test_empty_pieces_is_zero():
-    br = bracketed_integral(_exp_decay, (), tol=1e-10)
+    br = _integral(_exp_decay, CashFlow(), 1e-10)
     assert br.value == br.lower == br.upper == 0.0
-
-
-def _refused(piece):
-    match = rf"piece {re.escape(str(piece))} needs finite entries and start <= end"
-    with pytest.raises(DomainError, match=match):
-        bracketed_integral(_exp_decay, (piece,), tol=1e-10)
-
-
-def test_reversed_piece_raises():
-    _refused((5.0, 1.0, (1.0,)))
-
-
-def test_nan_end_raises():
-    _refused((math.nan, 1.0, (1.0,)))
-
-
-def test_infinite_end_raises():
-    _refused((0.0, math.inf, (1.0,)))
-
-
-def test_non_finite_coefficient_raises():
-    _refused((0.0, 1.0, (1.0, math.nan)))
 
 
 def test_deterministic_brackets():
     rng = np.random.default_rng(11)
-    pieces = tuple(
-        (float(a), float(a) + 1.5, tuple(rng.normal(size=3)))
-        for a in range(0, 8, 2)
-    )
-    first = bracketed_integral(_exp_decay, pieces, tol=1e-11)
-    second = bracketed_integral(_exp_decay, pieces, tol=1e-11)
+    flow = CashFlow(pieces=tuple(DensityPiece(float(a), float(a) + 1.5, tuple(rng.normal(size=3)))
+                                 for a in range(0, 8, 2)))
+    first = _integral(_exp_decay, flow, 1e-11)
+    second = _integral(_exp_decay, flow, 1e-11)
     assert (first.value, first.lower, first.upper) == (
         second.value, second.lower, second.upper)
 
@@ -269,7 +228,7 @@ def test_noise_floor_refusals_stay_stalls(monkeypatch):
 
 
 def test_node_to_sample_rows_sum_to_one():
-    # the residual's roundoff allowance relies on this (see bracketed_integral)
+    # the residual's roundoff allowance relies on this (see enclose)
     _, lagrange, _ = quadrature._tables()
     assert lagrange.shape == (7, 41)
     for row in lagrange.T.tolist():
@@ -287,11 +246,11 @@ def test_polynomial_part_rule_is_exact_to_degree_15():
 def test_interval_too_narrow_to_bisect_is_kept_as_is():
     # [1, 1 + ulp] has no float midpoint: its width is final, so a
     # tolerance below it is refused instead of looping
-    narrow = (1.0, math.nextafter(1.0, 2.0), (1.0,))
-    br = bracketed_integral(np.exp, (narrow, (2.0, 3.0, (1.0,))), tol=1e-12)
+    narrow = DensityPiece(1.0, math.nextafter(1.0, 2.0), (1.0,))
+    br = _integral(np.exp, CashFlow(pieces=(narrow, DensityPiece(2.0, 3.0, (1.0,)))), 1e-12)
     assert br.lower <= math.exp(3.0) - math.exp(2.0) + math.e * 2.0 ** -52 <= br.upper
     with pytest.raises(DomainError, match="attained width"):
-        bracketed_integral(np.exp, (narrow,), tol=1e-40)
+        _integral(np.exp, CashFlow(pieces=(narrow,)), 1e-40)
 
 
 def test_split_depth_gate_cap_and_tiling():
@@ -318,10 +277,9 @@ def test_refine_continues_from_a_final_partition():
     # one split, then a sequence of integrands: each enclose starts from the
     # partition the previous one ended with and still meets its tolerance
     pieces = ((0.0, 10.0, (1.0, 0.1)), (12.0, 20.0, (2.0, -0.3, 0.01)))
-    times, amounts, rows, part = quadrature.prepare(
-        poly.sign_units((a, b, c, 0.0) for a, b, c in pieces))
-    first, part = quadrature.enclose(_exp_decay, (times, amounts, rows, part), 1e-10)
-    assert first == bracketed_integral(_exp_decay, pieces, tol=1e-10)
+    flow = CashFlow(pieces=tuple(DensityPiece(*p) for p in pieces))
+    times, amounts, rows, part = quadrature.prepare(flow._units)
+    _, part = quadrature.enclose(_exp_decay, (times, amounts, rows, part), 1e-10)
     for lam in (0.03, 0.08, 0.2):
         br, finer = quadrature.enclose(lambda t: np.exp(-lam * t),
                                        (times, amounts, rows, part), 1e-10)
