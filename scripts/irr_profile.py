@@ -11,14 +11,18 @@ certified step of a flow with densities runs, or for an atoms-only flow
 one exact atom sum per step; the rate on the far side of the root that
 ``irr`` certifies from a certified step's own items is not a step and
 computes no bracket, so a density solve that ends that way counts 1),
-the flow splits (``poly.sign_units`` calls over one or more density
-pieces; a flow is split once, when it is first priced),
-the quadrature batches and items built
-(``quadrature._evaluate_items`` calls and the intervals they evaluate)
-and the best wall time of a solve.  A certified step whose bracket does
-not tell the side of the target calls ``enclose`` again at the same rate,
-so the certified steps of a flow with densities are the distinct rates
-``enclose`` is called at (its integrand at ``t = -1`` is ``1 + rate``).
+the certified brackets among them that ``enclose`` ended in its first
+batch (``first``; 0 for an atoms-only flow, which encloses nothing): ``irr``
+cuts the partition before its first certified step so that the step's
+first batch is predicted to meet its tolerance, the flow splits
+(``poly.sign_units`` calls over one or more density pieces; a flow is
+split once, when it is first priced), the quadrature batches and items
+built (``quadrature._evaluate_items`` calls and the intervals they
+evaluate) and the best wall time of a solve.  A certified step whose
+bracket does not tell the side of the target calls ``enclose`` again at
+the same rate, so the certified steps of a flow with densities are the
+distinct rates ``enclose`` is called at (its integrand at ``t = -1`` is
+``1 + rate``).
 The first three flows are fixed: the 10-year annual annuity, a unit
 density on [0, 10) and a narrow degree-4 bump worth 3.4e-13; the rest
 come from ``random_cashflow`` (nonnegative, horizon 30) with rates drawn
@@ -81,14 +85,17 @@ def best_time(flow, target) -> float:
 
 
 def main() -> None:
-    counts = {"pv": 0, "splits": 0, "batches": 0, "items": 0}
+    counts = {"pv": 0, "first": 0, "splits": 0, "batches": 0, "items": 0}
     rates = set()  # 1 + rate of each enclose call
     enclose, sign_units, evaluate_items = pricing.enclose, poly.sign_units, quadrature._evaluate_items
 
     def counted_enclose(fn, *args):
         counts["pv"] += 1
         rates.add(float(fn(np.array([-1.0]))[0]))
-        return enclose(fn, *args)
+        batches = counts["batches"]
+        out = enclose(fn, *args)
+        counts["first"] += counts["batches"] == batches + 1
+        return out
 
     def counted_units(pieces):
         counts["splits"] += bool(pieces)
@@ -99,8 +106,8 @@ def main() -> None:
         counts["items"] += len(a)
         return evaluate_items(fn, a, b, coeffs)
 
-    print(f"{'flow':>15} {'rate':>7} {'steps':>5} {'steer':>5} {'certified':>9} {'splits':>6} "
-          f"{'batches':>7} {'items':>6} {'solve ms':>9}")
+    print(f"{'flow':>15} {'rate':>7} {'steps':>5} {'steer':>5} {'certified':>9} {'first':>5} "
+          f"{'splits':>6} {'batches':>7} {'items':>6} {'solve ms':>9}")
     rows = []
     for name, flow, rate in cases():
         target = price(FlatCurve(rate), flow).value
@@ -116,13 +123,13 @@ def main() -> None:
                 enclose, sign_units, evaluate_items)
         certified, steer = (counts["pv"], steps - len(rates)) if flow.pieces else (steps, 0)
         ms = 1e3 * best_time(flow, target)
-        rows.append((steps, steer, certified, counts["splits"], counts["batches"],
-                     counts["items"], ms))
-        print(f"{name:>15} {rate:>7.4f} {steps:>5} {steer:>5} {certified:>9} "
+        rows.append((steps, steer, certified, counts["first"], counts["splits"],
+                     counts["batches"], counts["items"], ms))
+        print(f"{name:>15} {rate:>7.4f} {steps:>5} {steer:>5} {certified:>9} {counts['first']:>5} "
               f"{counts['splits']:>6} {counts['batches']:>7} {counts['items']:>6} {ms:>9.3f}")
     mean = np.mean(rows, axis=0)
-    print(f"{'mean':>15} {'':>7} {mean[0]:>5.1f} {mean[1]:>5.1f} {mean[2]:>9.1f} {mean[3]:>6.1f} "
-          f"{mean[4]:>7.1f} {mean[5]:>6.1f} {mean[6]:>9.3f}")
+    print(f"{'mean':>15} {'':>7} {mean[0]:>5.1f} {mean[1]:>5.1f} {mean[2]:>9.1f} {mean[3]:>5.1f} "
+          f"{mean[4]:>6.1f} {mean[5]:>7.1f} {mean[6]:>6.1f} {mean[7]:>9.3f}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ interval ``[lower, upper]`` of width at most the requested tolerance.
 The default tolerance scales with the flow: ``1e-10 * (1 + total
 variation)``.  ``irr`` steers on uncertified fixed-node estimates and
 certifies the rates that straddle the root, the second from the first's
-enclosure where it can.
+enclosure where it can, on a partition laid out beforehand from the
+closed-form remainder of the flat rate's discount factor.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 from .measures import CashFlow, finite_sum, is_nonnegative, total_variation
-from .quadrature import Bracket, enclose, fixed_nodes, prepare
+from .quadrature import (_MAX_DEPTH, _MODEL_NODES, _ROUNDOFF, Bracket, _split, enclose,
+                         fixed_nodes, prepare)
 
 TOLERANCE_SCALE = 1e-10
 _IRR_LO = -0.999
@@ -100,6 +102,23 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
     certified bracket of the root bisects it instead, and the window's
     ends are evaluated only when a step reaches them.
 
+    Before the first enclosure the prepared partition is laid out for it
+    (:func:`_lay_out`): on an item of half-length ``h_k``, mass ``m_k`` (the
+    sum of its fixed-node weights) and largest discount factor ``max P``,
+    the degree-6 model of ``e^(-lam s)``, ``lam = ln(1 + rate)``, misses by
+    at most ``(|lam| h_k)^7 max P / (2^6 7!)``, so the item's sampled width
+    is at most ``4 m_k`` times that plus a roundoff allowance, and each
+    level of halving divides the first term by ``2^7``.  Each item is cut
+    to the fewest levels, at most ``quadrature._MAX_DEPTH``, that fit the
+    step's tolerance, so the step usually ends in its first batch; an item
+    that needs deeper cuts, or a bound that passes the float range or
+    leaves nothing of the tolerance, is left to ``enclose``'s own rounds,
+    which certify every result in any case.  Later certified steps start
+    from the partition the previous one ended with.  After a certified
+    step that cut the partition, its fixed nodes are rebuilt only when a
+    later step reads the moment, so a solve that ends at that step builds
+    none.
+
     A certified step at ``x`` that proves one side of the root also bounds
     the rate ``y`` just under ``tol`` away on the other side, from its own
     enclosure's items.  Time ``s`` is measured from the purchase time and
@@ -163,19 +182,23 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
         if abs(mass - target_price) <= eff_tol:
             return YieldResult(0.0, mass - target_price, 0)
         raise DomainError("present value does not depend on the rate; no root")
+    laid_out = False  # whether a certified step has laid the partition out
 
     def value(rate: float, certify: bool,
-              cap: float = math.inf) -> tuple[Bracket, float, tuple | None]:
+              cap: float = math.inf) -> tuple[Bracket, float | None, tuple | None]:
         """The price at a flat ``rate``, the first moment, and the items
-        this call enclosed, if any.  The sums are fixed-node sums on the
-        last certified partition; with ``certify`` the price is enclosed
-        from there (an atom sum is exact already) to a width of at most
-        ``eff_tol / 8``, or ``1e-12`` of the largest discounted mass where
-        wider, and at most ``cap``, and the items are returned as their
-        starts and lower and upper ends (empty for atoms alone).  On
-        overflow the price and moment are infinite and nothing is enclosed.
+        this call enclosed, if any.  Without ``certify``, or for atoms
+        alone, the price and moment are the ``sums`` on the last certified
+        partition (an atom sum is exact).  With ``certify`` and a density
+        the price is enclosed from that partition, the first time as
+        :func:`_lay_out` cuts it, to a width of at most ``eff_tol / 8``, or
+        ``1e-12`` of the largest discounted mass where wider, and at most
+        ``cap``; the moment is left to ``sums`` (``None``), and the
+        items are returned as their starts and lower and upper ends (empty
+        for atoms alone).  On overflow the price is infinite, the moment
+        nan and nothing is enclosed.
         """
-        nonlocal partition, nodes, weights, moments
+        nonlocal partition, nodes, laid_out
         try:
             # near rate -1 the discount factor reaches ~(1+rate)^-sup, where
             # a fixed absolute tolerance is not certifiable and the search
@@ -183,26 +206,36 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
             scale = mass * max(1.0, (1.0 + rate) ** (-sup))
         except OverflowError:
             return Bracket(math.inf, math.inf, math.inf, 0.0), math.nan, None
-        pv = items = None
-        if certify:
-            a = partition[0]
-            items = (a, a, a)  # atoms alone: no items
-            if len(a):
-                try:
-                    pv, part = enclose(lambda ts: np.power(1.0 + rate, -ts),
-                                       (times, amounts, rows, partition),
-                                       min(cap, max(eff_tol / 8.0, 1e-12 * scale)))
-                except DomainError as err:
-                    raise DomainError(
-                        f"irr tolerance not achievable at rate {rate!r}: {err}") from err
-                if len(part[0]) != len(a):  # refined: new fixed nodes
-                    nodes, weights, moments = node_weights(part)
-                partition = part
-                items = (part[0], part[3], part[4])
+        if certify and len(partition[0]):
+            width = min(cap, max(eff_tol / 8.0, 1e-12 * scale))
+            start = partition
+            if not laid_out:  # the first enclosure: cut the prepared partition for it
+                start, laid_out = _lay_out(partition, weights[len(times):], rate, width), True
+            try:
+                pv, part = enclose(lambda ts: np.power(1.0 + rate, -ts),
+                                   (times, amounts, rows, start), width)
+            except DomainError as err:
+                raise DomainError(
+                    f"irr tolerance not achievable at rate {rate!r}: {err}") from err
+            if len(part[0]) != len(partition[0]):  # cut: new fixed nodes when read
+                nodes = None
+            partition = part
+            return pv, None, (part[0], part[3], part[4])
+        estimate, first_moment = sums(rate)
+        a = partition[0]
+        return (Bracket(estimate, estimate, estimate, 0.0), first_moment,
+                (a, a, a) if certify else None)  # atoms alone: no items
+
+    def sums(rate: float) -> tuple[float, float]:
+        """Fixed-node sums of the price and the first moment at a flat
+        ``rate`` on the last certified partition, whose nodes are rebuilt
+        here, on first use, after a certified step cut it."""
+        nonlocal nodes, weights, moments
+        if nodes is None:
+            nodes, weights, moments = node_weights(partition)
         discount = np.power(1.0 + rate, -nodes).tolist()
-        estimate = _fsum_up(map(operator.mul, weights, discount))
-        return (pv or Bracket(estimate, estimate, estimate, 0.0),
-                _fsum_up(map(operator.mul, moments, discount)), items)
+        return (_fsum_up(map(operator.mul, weights, discount)),
+                _fsum_up(map(operator.mul, moments, discount)))
 
     lo_end, hi_end = _IRR_LO + 1e-9, _IRR_HI
     lo, hi = lo_end, hi_end  # bounds on the root, proved once lo_ok / hi_ok
@@ -254,6 +287,8 @@ def irr(flow: CashFlow, target_price: float, purchase_time: float = 0.0,
                 if inside:
                     _, rate, res = min(inside)
                     return YieldResult(rate, res, step)
+            if moment is None:
+                moment = sums(x)[1]
         p = _newton_rate(x, pv.value, moment, target_price)
         if steer:  # the last update aims past p below; an undefined one certifies x
             steer = lo_end <= p <= hi_end and abs(p - x) > tol
@@ -288,6 +323,51 @@ def _fsum_up(values) -> float:
         return math.fsum(values)
     except OverflowError:
         return math.inf
+
+
+def _lay_out(partition: tuple, weights: list, rate: float, tol: float) -> tuple:
+    """``partition`` ``(a, b, unit)``, times measured from the purchase
+    time, cut so that :func:`~pvkit.quadrature.enclose` at a flat ``rate``
+    is predicted to meet ``tol`` in its first batch.
+
+    On item ``k`` of half-length ``h_k`` and mass ``m_k >= 0`` (the sum of
+    its fixed-node weights), the degree-6 interpolant through the 7
+    Chebyshev nodes misses ``P(s) = e^(-lam s)``, ``lam = ln(1 + rate)``,
+    by at most ``(|lam| h_k)^7 max P / (2^6 7!)``, with ``max P`` at an end
+    of the item, so its sampled width is at most 4 ``m_k`` times that,
+    plus the roundoff allowance ``4 R (1 + |lam| b_k) m_k max P``, ``R``
+    the pads' ``quadrature._ROUNDOFF`` (a sample time rounded by one ulp
+    moves ``P`` by ``|lam| t`` ulp).  A level of halving divides the first
+    term by exactly ``2^7`` and leaves the allowance, so each item is cut
+    to the fewest levels that bring its first term within an equal share
+    of what the allowances leave of ``tol``.  An item that needs more than
+    ``_MAX_DEPTH`` levels is left whole for ``enclose``'s own rounds, and
+    the partition is returned as given where no item is cut, where a term
+    passes the float range and where the allowances leave nothing.
+    """
+    a, b = partition[0], partition[1]
+    n, lam, grow = _MODEL_NODES, abs(math.log1p(rate)), 1.0 + rate
+    k = len(weights) // len(a)  # nodes per item
+    first, spare = [], tol
+    try:
+        for i, s, e in zip(range(0, len(weights), k), a.tolist(), b.tolist()):
+            top = sum(weights[i:i + k]) * grow ** -(s if rate > 0.0 else e)  # m_k max P
+            first.append(top * (lam * 0.5 * (e - s)) ** n)
+            spare -= 4.0 * _ROUNDOFF * top * (1.0 + lam * e)
+    except OverflowError:
+        return partition
+    # each first term is 4 / (2^(n-1) n!) times its entry in first
+    share = spare * (2 ** (n - 1) * math.factorial(n)) / (4.0 * len(a))
+    worst = max(first)
+    if not (share > 0.0 and worst < math.inf) or worst <= share:
+        return partition
+    depth = np.array([0 if w <= share else math.ceil((math.log2(w) - math.log2(share)) / n)
+                      for w in first])
+    depth[depth > _MAX_DEPTH] = 0
+    if not depth.any():
+        return partition
+    ca, cb, parent = _split(a, b, depth)
+    return ca, cb, partition[2][parent]
 
 
 def _newton_rate(rate: float, pv: float, moment: float, target: float) -> float:

@@ -74,6 +74,9 @@ _MAX_INTERVALS = 20000
 _WIDTH_DECAY = 7.0
 _GATE_BITS = 5.5
 _MAX_DEPTH = 3
+# Roundoff allowance of a residual sample, relative to max|f| on the item
+# (about 4.5 ulp): each item's pad adds it, and irr's layout counts it.
+_ROUNDOFF = 1e-15
 
 # Positions on [-1, 1] (an item [a, b] maps them to mid + half * x) of the
 # 48 points where an item evaluates f: the model nodes, the residual
@@ -186,7 +189,7 @@ def _evaluate_items(fn, a, b, rows):
     resid = (f[:, _N_CHEB:_N_SAMPLED] - f_mid) - model[:, :_RESIDUAL_SAMPLES]
     rmin = resid.min(axis=1)
     rmax = resid.max(axis=1)
-    pad = 0.5 * (rmax - rmin) + 1e-15 * np.abs(f[:, _N_CHEB:_N_SAMPLED]).max(axis=1)
+    pad = 0.5 * (rmax - rmin) + _ROUNDOFF * np.abs(f[:, _N_CHEB:_N_SAMPLED]).max(axis=1)
     rho = density_at(rows, ts[:, _N_SAMPLED:])  # at the GL8 nodes
     mass = half * np.einsum("ij,j->i", rho, w8)
     exact = half * np.einsum("ij,j->i", rho * (model[:, _RESIDUAL_SAMPLES:] + f_mid), w8)
@@ -310,7 +313,7 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
     ``(f_s - f(mid)) - L (f_c - f(mid))`` for node values ``f_c``, so the
     2-ulp row-sum error of the Lagrange matrix ``L`` multiplies only the
     variation of ``f`` over the item, far inside the allowance of ``1e-15 *
-    max|f|`` (about 4.5 ulp of ``f``) added to each pad.
+    max|f|`` (about 4.5 ulp of ``f``, ``_ROUNDOFF``) added to each pad.
 
     Returns the bracket and the final partition, every item that ended the
     refinement, as ``(a, b, unit, lower, upper)``: the same ``(a, b,

@@ -38,7 +38,7 @@ from pvkit import (
     YieldResult,
     yield_bound_check,
 )
-from pvkit import poly, pricing
+from pvkit import poly, pricing, quadrature
 from pvkit.dual_functional import double_density, dual_price
 from pvkit.fx import default_dual_tolerance
 from pvkit.measures import CashFlow
@@ -345,15 +345,117 @@ def _irr_profile_cases():
 def test_irr_certifies_one_bracket_on_the_profile_cases(monkeypatch):
     # steering on fixed-node estimates leaves enclose to one rate next to
     # the root, and that enclosure's items bound PV just under tol away on
-    # the other side; an atoms-only flow has exact sums and never encloses
-    calls = []
-    enclose = pricing.enclose
+    # the other side; an atoms-only flow has exact sums and never encloses.
+    # The layout cuts the partition before that enclosure, so it ends in its
+    # first batch (density(0, 10) took a second one before the layout)
+    calls, batches = [], []
+    enclose, evaluate_items = pricing.enclose, quadrature._evaluate_items
     monkeypatch.setattr(pricing, "enclose", lambda *args: calls.append(args) or enclose(*args))
+    monkeypatch.setattr(quadrature, "_evaluate_items",
+                        lambda *args: batches.append(args) or evaluate_items(*args))
     for name, flow, rate in _irr_profile_cases():
         target = price(FlatCurve(rate), flow).value
         calls.clear()
+        batches.clear()
         assert irr(flow, target).rate == pytest.approx(rate, abs=1e-9)
         assert len(calls) == (1 if flow.pieces else 0), name
+        assert len(batches) == len(calls), name
+
+
+def _laid_out(flow, rate, tol, purchase_time=0.0):
+    """The prepared partition of ``flow`` and what ``_lay_out`` makes of it
+    at ``rate`` and ``tol``, with the measure's rows."""
+    times, amounts, rows, part = quadrature.prepare(flow._units, atoms=flow.atoms,
+                                                    origin=purchase_time)
+    weights = quadrature.fixed_nodes((times, amounts, rows, part))[1].tolist()
+    return part, pricing._lay_out(part, weights[len(times):], rate, tol), rows
+
+
+def _predicted_widths(part, rows, rate):
+    """Each item's predicted sampled width at a flat ``rate``: 4 m (|lam|
+    h)^7 max P / (2^6 7!) plus the roundoff allowance 4 R (1 + |lam| b) m
+    max P, m the sum of the item's fixed-node weights."""
+    a, b, _ = part
+    weights = quadrature.fixed_nodes((np.array([]), np.array([]), rows, part))[1]
+    mass = weights.reshape(len(a), -1).sum(axis=1)
+    lam = abs(math.log1p(rate))
+    top = mass * np.power(1.0 + rate, -(a if rate > 0.0 else b))
+    return (4.0 * top * (lam * 0.5 * (b - a)) ** 7 / (2 ** 6 * math.factorial(7))
+            + 4.0 * quadrature._ROUNDOFF * (1.0 + lam * b) * top)
+
+
+def test_irr_layout_predicts_each_item_width():
+    # seeded: rates in [-0.95, 9], one density of degree 0 to 8, nonnegative
+    # (coefficients >= 0 about its start), 1e-3 to 30 long and starting up
+    # to 5 after a purchase time in [0, 5], laid out for a tolerance from
+    # 1e-13 to 1e-6 of its largest discounted mass
+    rng = np.random.default_rng(27)
+    cut = 0
+    for case in range(400):
+        rate = float(rng.uniform(-0.95, 9.0))
+        length = float(10.0 ** rng.uniform(-3.0, math.log10(30.0)))
+        coeffs = tuple(rng.uniform(0.0, 1.0, int(rng.integers(0, 9)) + 1).tolist())
+        purchase = float(rng.uniform(0.0, 5.0))
+        start = purchase + float(rng.uniform(0.0, 5.0))
+        flow = CashFlow(pieces=(DensityPiece(start, start + length, coeffs, start),))
+        scale = flow.pieces[0].mass() * max(1.0, (1.0 + rate) ** -(start + length - purchase))
+        tol = scale * 10.0 ** rng.uniform(-13.0, -6.0)
+        given, part, rows = _laid_out(flow, rate, tol, purchase)
+        cut += part is not given
+        a, b, unit = part
+        items = quadrature._evaluate_items(lambda ts: np.power(1.0 + rate, -ts), a, b, rows[unit])
+        width = items[:, 4] - items[:, 3]
+        predicted = _predicted_widths(part, rows, rate)
+        assert (width <= predicted).all(), case
+        if part is not given:  # the one item cut: its children within tol
+            assert math.fsum(predicted) <= tol, case
+    assert 50 <= cut <= 350
+
+
+def test_irr_layout_returns_the_partition_when_no_item_needs_a_cut():
+    # a one-year item at 12% misses tol = 1e-11 by 1e-16 uncut
+    given, part, _ = _laid_out(density(40.0, 41.0), 0.12, 1e-11)
+    assert part is given
+
+
+def test_irr_layout_leaves_items_past_the_depth_cap_to_enclose():
+    # at 500%, [0, 1) needs 3 levels for 1e-10; [1, 30) would need 8 and is
+    # left whole for enclose's rounds, alone as well as beside [0, 1)
+    given, part, _ = _laid_out(density(0.0, 1.0, (2.0,)) + density(1.0, 30.0), 5.0, 1e-10)
+    assert sorted(zip(*(x.tolist() for x in part))) == [
+        (k / 8, (k + 1) / 8, 0) for k in range(8)] + [(1.0, 30.0, 1)]
+    given, part, _ = _laid_out(density(1.0, 30.0), 5.0, 1e-10)
+    assert part is given
+
+
+def test_irr_layout_refuses_a_max_discount_past_the_float_range():
+    # (1 + rate)^-150 overflows at rate -0.999, (|lam| h)^7 at h = 1e50, and
+    # m (|lam| h)^7 for a mass of 2.4e301 at 900% over [0, 24)
+    for flow, rate in ((density(149.0, 150.0), -0.999), (density(0.0, 1e50), 1e-9),
+                       (density(0.0, 24.0, (1e300,)), 9.0)):
+        given, part, _ = _laid_out(flow, rate, 1e-10)
+        assert part is given
+
+
+def test_irr_layout_refuses_a_tolerance_below_the_roundoff_allowance():
+    # the allowance of density(0, 10) at 5% is 4e-15 (1 + 10 ln 1.05) 10 = 6e-14
+    given, part, _ = _laid_out(density(0.0, 10.0), 0.05, 1e-14)
+    assert part is given
+    given, part, _ = _laid_out(density(0.0, 10.0), 0.05, 1e-12)
+    assert part is not given
+
+
+@pytest.mark.parametrize("lo, hi, target, rate, iterations", [
+    (0.0, 30.0, 1e30, -0.9027812836392534, 6),
+    (0.0, 20.0, 200.0, -0.1653539375942209, 5),
+    (40.0, 41.0, 0.01, 0.12043971337163474, 3),
+])
+def test_irr_keeps_the_unusual_solves(lo, hi, target, rate, iterations):
+    # near rate -1 an item needs more than _MAX_DEPTH levels and is left to
+    # enclose's rounds; a one-year item needs no cut: rates and steps as
+    # before the layout
+    res = irr(density(lo, hi), target)
+    assert (res.rate, res.iterations) == (rate, iterations)
 
 
 def test_irr_encloses_again_where_the_item_bound_fails(monkeypatch):
