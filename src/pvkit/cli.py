@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 
 # Handlers that need the numeric layer (pricing, fx, dual functionals and
 # numpy under them) import it when they run, so that decompose and
@@ -63,7 +64,10 @@ def _precision(text: str) -> int:
     return min(value, _MAX_PRECISION)
 
 
-def _common(sub, *, tol=True):
+def _common(sub, handler, *, tol=True):
+    """The options every subcommand shares, after its own, and its handler:
+    ``handler(args)`` returns the text output and the structured payload."""
+    sub.set_defaults(handler=handler)
     sub.add_argument("--precision", type=_precision, default=6,
                      help="decimal places in text output (default 6)")
     sub.add_argument("--format", choices=("text", "structured"), default="text")
@@ -83,47 +87,47 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("price", help="present value of a cash flow")
     s.add_argument("--curve", required=True)
     s.add_argument("--cashflow", required=True)
-    _common(s)
+    _common(s, _run_price)
 
     s = subs.add_parser("forward-price", help="value quoted for delivery at time t")
     s.add_argument("--curve", required=True)
     s.add_argument("--cashflow", required=True)
     s.add_argument("--t", type=float, required=True)
-    _common(s)
+    _common(s, _run_forward_price)
 
     s = subs.add_parser("irr", help="internal rate of return at a target price")
     s.add_argument("--cashflow", required=True)
     s.add_argument("--target", type=float, required=True)
     s.add_argument("--purchase-time", type=float, default=0.0)
-    _common(s)
+    _common(s, _run_irr)
 
     s = subs.add_parser("decompose", help="sign and smoothness decompositions")
     s.add_argument("--cashflow", required=True)
-    _common(s, tol=False)
+    _common(s, _run_decompose, tol=False)
 
     s = subs.add_parser("fx-price", help="combined value of a two-currency flow")
     s.add_argument("--market", required=True)
     s.add_argument("--dual", required=True,
                    help="dual-currency cash-flow file {domestic, foreign}")
     s.add_argument("--currency", choices=("domestic", "foreign"), default="domestic")
-    _common(s)
+    _common(s, _run_fx_price)
 
     s = subs.add_parser("fx-convert",
                         help="rewrite a foreign flow in domestic currency")
     s.add_argument("--market", required=True)
     s.add_argument("--cashflow", required=True, help="foreign-currency cash flow")
-    _common(s, tol=False)
+    _common(s, _run_fx_convert, tol=False)
 
     s = subs.add_parser("arbitrage-check", help="screen quotes for arbitrage")
     s.add_argument("--quotes", required=True)
-    _common(s, tol=False)
+    _common(s, _run_arbitrage_check, tol=False)
 
     s = subs.add_parser("curve-eval",
                         help="tabulate discount factors, spot and forward rates")
     s.add_argument("--curve", required=True)
     s.add_argument("--to", type=float, required=True)
     s.add_argument("--step", type=float, default=1.0)
-    _common(s, tol=False)
+    _common(s, _run_curve_eval, tol=False)
 
     s = subs.add_parser(
         "counterexample",
@@ -134,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="built-in functional; needs --curve for f")
     s.add_argument("--curve", help="curve file for --preset")
     s.add_argument("--cashflow", required=True)
-    _common(s)
+    _common(s, _run_counterexample)
     return parser
 
 
@@ -167,38 +171,21 @@ def _run_irr(args):
         f"{fmt(res.rate, p)} (residual {fmt(res.residual, p)}, "
         f"iterations {res.iterations})"
     )
-    return text, {
-        "rate": res.rate,
-        "residual": res.residual,
-        "iterations": res.iterations,
-    }
+    return text, asdict(res)
 
 
 def _run_decompose(args):
     flow = fio.parse_cashflow(fio.read_json(args.cashflow))
-    j = jordan(flow)
-    leb = lebesgue(flow)
+    # each decomposition's parts by field name, in field order
+    parts = {kind: {f.name: getattr(dec, f.name) for f in fields(dec)}
+             for kind, dec in (("jordan", jordan(flow)), ("lebesgue", lebesgue(flow)))}
     p = args.precision
-    parts = (
-        ("jordan.positive", j.positive),
-        ("jordan.negative", j.negative),
-        ("lebesgue.absolutely_continuous", leb.absolutely_continuous),
-        ("lebesgue.singular", leb.singular),
-    )
     text = "part,mass\n" + "\n".join(
-        f"{name},{fmt(total_mass(part), p)}" for name, part in parts
+        f"{kind}.{name},{fmt(total_mass(part), p)}"
+        for kind, named in parts.items() for name, part in named.items()
     )
-    payload = {
-        "jordan": {
-            "positive": fio.cashflow_json(j.positive),
-            "negative": fio.cashflow_json(j.negative),
-        },
-        "lebesgue": {
-            "absolutely_continuous": fio.cashflow_json(leb.absolutely_continuous),
-            "singular": fio.cashflow_json(leb.singular),
-        },
-    }
-    return text, payload
+    return text, {kind: {name: fio.cashflow_json(part) for name, part in named.items()}
+                  for kind, named in parts.items()}
 
 
 def _run_fx_price(args):
@@ -333,23 +320,10 @@ def _run_counterexample(args):
     return text, payload
 
 
-_HANDLERS = {
-    "price": _run_price,
-    "forward-price": _run_forward_price,
-    "irr": _run_irr,
-    "decompose": _run_decompose,
-    "fx-price": _run_fx_price,
-    "fx-convert": _run_fx_convert,
-    "arbitrage-check": _run_arbitrage_check,
-    "curve-eval": _run_curve_eval,
-    "counterexample": _run_counterexample,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text, payload = _HANDLERS[args.command](args)
+        text, payload = args.handler(args)
         out = _structured(payload) if args.format == "structured" else text
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

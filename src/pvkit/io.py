@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from .arbitrage import Quote, QuoteSet
@@ -67,9 +68,13 @@ def read_json(path: str):
         raise SchemaError(f"invalid JSON: {exc}", path)
 
 
-def _obj(value, path: str) -> dict:
+def _obj(value, path: str, keys=None) -> dict:
+    """``value`` as an object with no key outside ``keys``, if given."""
     if not isinstance(value, dict):
         raise SchemaError("expected an object", path)
+    unknown = set(value).difference(keys) if keys else ()
+    if unknown:
+        raise SchemaError(f"unknown fields {sorted(unknown)}", path)
     return value
 
 
@@ -97,12 +102,6 @@ def _field(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _reject_unknown(obj: dict, allowed, path: str) -> None:
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise SchemaError(f"unknown fields {sorted(unknown)}", path)
-
-
 def _wrap_domain(fn, path: str):
     try:
         return fn()
@@ -111,21 +110,18 @@ def _wrap_domain(fn, path: str):
 
 
 def parse_cashflow(value, path: str = "cashflow") -> CashFlow:
-    obj = _obj(value, path)
-    _reject_unknown(obj, ("atoms", "density"), path)
+    obj = _obj(value, path, ("atoms", "density"))
     atoms = []
     for k, entry in enumerate(_list(obj.get("atoms", []), f"{path}.atoms")):
         p = f"{path}.atoms[{k}]"
-        e = _obj(entry, p)
-        _reject_unknown(e, ("t", "amount"), p)
+        e = _obj(entry, p, ("t", "amount"))
         t = _number(_field(e, "t", p), f"{p}.t")
         amount = _number(_field(e, "amount", p), f"{p}.amount")
         atoms.append(_wrap_domain(lambda: Atom(t, amount), p))
     pieces = []
     for k, entry in enumerate(_list(obj.get("density", []), f"{path}.density")):
         p = f"{path}.density[{k}]"
-        e = _obj(entry, p)
-        _reject_unknown(e, ("from", "to", "coeffs", "origin"), p)
+        e = _obj(entry, p, ("from", "to", "coeffs", "origin"))
         lo = _number(_field(e, "from", p), f"{p}.from")
         hi = _number(_field(e, "to", p), f"{p}.to")
         raw = _list(_field(e, "coeffs", p), f"{p}.coeffs")
@@ -135,10 +131,11 @@ def parse_cashflow(value, path: str = "cashflow") -> CashFlow:
     return _wrap_domain(lambda: CashFlow(tuple(atoms), tuple(pieces)), path)
 
 
+_SVENSSON_PARAMS = ("beta0", "beta1", "beta2", "beta3", "tau1", "tau2")
 _CURVE_FIELDS = {
     "flat": ("type", "i", "horizon"),
     "spot_grid": ("type", "knots", "horizon"),
-    "svensson": ("type", "beta0", "beta1", "beta2", "beta3", "tau1", "tau2", "horizon"),
+    "svensson": ("type", *_SVENSSON_PARAMS, "horizon"),
     "scaled": ("type", "factor", "base"),
 }
 
@@ -146,11 +143,10 @@ _CURVE_FIELDS = {
 def parse_curve(value, path: str = "curve", allow_scaled: bool = False):
     from .curves import FlatCurve, ScaledCurve, SpotGridCurve, SvenssonCurve
 
-    obj = _obj(value, path)
-    kind = _field(obj, "type", path)
+    kind = _field(_obj(value, path), "type", path)
     if kind not in _CURVE_FIELDS or (kind == "scaled" and not allow_scaled):
         raise SchemaError(f"unknown curve type {kind!r}", f"{path}.type")
-    _reject_unknown(obj, _CURVE_FIELDS[kind], path)
+    obj = _obj(value, path, _CURVE_FIELDS[kind])
     if kind == "scaled":
         factor = _number(_field(obj, "factor", path), f"{path}.factor")
         base = parse_curve(_field(obj, "base", path), f"{path}.base")
@@ -172,14 +168,13 @@ def parse_curve(value, path: str = "curve", allow_scaled: bool = False):
         return _wrap_domain(lambda: SpotGridCurve(tuple(knots), **kwargs), path)
     params = {
         name: _number(_field(obj, name, path), f"{path}.{name}")
-        for name in ("beta0", "beta1", "beta2", "beta3", "tau1", "tau2")
+        for name in _SVENSSON_PARAMS
     }
     return _wrap_domain(lambda: SvenssonCurve(**params, **kwargs), path)
 
 
 def parse_quotes(value, path: str = "quotes") -> QuoteSet:
-    obj = _obj(value, path)
-    _reject_unknown(obj, ("grid", "quotes"), path)
+    obj = _obj(value, path, ("grid", "quotes"))
     grid = tuple(
         _number(t, f"{path}.grid[{k}]")
         for k, t in enumerate(_list(_field(obj, "grid", path), f"{path}.grid"))
@@ -187,8 +182,7 @@ def parse_quotes(value, path: str = "quotes") -> QuoteSet:
     quotes = []
     for k, entry in enumerate(_list(_field(obj, "quotes", path), f"{path}.quotes")):
         p = f"{path}.quotes[{k}]"
-        e = _obj(entry, p)
-        _reject_unknown(e, ("left", "right"), p)
+        e = _obj(entry, p, ("left", "right"))
         left = parse_cashflow(_field(e, "left", p), f"{p}.left")
         right = parse_cashflow(_field(e, "right", p), f"{p}.right")
         quotes.append(_wrap_domain(lambda: Quote(left, right), p))
@@ -198,8 +192,7 @@ def parse_quotes(value, path: str = "quotes") -> QuoteSet:
 def parse_market(value, path: str = "market") -> DualCurrencyMarket:
     from .fx import DualCurrencyMarket
 
-    obj = _obj(value, path)
-    _reject_unknown(obj, ("domestic_curve", "foreign_curve", "spot_fx"), path)
+    obj = _obj(value, path, ("domestic_curve", "foreign_curve", "spot_fx"))
     dom = parse_curve(_field(obj, "domestic_curve", path), f"{path}.domestic_curve")
     fore = parse_curve(_field(obj, "foreign_curve", path), f"{path}.foreign_curve")
     spot = _number(_field(obj, "spot_fx", path), f"{path}.spot_fx")
@@ -209,8 +202,7 @@ def parse_market(value, path: str = "market") -> DualCurrencyMarket:
 def parse_dual_cashflow(value, path: str = "dual-cashflow") -> DualCashFlow:
     from .fx import DualCashFlow
 
-    obj = _obj(value, path)
-    _reject_unknown(obj, ("domestic", "foreign"), path)
+    obj = _obj(value, path, ("domestic", "foreign"))
     return DualCashFlow(
         parse_cashflow(obj.get("domestic", {}), f"{path}.domestic"),
         parse_cashflow(obj.get("foreign", {}), f"{path}.foreign"),
@@ -220,8 +212,7 @@ def parse_dual_cashflow(value, path: str = "dual-cashflow") -> DualCashFlow:
 def parse_dual_functional(value, path: str = "dual-functional") -> DualFunctional:
     from .dual_functional import DualFunctional
 
-    obj = _obj(value, path)
-    _reject_unknown(obj, ("f", "g", "g_unit_check"), path)
+    obj = _obj(value, path, ("f", "g", "g_unit_check"))
     f = parse_curve(_field(obj, "f", path), f"{path}.f")
     g = parse_curve(_field(obj, "g", path), f"{path}.g", allow_scaled=True)
     unit_check = obj.get("g_unit_check", False)
@@ -246,10 +237,4 @@ def cashflow_json(flow: CashFlow) -> dict:
 
 
 def price_json(res: Bracket) -> dict:
-    return {
-        "value": res.value,
-        "lower": res.lower,
-        "upper": res.upper,
-        "atom_part": res.atom_part,
-        "density_part": res.density_part,
-    }
+    return asdict(res) | {"value": res.value}

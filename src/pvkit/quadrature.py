@@ -75,7 +75,10 @@ _WIDTH_DECAY = 7.0
 _GATE_BITS = 5.5
 _MAX_DEPTH = 3
 # Roundoff allowance of a residual sample, relative to max|f| on the item
-# (about 4.5 ulp): each item's pad adds it, and irr's layout counts it.
+# (about 4.5 ulp): each item's pad adds it, and irr's layout counts it.  It
+# covers the centred residual's arithmetic, not the rounding of the sample
+# times, which moves e^(-lam t) by about |lam| t ulp (see enclose, and
+# ROADMAP direction 1).
 _ROUNDOFF = 1e-15
 
 # Positions on [-1, 1] (an item [a, b] maps them to mid + half * x) of the
@@ -113,12 +116,19 @@ def _tables():
     Returns the 48 positions on [-1, 1] where an item evaluates f (the
     last 8, the GL8 nodes, are where it evaluates the density), the 7 x 41
     matrix from model-node values to the model's values at the residual
-    samples and the GL8 nodes, and the GL8 weights.
+    samples and the GL8 nodes, and the GL8 weights.  Positions and weights
+    are stored divided by 4, and an item ``[a, b]`` scales them by
+    ``2 (b - a)``, four times its half-length.  Both scalings are exact, so
+    every point and every weight keeps its bits, but a GL8 sum, formed
+    before the item's scaling, is a quarter of what it was, at most half
+    the largest ``|rho f|`` at the item's nodes: it is finite wherever the
+    integrand is, and the item's integral overflows only where its value
+    passes the float range.
     """
     return (
-        np.array(_F_POINTS),
+        np.array(_F_POINTS) / 4.0,
         np.array(_lagrange_rows(_F_POINTS[_N_CHEB:])).T,
-        np.array([w for _, w in _GL8]),
+        np.array([w for _, w in _GL8]) / 4.0,
     )
 
 
@@ -178,8 +188,8 @@ def _evaluate_items(fn, a, b, rows):
     """
     points, lagrange, w8 = _tables()
     mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    ts = mid[:, None] + half[:, None] * points
+    span = 2.0 * (b - a)  # the tables are a quarter of the item's scale
+    ts = mid[:, None] + span[:, None] * points
     f = fn(ts.ravel()).reshape(ts.shape)
     f_mid = f[:, _MID:_MID + 1]
     # centred on f(mid): the interpolant is f(mid) + L (f_c - f(mid)), so a
@@ -191,9 +201,9 @@ def _evaluate_items(fn, a, b, rows):
     rmax = resid.max(axis=1)
     pad = 0.5 * (rmax - rmin) + _ROUNDOFF * np.abs(f[:, _N_CHEB:_N_SAMPLED]).max(axis=1)
     rho = density_at(rows, ts[:, _N_SAMPLED:])  # at the GL8 nodes
-    mass = half * np.einsum("ij,j->i", rho, w8)
-    exact = half * np.einsum("ij,j->i", rho * (model[:, _RESIDUAL_SAMPLES:] + f_mid), w8)
-    value = half * np.einsum("ij,j->i", rho * f[:, _N_SAMPLED:], w8)  # the same rule on rho * f
+    mass = span * np.einsum("ij,j->i", rho, w8)
+    exact = span * np.einsum("ij,j->i", rho * (model[:, _RESIDUAL_SAMPLES:] + f_mid), w8)
+    value = span * np.einsum("ij,j->i", rho * f[:, _N_SAMPLED:], w8)  # the same rule on rho * f
     # the remainder integral of rho * r lies between mass * (rmin - pad)
     # and mass * (rmax + pad), in either order as rho has either sign
     low = mass * (rmin - pad)
@@ -314,6 +324,13 @@ def enclose(fn, measure, tol: float) -> tuple[Bracket, tuple]:
     2-ulp row-sum error of the Lagrange matrix ``L`` multiplies only the
     variation of ``f`` over the item, far inside the allowance of ``1e-15 *
     max|f|`` (about 4.5 ulp of ``f``, ``_ROUNDOFF``) added to each pad.
+    That allowance covers the residual's arithmetic only.  The sample
+    times ``mid + half * x`` are rounded too, and a time off by one ulp
+    moves ``f`` by ``|f'(t)| * ulp(t)``: about ``|lam| t`` ulp of ``f`` for
+    a flat curve ``e^(-lam t)``, so at large ``|lam| t`` it outgrows the
+    allowance (``pricing``'s layout counts a factor ``1 + |lam| b`` for
+    it).  The observed residual range carries that noise into the pad, but
+    no term bounds it; the outward rounding of ROADMAP direction 1 would.
 
     Returns the bracket and the final partition, every item that ended the
     refinement, as ``(a, b, unit, lower, upper)``: the same ``(a, b,
@@ -414,7 +431,7 @@ def fixed_nodes(measure) -> tuple[np.ndarray, np.ndarray]:
     """
     times, amounts, rows, (a, b, unit, *_) = measure
     points, _, w8 = _tables()
-    half = 0.5 * (b - a)[:, None]
-    ts = 0.5 * (a + b)[:, None] + half * points[_N_SAMPLED:]
-    w = half * w8 * density_at(rows[unit], ts)
+    span = 2.0 * (b - a)[:, None]  # as in _evaluate_items
+    ts = 0.5 * (a + b)[:, None] + span * points[_N_SAMPLED:]
+    w = span * w8 * density_at(rows[unit], ts)
     return np.concatenate((times, ts.ravel())), np.concatenate((amounts, w.ravel()))

@@ -668,3 +668,144 @@ def test_cli_runs_as_a_module(tmp_path, capsys):
 def test_preset_choices_are_the_presets():
     # --preset's choices are listed in cli so that parsing loads no numerics
     assert PRESET_NAMES == tuple(sorted(PRESETS))
+
+
+# ---------------------------------------------------------- golden bytes
+
+_LEFT = {"atoms": [{"t": 1.0, "amount": 1.0}]}
+GOLDEN_FILES = {
+    "flat.json": FLAT5,
+    "grid.json": {"type": "spot_grid", "knots": [[0.0, 1.0], [2.0, 0.9], [10.0, 0.6]]},
+    "annuity.json": ANNUITY,
+    "bond.json": {"atoms": [{"t": 1.0, "amount": 1.05}]},
+    "mixed.json": {"atoms": [{"t": 0.0, "amount": -2.0}, {"t": 1.0, "amount": 3.0}],
+                   "density": [{"from": 0.0, "to": 2.0, "coeffs": [1.0]},
+                               {"from": 2.0, "to": 4.0, "coeffs": [0.5, -0.25],
+                                "origin": 3.0}]},
+    "level.json": {"density": [{"from": 0.0, "to": 10.0, "coeffs": [1.0]}]},
+    "spot.json": {"atoms": [{"t": 0.0, "amount": 2.0}]},
+    "market.json": MARKET,
+    "dual.json": {"domestic": {"atoms": [{"t": 2.0, "amount": 1.0}]},
+                  "foreign": {"atoms": [{"t": 1.0, "amount": 1.0}]}},
+    "arb.json": {"grid": [0.0, 1.0], "quotes": [
+        {"left": _LEFT, "right": {"atoms": [{"t": 0.0, "amount": 0.95}]}},
+        {"left": _LEFT, "right": {"atoms": [{"t": 0.0, "amount": 0.90}]}}]},
+    "af.json": {"grid": [0.0, 1.0, 2.0], "quotes": [
+        {"left": _LEFT, "right": {"atoms": [{"t": 0.0, "amount": 0.95}]}},
+        {"left": {"atoms": [{"t": 2.0, "amount": 1.0}]},
+         "right": {"atoms": [{"t": 0.0, "amount": 0.9}]}}]},
+    "fn.json": {"f": FLAT5, "g": {"type": "scaled", "factor": 2.0, "base": FLAT5}},
+    # one unknown key and one missing field in each file format
+    "cashflow-unknown.json": {"atoms": [], "extra": 1},
+    "cashflow-missing.json": {"atoms": [{"t": 1.0}]},
+    "curve-unknown.json": {"type": "flat", "i": 0.05, "rate": 0.05},
+    "curve-missing.json": {"type": "svensson", "beta0": 0.03, "beta1": -0.01,
+                           "beta2": 0.01, "beta3": 0.02, "tau1": 1.5},
+    "quotes-unknown.json": {"grid": [0.0, 1.0], "quotes": [
+        {"left": _LEFT, "right": {"atoms": []}, "price": 1.0}]},
+    "quotes-missing.json": {"grid": [0.0, 1.0], "quotes": [{"left": _LEFT}]},
+    "market-unknown.json": dict(MARKET, fx=0.9),
+    "market-missing.json": {k: v for k, v in MARKET.items() if k != "spot_fx"},
+    "dual-unknown.json": {"domestic": {}, "home": {}},
+    "dual-missing.json": {"foreign": {"density": [{"from": 0.0, "to": 1.0}]}},
+    "fn-unknown.json": {"f": FLAT5, "g": FLAT5, "h": FLAT5},
+    "fn-missing.json": {"f": FLAT5},
+}
+_MIXED_PIECES = [{"from": 0.0, "to": 2.0, "coeffs": [1.0]},
+                 {"from": 2.0, "to": 4.0, "coeffs": [0.5, -0.25], "origin": 3.0}]
+
+
+def _canonical(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# (argv, exit code, stdout, stderr); a structured payload is written out as
+# the object whose canonical dump the bytes are
+GOLDEN = [
+    (("price", "--curve", "flat.json", "--cashflow", "annuity.json"),
+     0, "7.721735 [7.721735, 7.721735]\n", ""),
+    (("price", "--curve", "grid.json", "--cashflow", "mixed.json"),
+     0, "3.607411 [3.607411, 3.607411]\n", ""),
+    (("forward-price", "--curve", "flat.json", "--cashflow", "annuity.json", "--t", "2"),
+     0, "8.513213 [8.513213, 8.513213]\n", ""),
+    (("irr", "--cashflow", "bond.json", "--target", "1.0"),
+     0, "0.05 (residual 0, iterations 1)\n", ""),
+    (("decompose", "--cashflow", "mixed.json"),
+     0, "part,mass\njordan.positive,6\njordan.negative,2\n"
+        "lebesgue.absolutely_continuous,3\nlebesgue.singular,1\n", ""),
+    (("decompose", "--cashflow", "mixed.json", "--format", "structured"),
+     0, _canonical({
+         "jordan": {
+             "positive": {"atoms": [{"t": 1.0, "amount": 3.0}], "density": _MIXED_PIECES},
+             "negative": {"atoms": [{"t": 0.0, "amount": 2.0}], "density": []},
+         },
+         "lebesgue": {
+             "absolutely_continuous": {"atoms": [], "density": _MIXED_PIECES},
+             "singular": {"atoms": [{"t": 0.0, "amount": -2.0}, {"t": 1.0, "amount": 3.0}],
+                          "density": []},
+         },
+     }), ""),
+    (("fx-price", "--market", "market.json", "--dual", "dual.json"),
+     0, "1.854082 [1.854082, 1.854082]\n", ""),
+    (("fx-price", "--market", "market.json", "--dual", "dual.json", "--currency", "foreign"),
+     0, "2.060092 [2.060092, 2.060092]\n", ""),
+    # fx-convert prints its structured payload in text mode too
+    (("fx-convert", "--market", "market.json", "--cashflow", "spot.json"),
+     0, _canonical({"atoms": [{"t": 0.0, "amount": 1.8}], "density": []}), ""),
+    (("arbitrage-check", "--quotes", "arb.json"),
+     0, "ARBITRAGE\nquote,coefficient\n0,1\n1,-1\nportfolio t,amount\n0,0.05\n", ""),
+    (("arbitrage-check", "--quotes", "arb.json", "--format", "structured"),
+     0, _canonical({"verdict": "arbitrage", "coefficients": [1.0, -1.0],
+                    "portfolio": {"atoms": [{"t": 0.0, "amount": 0.04999999999999993}],
+                                  "density": []}}), ""),
+    (("arbitrage-check", "--quotes", "af.json"),
+     0, "ARBITRAGE-FREE\nt,price\n0,1\n1,0.95\n2,0.9\n", ""),
+    (("arbitrage-check", "--quotes", "af.json", "--format", "structured"),
+     0, _canonical({"verdict": "arbitrage-free", "grid": [0.0, 1.0, 2.0],
+                    "implied": [1.0, 0.95, 0.9]}), ""),
+    (("curve-eval", "--curve", "flat.json", "--to", "2.5"),
+     0, "t,P,y,f\n0,1,-,-\n1,0.952381,0.05,0.05\n2,0.907029,0.05,0.05\n"
+        "2.5,0.88517,0.05,0.05\n", ""),
+    (("counterexample", "--preset", "double-density", "--curve", "flat.json",
+      "--cashflow", "level.json"),
+     0, "dual 15.826417 [15.826417, 15.826417]\nchoquet 7.913209 [7.913209, 7.913209]\n"
+        "gap 7.913209\n", ""),
+    (("counterexample", "--dual", "fn.json", "--cashflow", "level.json", "--precision", "3"),
+     0, "dual 15.826 [15.826, 15.826]\nchoquet 7.913 [7.913, 7.913]\ngap 7.913\n", ""),
+    (("decompose", "--cashflow", "cashflow-unknown.json"),
+     2, "", "error: cashflow: unknown fields ['extra']\n"),
+    (("price", "--curve", "flat.json", "--cashflow", "cashflow-missing.json"),
+     2, "", "error: cashflow.atoms[0]: missing field 'amount'\n"),
+    (("curve-eval", "--curve", "curve-unknown.json", "--to", "1"),
+     2, "", "error: curve: unknown fields ['rate']\n"),
+    (("curve-eval", "--curve", "curve-missing.json", "--to", "1"),
+     2, "", "error: curve: missing field 'tau2'\n"),
+    (("arbitrage-check", "--quotes", "quotes-unknown.json"),
+     2, "", "error: quotes.quotes[0]: unknown fields ['price']\n"),
+    (("arbitrage-check", "--quotes", "quotes-missing.json"),
+     2, "", "error: quotes.quotes[0]: missing field 'right'\n"),
+    (("fx-convert", "--market", "market-unknown.json", "--cashflow", "spot.json"),
+     2, "", "error: market: unknown fields ['fx']\n"),
+    (("fx-convert", "--market", "market-missing.json", "--cashflow", "spot.json"),
+     2, "", "error: market: missing field 'spot_fx'\n"),
+    (("fx-price", "--market", "market.json", "--dual", "dual-unknown.json"),
+     2, "", "error: dual-cashflow: unknown fields ['home']\n"),
+    (("fx-price", "--market", "market.json", "--dual", "dual-missing.json"),
+     2, "", "error: dual-cashflow.foreign.density[0]: missing field 'coeffs'\n"),
+    (("counterexample", "--dual", "fn-unknown.json", "--cashflow", "level.json"),
+     2, "", "error: dual-functional: unknown fields ['h']\n"),
+    (("counterexample", "--dual", "fn-missing.json", "--cashflow", "level.json"),
+     2, "", "error: dual-functional: missing field 'g'\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", GOLDEN,
+                         ids=[" ".join(a for a in g[0] if not a.startswith("--"))
+                              for g in GOLDEN])
+def test_cli_prints_the_pinned_bytes(tmp_path, capsys, argv, code, out, err):
+    # small fixed inputs, so every subcommand's bytes, exit code and error
+    # message are pinned whole
+    for name, payload in GOLDEN_FILES.items():
+        _write(tmp_path, name, payload)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert run(capsys, *argv) == (code, out, err)

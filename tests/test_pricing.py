@@ -154,6 +154,23 @@ def test_irr_reads_present_values_past_the_float_range_as_infinite():
     assert res.rate == pytest.approx(1.0 / v - 1.0, abs=1e-10)
 
 
+def test_a_density_whose_integral_fits_the_float_range_is_priced():
+    # an item's GL8 sums were formed before its half-length scaled them, so
+    # this density, worth 7.5e307, was refused; one worth 3e308 still is
+    res = price(FlatCurve(0.0), density(0.0, 0.5, (1.5e308,)), tol=1e300)
+    assert res.lower <= 7.5e307 <= res.upper
+    with pytest.raises(DomainError, match="the flow's sum exceeds the float range"):
+        price(FlatCurve(0.0), density(0.0, 2.0, (1.5e308,)), tol=1e300)
+
+
+def test_irr_solves_a_density_worth_nearly_the_float_range():
+    # at the root the flow is worth 1.7e308, and its density item's sums
+    # used to overflow; the root, to 40 digits by mpmath, is
+    # -0.31405837896713695...
+    res = irr(density(1.0, 2.0, (0.6e308,)) + dirac(2.0, 0.3e308), 1.7e308)
+    assert res.rate == pytest.approx(-0.31405837896713695, abs=1e-10)
+
+
 # --- property suites --------------------------------------------------------
 
 
