@@ -176,7 +176,7 @@ def _run_irr(args):
 
 def _run_decompose(args):
     flow = fio.parse_cashflow(fio.read_json(args.cashflow))
-    # each decomposition's parts by field name, in field order
+    # each decomposition's parts by field name; field order is the row order
     parts = {kind: {f.name: getattr(dec, f.name) for f in fields(dec)}
              for kind, dec in (("jordan", jordan(flow)), ("lebesgue", lebesgue(flow)))}
     p = args.precision
